@@ -64,7 +64,12 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
     off = 12
-    meta = json.loads(bytes(view[off : off + meta_len]).decode("utf-8"))
+    try:
+        meta = json.loads(bytes(view[off : off + meta_len]).decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or JSON, as in a file cut inside its meta
+        raise CheckpointError(f"{path}: unreadable meta: {exc}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: meta is not a JSON object")
     off += meta_len
     (n_blocks,) = struct.unpack_from("<I", view, off)
     off += 4

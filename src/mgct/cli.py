@@ -18,12 +18,12 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import dataio, survival, verify
-from .mgct_core import AblationSpec, FusionConfig, ModelSpec
+from .mgct_core import AblationSpec, Config, ConfigError, FusionConfig, ModelSpec, from_json, ranged
 from .train import (
     TrainConfig,
     cross_validate,
@@ -38,110 +38,53 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-class ConfigError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
-# config file: strict schema, explicit defaults
+# config file: one section per config dataclass, defaults and ranges from its fields
 
-_SCHEMA = {
-    "dataset": {
-        "manifest": (str, lambda v: True, "path to manifest.csv"),
-        "category_map": (str, lambda v: True, "path to category_map.json"),
-    },
-    "train": {
-        "epochs": (int, lambda v: v >= 0, ">= 0"),
-        "learning_rate": (float, lambda v: v > 0, "> 0"),
-        "weight_decay": (float, lambda v: v >= 0, ">= 0"),
-        "accumulation": (int, lambda v: v >= 1, ">= 1"),
-        "batch_size": (int, lambda v: v == 1, "fixed at 1"),
-        "seed": (int, lambda v: True, "any integer"),
-        "dropout": (float, lambda v: 0 <= v < 1, "in [0, 1)"),
-        "loss_alpha": (float, lambda v: 0 <= v < 1, "in [0, 1)"),
-        "snn_hidden": (int, lambda v: v >= 1, ">= 1"),
-    },
-    "model": {
-        "s1": (int, lambda v: v >= 1, ">= 1"),
-        "s2": (int, lambda v: v >= 1, ">= 1"),
-        "d": (int, lambda v: v >= 1, ">= 1"),
-        "heads": (int, lambda v: v >= 1, ">= 1"),
-        "d_attn": (int, lambda v: v >= 1, ">= 1"),
-        "d_ff": (int, lambda v: v >= 1, ">= 1"),
-        "bins": (int, lambda v: v >= 2, ">= 2"),
-        "residual": (bool, lambda v: True, "true/false"),
-    },
-    "cv": {
-        "folds": (int, lambda v: v >= 1, ">= 1"),
-        "ratio": (float, lambda v: 0 < v < 1, "in (0, 1)"),
-        "jobs": (int, lambda v: v >= 1, ">= 1"),
-    },
-    "ablation": {
-        "deep_fusion": (bool, lambda v: True, "true/false"),
-        "mgca": (bool, lambda v: True, "true/false"),
-        "gap": (bool, lambda v: True, "true/false"),
-        "feedforward": (bool, lambda v: True, "true/false"),
-    },
+
+@dataclass(frozen=True)
+class DatasetConfig(Config):
+    manifest: str = ""
+    category_map: str = ""  # default: category_map.json beside the manifest
+
+
+@dataclass(frozen=True)
+class CvConfig(Config):
+    folds: int = ranged(5, "[1, inf)")
+    ratio: float = ranged(0.2, "(0, 1)")
+    jobs: int = ranged(1, "[1, inf)")
+
+
+SECTIONS = {
+    "dataset": DatasetConfig,
+    "train": TrainConfig,  # every field but ``fusion``, which is the model section
+    "model": FusionConfig,
+    "cv": CvConfig,
+    "ablation": AblationSpec,
 }
 
 
-def default_config() -> dict:
-    tc = TrainConfig()
-    return {
-        "dataset": {"manifest": "", "category_map": ""},
-        "train": {
-            "epochs": tc.epochs,
-            "learning_rate": tc.learning_rate,
-            "weight_decay": tc.weight_decay,
-            "accumulation": tc.accumulation,
-            "batch_size": tc.batch_size,
-            "seed": tc.seed,
-            "dropout": tc.dropout,
-            "loss_alpha": tc.loss_alpha,
-            "snn_hidden": tc.snn_hidden,
-        },
-        "model": asdict(FusionConfig()),
-        "cv": {"folds": 5, "ratio": 0.2, "jobs": 1},
-        "ablation": asdict(AblationSpec()),
-    }
+def validate_config(doc) -> tuple[dict, set[str]]:
+    """Decode a config document, rejecting unknown sections and bad keys.
 
-
-def validate_config(doc: dict) -> tuple[dict, set[str]]:
-    """Merge a config document over the defaults, rejecting unknown or bad keys.
-
-    Returns the merged config and the set of ``section.key`` names the
-    document set explicitly.
+    Returns the section configs (``train`` carries ``model`` as its fusion)
+    and the set of ``section.key`` names the document set explicitly.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    merged = default_config()
-    provided: set[str] = set()
-    problems: list[str] = []
-    for section, values in doc.items():
-        if section not in _SCHEMA:
-            problems.append(f"unknown section {section!r}")
-            continue
-        if not isinstance(values, dict):
-            problems.append(f"section {section!r} must be an object")
-            continue
-        for key, value in values.items():
-            if key not in _SCHEMA[section]:
-                problems.append(f"unknown key {section}.{key}")
-                continue
-            expected, pred, desc = _SCHEMA[section][key]
-            if expected is float and isinstance(value, int) and not isinstance(value, bool):
-                value = float(value)
-            if not isinstance(value, expected) or isinstance(value, bool) != (expected is bool):
-                problems.append(f"{section}.{key}: expected {expected.__name__} ({desc})")
-                continue
-            if not pred(value):
-                problems.append(f"{section}.{key}: value {value!r} out of range ({desc})")
-                continue
-            merged[section][key] = value
-            provided.add(f"{section}.{key}")
+    problems = [f"unknown section {name!r}" for name in doc if name not in SECTIONS]
+    sections = {}
+    for name, cls in SECTIONS.items():
+        skip = ("fusion",) if cls is TrainConfig else ()
+        try:
+            sections[name] = from_json(cls, doc.get(name, {}), name, skip)
+        except ConfigError as exc:
+            problems.append(str(exc))
     if problems:
         raise ConfigError("invalid config: " + "; ".join(problems))
-    return merged, provided
+    sections["train"] = replace(sections["train"], fusion=sections["model"])
+    provided = {f"{name}.{key}" for name, values in doc.items() for key in values}
+    return sections, provided
 
 
 def load_config(path) -> tuple[dict, set[str]]:
@@ -154,32 +97,19 @@ def load_config(path) -> tuple[dict, set[str]]:
     return validate_config(doc)
 
 
-def to_train_config(cfg: dict, provided: set[str], seed_override: int | None) -> TrainConfig:
-    # seed precedence: --seed flag, config value, MGCT_SEED, default
-    t = dict(cfg["train"])
-    if seed_override is not None:
-        t["seed"] = seed_override
-    elif "train.seed" not in provided and os.environ.get("MGCT_SEED"):
-        t["seed"] = int(os.environ["MGCT_SEED"])
-    return TrainConfig(
-        epochs=t["epochs"],
-        learning_rate=t["learning_rate"],
-        weight_decay=t["weight_decay"],
-        accumulation=t["accumulation"],
-        batch_size=t["batch_size"],
-        seed=t["seed"],
-        fusion=FusionConfig(**cfg["model"]),
-        snn_hidden=t["snn_hidden"],
-        dropout=t["dropout"],
-        loss_alpha=t["loss_alpha"],
-    )
-
-
-def resolve_seed(flag_seed: int | None, fallback: int = 0) -> int:
+def resolve_seed(flag_seed: int | None, config_seed: int | None = None, fallback: int = 0) -> int:
+    """Seed precedence: ``--seed`` flag, config value, ``MGCT_SEED``, fallback."""
     if flag_seed is not None:
         return flag_seed
+    if config_seed is not None:
+        return config_seed
     env = os.environ.get("MGCT_SEED")
-    return int(env) if env else fallback
+    if not env:
+        return fallback
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"MGCT_SEED must be an integer, got {env!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +129,11 @@ def make_run_dir(base, seed: int) -> Path:
     return candidate
 
 
-def load_dataset(cfg: dict) -> dataio.Dataset:
-    manifest = cfg["dataset"]["manifest"]
-    if not manifest:
+def load_dataset(cfg: DatasetConfig) -> dataio.Dataset:
+    if not cfg.manifest:
         raise ConfigError("dataset.manifest is required for this command")
-    cmap_path = cfg["dataset"]["category_map"] or str(Path(manifest).parent / "category_map.json")
-    cmap = dataio.read_category_map(cmap_path)
-    return dataio.load_samples(manifest, cmap)
+    cmap_path = cfg.category_map or str(Path(cfg.manifest).parent / "category_map.json")
+    return dataio.load_samples(cfg.manifest, dataio.read_category_map(cmap_path))
 
 
 def checkpoint_meta(result, dataset: dataio.Dataset) -> dict:
@@ -236,23 +164,26 @@ def cmd_synth(args) -> int:
 
 def _prepare_run(args):
     cfg, provided = load_config(args.config)
-    train_cfg = to_train_config(cfg, provided, args.seed)
-    dataset = load_dataset(cfg)
-    run_dir = make_run_dir(args.out, train_cfg.seed)
-    (run_dir / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+    train = cfg["train"]
+    seed = resolve_seed(args.seed, train.seed if "train.seed" in provided else None, train.seed)
+    train_cfg = replace(train, seed=seed)
+    train_cfg.validate()  # the seed may come from --seed or MGCT_SEED
+    dataset = load_dataset(cfg["dataset"])
+    run_dir = make_run_dir(args.out, seed)
+    echo = {name: asdict(section) for name, section in cfg.items()}
+    del echo["train"]["fusion"]  # echoed as the model section
+    (run_dir / "config.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
     return cfg, train_cfg, dataset, run_dir
 
 
 def _ablation_from(cfg: dict, model_flag: str | None) -> AblationSpec:
-    if model_flag:
-        return AblationSpec.preset(model_flag)
-    return AblationSpec(**cfg["ablation"])
+    return AblationSpec.preset(model_flag) if model_flag else cfg["ablation"]
 
 
 def cmd_train(args) -> int:
     cfg, train_cfg, dataset, run_dir = _prepare_run(args)
     ablation = _ablation_from(cfg, args.model)
-    splits = dataio.monte_carlo_splits(dataset.ids, 1, ratio=cfg["cv"]["ratio"], seed=train_cfg.seed)
+    splits = dataio.monte_carlo_splits(dataset.ids, 1, ratio=cfg["cv"].ratio, seed=train_cfg.seed)
     from .train import train_fold
 
     result = train_fold(dataset, splits[0], train_cfg, ablation)
@@ -269,10 +200,9 @@ def cmd_train(args) -> int:
 def cmd_cv(args) -> int:
     cfg, train_cfg, dataset, run_dir = _prepare_run(args)
     ablation = _ablation_from(cfg, args.model)
-    jobs = args.jobs if args.jobs is not None else cfg["cv"]["jobs"]
-    cv = cross_validate(
-        dataset, cfg["cv"]["folds"], train_cfg, ablation, ratio=cfg["cv"]["ratio"], jobs=jobs
-    )
+    cv_cfg = cfg["cv"]
+    jobs = args.jobs if args.jobs is not None else cv_cfg.jobs
+    cv = cross_validate(dataset, cv_cfg.folds, train_cfg, ablation, ratio=cv_cfg.ratio, jobs=jobs)
     write_metrics_csv(run_dir / "metrics.csv", cv.folds)
     for fr in cv.folds:
         ckpt.save_checkpoint(run_dir / f"fold_{fr.fold}.ckpt", fr.arrays, checkpoint_meta(fr, dataset))
@@ -287,10 +217,9 @@ def cmd_cv(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg, train_cfg, dataset, run_dir = _prepare_run(args)
-    jobs = args.jobs if args.jobs is not None else cfg["cv"]["jobs"]
-    rows = run_ablation_matrix(
-        dataset, train_cfg, k=cfg["cv"]["folds"], ratio=cfg["cv"]["ratio"], jobs=jobs
-    )
+    cv_cfg = cfg["cv"]
+    jobs = args.jobs if args.jobs is not None else cv_cfg.jobs
+    rows = run_ablation_matrix(dataset, train_cfg, k=cv_cfg.folds, ratio=cv_cfg.ratio, jobs=jobs)
     write_ablation_csv(run_dir / "ablation.csv", rows)
     print(f"run dir: {run_dir}")
     print(f"{'model':<6}{'c-index':>22}{'auc':>22}")
@@ -306,31 +235,24 @@ def cmd_ablate(args) -> int:
 
 def cmd_eval(args) -> int:
     arrays, meta = ckpt.load_checkpoint(args.checkpoint)
+    horizon = meta.get("auc_horizon")
+    if "model" not in meta or type(horizon) not in (int, float):
+        raise ckpt.CheckpointError(f"{args.checkpoint}: meta needs a model and a numeric auc_horizon")
     spec = ModelSpec.from_dict(meta["model"])
-    cmap_path = args.category_map or str(Path(args.manifest).parent / "category_map.json")
-    cmap = dataio.read_category_map(cmap_path)
-    dataset = dataio.load_samples(args.manifest, cmap)
-    if dataset.d_in != spec.d_in:
-        print(
-            f"error: manifest bag width d_in={dataset.d_in} does not match checkpoint d_in={spec.d_in}",
-            file=sys.stderr,
+    dataset = load_dataset(DatasetConfig(args.manifest, args.category_map or ""))
+    if (dataset.d_in, tuple(dataset.gene_lengths)) != (spec.d_in, spec.gene_lengths):
+        raise ckpt.CheckpointError(
+            f"manifest bag width d_in={dataset.d_in} and genomic category lengths {dataset.gene_lengths} "
+            f"do not match checkpoint d_in={spec.d_in} and lengths {list(spec.gene_lengths)}"
         )
-        return EXIT_USAGE
-    if tuple(dataset.gene_lengths) != tuple(spec.gene_lengths):
-        print(
-            f"error: genomic category lengths {dataset.gene_lengths} do not match "
-            f"checkpoint {list(spec.gene_lengths)}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
 
     risks = [predict(s, arrays, spec).risk for s in dataset.samples]
     labels = [survival.SurvivalLabel(s.t, s.event) for s in dataset.samples]
     ci = survival.concordance_index(risks, labels)
-    auc = survival.binary_auc(risks, labels, meta["auc_horizon"])
+    auc = survival.binary_auc(risks, labels, horizon)
     print(f"samples: {len(labels)}")
     print(f"c-index: {ci if ci is not None else 'undefined'}")
-    print(f"auc(horizon={meta['auc_horizon']:.4g} months): {auc if auc is not None else 'undefined'}")
+    print(f"auc(horizon={horizon:.4g} months): {auc if auc is not None else 'undefined'}")
 
     low_idx, high_idx = survival.stratify(risks, labels)
     low = [labels[i] for i in low_idx]

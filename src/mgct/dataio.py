@@ -133,12 +133,6 @@ class Dataset:
     def gene_lengths(self) -> list[int]:
         return [len(v) for v in self.samples[0].genomic]
 
-    def by_id(self, sample_id: str) -> BagSample:
-        for s in self.samples:
-            if s.sample_id == sample_id:
-                return s
-        raise KeyError(sample_id)
-
     def subset(self, ids) -> list[BagSample]:
         index = {s.sample_id: s for s in self.samples}
         return [index[i] for i in ids]

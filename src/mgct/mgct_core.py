@@ -28,13 +28,15 @@ concatenated into the classifier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from . import numkit as nk
 from .embedders import (
     PatchProjParams,
+    SNN_HIDDEN_DEFAULT,
     SnnParams,
     affine,
     bind_patch_proj,
@@ -48,30 +50,127 @@ from .embedders import (
 )
 
 
-@dataclass(frozen=True)
-class FusionConfig:
-    s1: int = 1  # fusion layers per direction, stage 1
-    s2: int = 2  # fusion layers per direction, stage 2
-    d: int = 64  # token width
-    heads: int = 1
-    d_attn: int = 64  # gated-pooling scorer width
-    d_ff: int = 128  # feed-forward hidden width
-    bins: int = 4  # discrete hazard bins
-    residual: bool = False  # optional skip connections (off: plain stack)
+class ConfigError(ValueError):
+    """A config value, from a config file or a checkpoint meta, is unknown, mistyped or out of range."""
+
+
+def ranged(default, interval: str):
+    """A config field whose value must lie in ``interval``, written like ``"[0, 1)"``.
+
+    Bounds may be ``inf``; for a tuple field the interval bounds every element.
+    ``default`` is ``MISSING`` for a required field.
+    """
+    return field(default=default, metadata={"range": interval})
+
+
+def _in_range(value, interval: str) -> bool:
+    lo, hi = (float(x) for x in interval[1:-1].split(","))
+    return all(
+        (lo < v or (interval[0] == "[" and v == lo)) and (v < hi or (interval[-1] == "]" and v == hi))
+        for v in (value if isinstance(value, tuple) else (value,))
+    )
+
+
+class Config:
+    """Checks shared by the config dataclasses.
+
+    Each field's range is stated once, on the field (``ranged``); ``rules``
+    adds the checks that span fields, run once every field is in range.
+    Nested configs are checked too.
+    """
+
+    def rules(self) -> list[str]:
+        return []
+
+    def problems(self) -> list[str]:
+        """``"field: reason"`` for every field out of range and every broken rule."""
+        out = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Config):
+                out += [f"{f.name}.{p}" for p in value.problems()]
+            elif "range" in f.metadata and not _in_range(value, f.metadata["range"]):
+                out.append(f"{f.name}: value {value!r} out of range {f.metadata['range']}")
+        return out or self.rules()
 
     def validate(self) -> None:
-        if self.s1 < 1 or self.s2 < 1:
-            raise ValueError("both fusion stages need at least one layer")
-        if self.heads < 1 or self.d % self.heads != 0:
-            raise ValueError(f"token width {self.d} must divide into {self.heads} heads")
-        if self.d_attn < 1 or self.d_ff < 1:
-            raise ValueError("d_attn and d_ff must be positive")
-        if self.bins < 2:
-            raise ValueError("need at least 2 hazard bins")
+        problems = self.problems()
+        if problems:
+            raise ConfigError("; ".join(problems))
+
+
+def from_json(cls, doc, where: str, skip: tuple[str, ...] = ()):
+    """Build the config dataclass ``cls`` from the JSON object ``doc``.
+
+    Keys that are not fields of ``cls``, or are named in ``skip`` (those keep
+    their defaults), are rejected. Each value must have its field's type (an
+    int passes for a float, a list for a tuple); absent fields take their
+    defaults; the result must pass ``problems()``. Every problem is reported,
+    named ``where.key``, in one ``ConfigError``.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    types = typing.get_type_hints(cls)
+    settable = {f.name: f for f in fields(cls) if f.name not in skip}
+    problems: list[str] = []
+    values = {}
+    for key, value in doc.items():
+        if key not in settable:
+            problems.append(f"unknown key {where}.{key}")
+            continue
+        try:
+            values[key] = _from_json_value(types[key], value, f"{where}.{key}")
+        except ConfigError as exc:
+            problems.append(str(exc))
+    problems += [
+        f"missing key {where}.{name}"
+        for name, f in settable.items()
+        if name not in doc and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if not problems:
+        config = cls(**values)
+        problems = [f"{where}.{p}" for p in config.problems()]
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return config
+
+
+def _from_json_value(tp, value, where: str):
+    if is_dataclass(tp):
+        return from_json(tp, value, where)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        return tuple(_from_json_value(typing.get_args(tp)[0], v, where) for v in value)
+    if tp is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{where}: integer too large for a float") from None
+    if type(value) is not tp:
+        raise ConfigError(f"{where}: expected {tp.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
-class AblationSpec:
+class FusionConfig(Config):
+    s1: int = ranged(1, "[1, inf)")  # fusion layers per direction, stage 1
+    s2: int = ranged(2, "[1, inf)")  # fusion layers per direction, stage 2
+    d: int = ranged(64, "[1, inf)")  # token width
+    heads: int = ranged(1, "[1, inf)")
+    d_attn: int = ranged(64, "[1, inf)")  # gated-pooling scorer width
+    d_ff: int = ranged(128, "[1, inf)")  # feed-forward hidden width
+    bins: int = ranged(4, "[2, inf)")  # discrete hazard bins
+    residual: bool = False  # optional skip connections (off: plain stack)
+
+    def rules(self) -> list[str]:
+        if self.d % self.heads:
+            return [f"heads: token width d={self.d} does not divide into {self.heads} heads"]
+        return []
+
+
+@dataclass(frozen=True)
+class AblationSpec(Config):
     deep_fusion: bool = True
     mgca: bool = True
     gap: bool = True
@@ -155,33 +254,22 @@ class MgctParams:
 
 
 @dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Config):
     """Everything needed to lay out (and re-create) the trainable arrays."""
 
-    d_in: int
-    gene_lengths: tuple[int, ...]
-    snn_hidden: int = 256
+    d_in: int = ranged(MISSING, "[1, inf)")
+    gene_lengths: tuple[int, ...] = ranged(MISSING, "[1, inf)")
+    snn_hidden: int = ranged(SNN_HIDDEN_DEFAULT, "[1, inf)")
     fusion: FusionConfig = field(default_factory=FusionConfig)
     ablation: AblationSpec = field(default_factory=AblationSpec)
 
     def to_dict(self) -> dict:
-        return {
-            "d_in": self.d_in,
-            "gene_lengths": list(self.gene_lengths),
-            "snn_hidden": self.snn_hidden,
-            "fusion": asdict(self.fusion),
-            "ablation": asdict(self.ablation),
-        }
+        return asdict(self) | {"gene_lengths": list(self.gene_lengths)}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ModelSpec":
-        return cls(
-            d_in=int(doc["d_in"]),
-            gene_lengths=tuple(int(x) for x in doc["gene_lengths"]),
-            snn_hidden=int(doc["snn_hidden"]),
-            fusion=FusionConfig(**doc["fusion"]),
-            ablation=AblationSpec(**doc["ablation"]),
-        )
+    def from_dict(cls, doc) -> "ModelSpec":
+        """Decode ``to_dict`` output, such as a checkpoint's ``model`` meta; raises ``ConfigError``."""
+        return from_json(cls, doc, "model")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import csv
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +20,15 @@ from . import numkit as nk
 from . import survival
 from .dataio import BagSample, Dataset, FoldSplit, monte_carlo_splits
 from .embedders import DROPOUT_DEFAULT, SNN_HIDDEN_DEFAULT
-from .mgct_core import AblationSpec, FusionConfig, ModelSpec, forward_logits, init_model_arrays
+from .mgct_core import (
+    AblationSpec,
+    Config,
+    FusionConfig,
+    ModelSpec,
+    forward_logits,
+    init_model_arrays,
+    ranged,
+)
 
 log = logging.getLogger(__name__)
 
@@ -28,30 +37,16 @@ ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 20
-    learning_rate: float = 2e-4
-    weight_decay: float = 1e-5
-    accumulation: int = 32
-    batch_size: int = 1  # fixed; bags have varying sizes
-    seed: int = 0
+class TrainConfig(Config):
+    epochs: int = ranged(20, "[0, inf)")
+    learning_rate: float = ranged(2e-4, "(0, inf)")
+    weight_decay: float = ranged(1e-5, "[0, inf)")
+    accumulation: int = ranged(32, "[1, inf)")
+    seed: int = ranged(0, "[0, inf)")
     fusion: FusionConfig = field(default_factory=FusionConfig)
-    snn_hidden: int = SNN_HIDDEN_DEFAULT
-    dropout: float = DROPOUT_DEFAULT
-    loss_alpha: float = 0.0
-
-    def validate(self) -> None:
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.accumulation < 1:
-            raise ValueError("accumulation must be >= 1")
-        if self.batch_size != 1:
-            raise ValueError("batch size is fixed at 1")
-        if not 0 <= self.dropout < 1:
-            raise ValueError("dropout must lie in [0, 1)")
-        self.fusion.validate()
+    snn_hidden: int = ranged(SNN_HIDDEN_DEFAULT, "[1, inf)")
+    dropout: float = ranged(DROPOUT_DEFAULT, "[0, 1)")
+    loss_alpha: float = ranged(0.0, "[0, 1)")
 
 
 @dataclass
@@ -133,8 +128,7 @@ def sample_loss_and_grads(
 def predict(sample: BagSample, arrays: dict[str, np.ndarray], spec: ModelSpec) -> survival.SurvivalPrediction:
     """Evaluation-mode prediction (no tape, no dropout)."""
     logits, _ = forward_logits(sample.patches, sample.genomic, arrays, spec)
-    hazards = 1.0 / (1.0 + np.exp(-np.clip(logits.data, -500, 500)))
-    return survival.SurvivalPrediction.from_hazards(hazards.ravel())
+    return survival.SurvivalPrediction.from_hazards(nk.sigmoid(logits).data.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +304,6 @@ def _aggregate(values: list[float | None]) -> tuple[float | None, float | None]:
     return float(np.mean(defined)), float(np.std(defined))  # population std
 
 
-def _run_fold_task(args) -> FoldResult:
-    dataset, split, config, ablation = args
-    return train_fold(dataset, split, config, ablation)
-
-
 def cross_validate(
     dataset: Dataset,
     k: int,
@@ -329,20 +318,19 @@ def cross_validate(
     excluded from the aggregates.
     """
     splits = monte_carlo_splits(dataset.ids, k, ratio=ratio, seed=config.seed)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = [pool.submit(train_fold, dataset, sp, config, ablation).result for sp in splits]
+    else:
+        outcomes = [partial(train_fold, dataset, sp, config, ablation) for sp in splits]
     results: list[FoldResult] = []
     errors: dict[int, str] = {}
-    if jobs > 1:
-        tasks = [(dataset, sp, config, ablation) for sp in splits]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for sp, outcome in zip(splits, pool.map(_run_fold_task, tasks)):
-                results.append(outcome)
-    else:
-        for sp in splits:
-            try:
-                results.append(train_fold(dataset, sp, config, ablation))
-            except Exception as exc:  # noqa: BLE001 - fold failures are reported
-                log.warning("fold %d failed: %s", sp.fold, exc)
-                errors[sp.fold] = str(exc)
+    for sp, outcome in zip(splits, outcomes):
+        try:
+            results.append(outcome())
+        except Exception as exc:  # noqa: BLE001 - fold failures are reported
+            log.warning("fold %d failed: %s", sp.fold, exc)
+            errors[sp.fold] = str(exc)
     ci_mean, ci_std = _aggregate([r.final_c_index for r in results])
     auc_mean, auc_std = _aggregate([r.final_auc for r in results])
     return CrossValidationResult(

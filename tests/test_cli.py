@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from mgct import numkit as nk
-from mgct.cli import main, validate_config, ConfigError
+from mgct import checkpoint, numkit as nk
+from mgct.cli import SECTIONS, main, validate_config, ConfigError
+from mgct.train import TrainConfig
 
 TINY = {
     "train": {"epochs": 1, "accumulation": 4, "snn_hidden": 8, "dropout": 0.1},
@@ -35,6 +36,26 @@ def write_config(tmp_path, dataset_dir, **extra) -> str:
 
 def run_dirs(base):
     return sorted(p for p in base.iterdir() if p.is_dir())
+
+
+# (section, values): the last key named is the one out of range
+BAD_VALUES = [
+    ("train", {"epochs": -1}),
+    ("train", {"learning_rate": 0.0}),
+    ("train", {"weight_decay": -1.0}),
+    ("train", {"accumulation": 0}),
+    ("train", {"dropout": 1.0}),
+    ("train", {"loss_alpha": 1.0}),
+    ("train", {"snn_hidden": 0}),
+    ("train", {"seed": -1}),
+    ("model", {"s1": 0}),
+    ("model", {"bins": 1}),
+    ("model", {"heads": 0}),
+    ("model", {"d": 10, "heads": 3}),
+    ("cv", {"folds": 0}),
+    ("cv", {"ratio": 1.0}),
+    ("cv", {"jobs": 0}),
+]
 
 
 class TestSynth:
@@ -90,6 +111,30 @@ class TestConfigValidation:
     def test_batch_size_fixed(self):
         with pytest.raises(ConfigError, match="batch_size"):
             validate_config({"train": {"batch_size": 2}})
+
+    @pytest.mark.parametrize("section,values", BAD_VALUES)
+    def test_range_checked_by_loader_and_dataclass(self, section, values):
+        key = list(values)[-1]
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+            validate_config({section: values})
+        with pytest.raises(ConfigError, match=key):
+            SECTIONS[section](**values).validate()
+
+    def test_empty_config_gives_defaults(self):
+        sections, provided = validate_config({})
+        assert sections["train"] == TrainConfig()
+        assert provided == set()
+
+    @pytest.mark.parametrize(
+        "model,flags,message",
+        [({"d": 10, "heads": 3}, [], "model.heads"), ({}, ["--seed", "-1"], "seed")],
+    )
+    def test_bad_value_exits_2_before_run_dir(self, tmp_path, dataset_dir, capsys, model, flags, message):
+        cfg = write_config(tmp_path, dataset_dir, model=model)
+        runs = tmp_path / "runs"
+        assert main(["train", "--config", cfg, "--out", str(runs)] + flags) == 2
+        assert message in capsys.readouterr().err
+        assert not runs.exists()
 
     def test_cli_exit_code_on_bad_config(self, tmp_path, dataset_dir, capsys):
         path = tmp_path / "bad.json"
@@ -201,6 +246,30 @@ class TestEvalCommand:
         )
         assert code == 2
         assert "d_in" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda meta: meta["model"]["fusion"].update(bogus=1), "model.fusion.bogus"),
+            (lambda meta: meta["model"]["fusion"].update(heads=3), "model.fusion.heads"),
+            (lambda meta: meta["model"].pop("d_in"), "model.d_in"),
+            (lambda meta: meta.pop("auc_horizon"), "auc_horizon"),
+            (lambda meta: meta.pop("model"), "model"),
+        ],
+    )
+    def test_bad_checkpoint_meta_exits_2(self, tmp_path, dataset_dir, capsys, edit, message):
+        cfg = write_config(tmp_path, dataset_dir)
+        runs = tmp_path / "runs"
+        assert main(["train", "--config", cfg, "--out", str(runs)]) == 0
+        path = run_dirs(runs)[0] / "fold_0.ckpt"
+        arrays, meta = checkpoint.load_checkpoint(path)
+        edit(meta)
+        checkpoint.save_checkpoint(path, arrays, meta)
+        capsys.readouterr()
+        argv = ["eval", "--checkpoint", str(path), "--manifest", str(dataset_dir / "manifest.csv")]
+        assert main(argv + ["--km-out", str(tmp_path / "km" / "x")]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -425,6 +425,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
 
+    def test_unreadable_meta(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, {"w": np.ones((2, 2))}, {"note": "\u00e9" * 8})
+        raw = path.read_bytes()
+        meta_len = int.from_bytes(raw[8:12], "little")
+        for cut in range(12, 12 + meta_len):  # every cut inside the meta
+            path.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointError, match="meta"):
+                load_checkpoint(path)
+        save_checkpoint(path, {}, [1, 2])
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(path)
+
     def test_truncated_block(self, tmp_path):
         path = tmp_path / "x.ckpt"
         save_checkpoint(path, {"w": np.ones((4, 4))}, {})

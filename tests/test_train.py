@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from mgct import dataio, survival as sv
+from mgct import dataio, survival as sv, train
 from mgct.dataio import RiskModel, monte_carlo_splits
 from mgct.mgct_core import AblationSpec, FusionConfig, ModelSpec, init_model_arrays
 from mgct.train import (
@@ -39,6 +39,12 @@ def tiny_config(**overrides) -> TrainConfig:
 def tiny_dataset(n=24, seed=5):
     rm = RiskModel(genes_per_category=3, patches_min=4, patches_max=8)
     return dataio.synthesize(n, d_in=5, s_categories=3, risk_model=rm, seed=seed)
+
+
+def train_fold_failing_fold_1(dataset, split, config, ablation):
+    if split.fold == 1:
+        raise ValueError("fold 1 diverged")
+    return train_fold(dataset, split, config, ablation)
 
 
 class TestAdamStep:
@@ -229,6 +235,16 @@ class TestCrossValidation:
         cfg = tiny_config()
         seq = cross_validate(ds, 2, cfg)
         par = cross_validate(ds, 2, cfg, jobs=2)
+        assert [f.final_c_index for f in seq.folds] == [f.final_c_index for f in par.folds]
+
+    def test_failing_fold_recorded_for_any_jobs(self, monkeypatch):
+        # module-level, so that worker processes can unpickle it
+        monkeypatch.setattr(train, "train_fold", train_fold_failing_fold_1)
+        ds = tiny_dataset(n=16)
+        seq = cross_validate(ds, 3, tiny_config())
+        par = cross_validate(ds, 3, tiny_config(), jobs=2)
+        assert seq.errors == par.errors == {1: "fold 1 diverged"}
+        assert [f.fold for f in seq.folds] == [f.fold for f in par.folds] == [0, 2]
         assert [f.final_c_index for f in seq.folds] == [f.final_c_index for f in par.folds]
 
     def test_metrics_csv_shape(self, tmp_path):
