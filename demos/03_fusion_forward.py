@@ -29,7 +29,7 @@ spec = ModelSpec(
     fusion=config, ablation=AblationSpec.preset("E"),
 )
 arrays = init_model_arrays(spec, seed=0, head_init="xavier")
-params = bind_model(arrays, spec, None)
+params = bind_model(arrays, spec)
 
 g = emb.embed_genomics(sample.genomic, params.snn)
 h = emb.embed_patches(sample.patches, params.patch)
@@ -71,5 +71,5 @@ for name in AblationSpec.preset_names():
         d_in=ds.d_in, gene_lengths=tuple(ds.gene_lengths), snn_hidden=64,
         fusion=config, ablation=ab,
     )
-    logits_ab, _ = forward_logits(sample.patches, sample.genomic, init_model_arrays(spec_ab, 0), spec_ab)
+    logits_ab = forward_logits(sample.patches, sample.genomic, init_model_arrays(spec_ab, 0), spec_ab)
     assert logits_ab.shape == (4, 1)

@@ -153,7 +153,10 @@ def checkpoint_meta(result, dataset: dataio.Dataset) -> dict:
 def cmd_synth(args) -> int:
     seed = resolve_seed(args.seed)
     rm = dataio.RiskModel(censor_rate=args.censor_rate)
-    ds = dataio.synthesize(args.n, d_in=args.d_in, s_categories=args.categories, risk_model=rm, seed=seed)
+    try:  # synthesize checks its arguments and writes nothing
+        ds = dataio.synthesize(args.n, d_in=args.d_in, s_categories=args.categories, risk_model=rm, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"synth: {exc} (seed {seed})") from None
     manifest = dataio.write_dataset(ds, args.out)
     events = sum(s.event for s in ds.samples)
     print(f"wrote {len(ds.samples)} samples to {manifest}")
@@ -168,6 +171,8 @@ def _prepare_run(args):
     seed = resolve_seed(args.seed, train.seed if "train.seed" in provided else None, train.seed)
     train_cfg = replace(train, seed=seed)
     train_cfg.validate()  # the seed may come from --seed or MGCT_SEED
+    if getattr(args, "jobs", None) is not None:
+        from_json(CvConfig, {"jobs": args.jobs}, "cv")  # --jobs has the range of cv.jobs
     dataset = load_dataset(cfg["dataset"])
     run_dir = make_run_dir(args.out, seed)
     echo = {name: asdict(section) for name, section in cfg.items()}

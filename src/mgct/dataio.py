@@ -310,6 +310,14 @@ def load_samples(manifest_path, cmap: CategoryMap) -> Dataset:
         patches = read_bag(desc.bag_path)
         table = read_genomic_csv(desc.genomic_path)
         genomic = group_genomics(table, cmap)
+        if samples:  # every sample has the first one's bag width and per-category gene counts
+            want = (samples[0].patches.shape[0], [len(v) for v in samples[0].genomic])
+            got = (patches.shape[0], [len(v) for v in genomic])
+            if got != want:
+                bad = desc.bag_path if got[0] != want[0] else desc.genomic_path
+                raise IngestError(
+                    f"{bad}: bag width and gene counts {got} differ from {want} in sample {samples[0].sample_id!r}"
+                )
         samples.append(
             BagSample(
                 sample_id=desc.sample_id,
@@ -400,6 +408,8 @@ def synthesize(
     """
     if n < 4:
         raise ValueError(f"need n >= 4 samples, got {n}")
+    if d_in < 1:
+        raise ValueError(f"need d_in >= 1, got {d_in}")
     rm = risk_model or RiskModel()
     rm.validate()
     cmap = default_category_map(s_categories, rm.genes_per_category)

@@ -23,11 +23,10 @@ def xavier_uniform(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def _leaf(arrays: dict, name: str, tape: nk.Tape | None) -> nk.Tensor:
-    arr = arrays[name]
-    if isinstance(arr, nk.Tensor):  # caller already registered the leaves
-        return arr
-    return tape.leaf(arr) if tape is not None else nk.Tensor(arr)
+def _leaves(arrays: dict, prefix: str, *names: str) -> list[nk.Tensor]:
+    """``arrays["prefix.name"]`` for each name: tape leaves pass through, raw arrays stay untaped."""
+    found = [arrays[f"{prefix}.{n}"] for n in names]
+    return [a if isinstance(a, nk.Tensor) else nk.Tensor(a) for a in found]
 
 
 def affine(w: nk.Tensor, x: nk.Tensor, b: nk.Tensor) -> nk.Tensor:
@@ -70,28 +69,17 @@ def init_snn_arrays(
     return arrays
 
 
-def bind_snn(arrays: dict[str, np.ndarray], n_categories: int, tape: nk.Tape | None) -> SnnParams:
-    cats = []
-    for s in range(n_categories):
-        cats.append(
-            SnnCategoryParams(
-                w1=_leaf(arrays, f"snn.c{s}.w1", tape),
-                b1=_leaf(arrays, f"snn.c{s}.b1", tape),
-                w2=_leaf(arrays, f"snn.c{s}.w2", tape),
-                b2=_leaf(arrays, f"snn.c{s}.b2", tape),
-                w_out=_leaf(arrays, f"snn.c{s}.w_out", tape),
-                b_out=_leaf(arrays, f"snn.c{s}.b_out", tape),
-            )
-        )
-    return SnnParams(per_category=cats)
+def bind_snn(arrays: dict[str, np.ndarray], n_categories: int) -> SnnParams:
+    names = ("w1", "b1", "w2", "b2", "w_out", "b_out")  # in SnnCategoryParams field order
+    return SnnParams([SnnCategoryParams(*_leaves(arrays, f"snn.c{s}", *names)) for s in range(n_categories)])
 
 
 def init_patch_proj_arrays(d_in: int, d: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     return {"patch.w": xavier_uniform(d, d_in, rng), "patch.b": np.zeros((d, 1))}
 
 
-def bind_patch_proj(arrays: dict[str, np.ndarray], tape: nk.Tape | None) -> PatchProjParams:
-    return PatchProjParams(weight=_leaf(arrays, "patch.w", tape), bias=_leaf(arrays, "patch.b", tape))
+def bind_patch_proj(arrays: dict[str, np.ndarray]) -> PatchProjParams:
+    return PatchProjParams(*_leaves(arrays, "patch", "w", "b"))
 
 
 def embed_genomics(

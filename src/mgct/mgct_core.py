@@ -46,7 +46,7 @@ from .embedders import (
     init_patch_proj_arrays,
     init_snn_arrays,
     xavier_uniform,
-    _leaf,
+    _leaves,
 )
 
 
@@ -487,44 +487,26 @@ def init_model_arrays(spec: ModelSpec, seed, head_init: str = "zeros") -> dict[s
 
 
 def _bind_layer(
-    arrays: dict[str, np.ndarray],
-    prefix: str,
-    stage_final: bool,
-    spec: ModelSpec,
-    tape: nk.Tape | None,
+    arrays: dict[str, np.ndarray], prefix: str, stage_final: bool, spec: ModelSpec
 ) -> MgctLayerParams:
-    attn = None
+    layer = MgctLayerParams(mgca=None, pool=None, mlp=None)
     if spec.ablation.mgca:
-        attn = MgcaParams(
-            w_q=_leaf(arrays, f"{prefix}.attn.wq", tape),
-            w_k=_leaf(arrays, f"{prefix}.attn.wk", tape),
-            w_v=_leaf(arrays, f"{prefix}.attn.wv", tape),
-            heads=spec.fusion.heads,
-        )
-    pool = None
+        layer.mgca = MgcaParams(*_leaves(arrays, f"{prefix}.attn", "wq", "wk", "wv"), heads=spec.fusion.heads)
     if stage_final and spec.ablation.gap:
-        pool = GatedPoolParams(
-            v=_leaf(arrays, f"{prefix}.pool.v", tape),
-            u=_leaf(arrays, f"{prefix}.pool.u", tape),
-            w=_leaf(arrays, f"{prefix}.pool.w", tape),
-        )
-    mlp = None
+        layer.pool = GatedPoolParams(*_leaves(arrays, f"{prefix}.pool", "v", "u", "w"))
     if spec.ablation.feedforward:
-        mlp = MlpParams(
-            w_in=_leaf(arrays, f"{prefix}.mlp.w_in", tape),
-            b_in=_leaf(arrays, f"{prefix}.mlp.b_in", tape),
-            w_out=_leaf(arrays, f"{prefix}.mlp.w_out", tape),
-            b_out=_leaf(arrays, f"{prefix}.mlp.b_out", tape),
-        )
-    return MgctLayerParams(mgca=attn, pool=pool, mlp=mlp)
+        layer.mlp = MlpParams(*_leaves(arrays, f"{prefix}.mlp", "w_in", "b_in", "w_out", "b_out"))
+    return layer
 
 
-def bind_model(
-    arrays: dict[str, np.ndarray], spec: ModelSpec, tape: nk.Tape | None
-) -> MgctParams:
-    """Wrap flat arrays into the typed parameter tree, as tape leaves if given."""
+def bind_model(arrays: dict[str, np.ndarray], spec: ModelSpec) -> MgctParams:
+    """Wrap flat arrays into the typed parameter tree.
+
+    Tape leaves are kept as they are, so a forward pass over the tree is
+    taped exactly when ``arrays`` holds tape leaves; raw arrays stay untaped.
+    """
     layers = {
-        prefix: _bind_layer(arrays, prefix, stage_final, spec, tape)
+        prefix: _bind_layer(arrays, prefix, stage_final, spec)
         for prefix, stage_final in _layer_names(spec.fusion, spec.ablation)
     }
 
@@ -538,10 +520,10 @@ def bind_model(
         stage2_hf=stack("s2.hf", spec.fusion.s2) if spec.ablation.deep_fusion else [],
     )
     return MgctParams(
-        snn=bind_snn(arrays, len(spec.gene_lengths), tape),
-        patch=bind_patch_proj(arrays, tape),
+        snn=bind_snn(arrays, len(spec.gene_lengths)),
+        patch=bind_patch_proj(arrays),
         fusion=fusion,
-        head=HeadParams(w=_leaf(arrays, "head.w", tape), b=_leaf(arrays, "head.b", tape)),
+        head=HeadParams(*_leaves(arrays, "head", "w", "b")),
     )
 
 
@@ -550,18 +532,18 @@ def forward_logits(
     genomic: list[np.ndarray],
     arrays: dict[str, np.ndarray],
     spec: ModelSpec,
-    tape: nk.Tape | None = None,
     training: bool = False,
     dropout_p: float = 0.0,
     dropout_key: tuple[int, int] | None = None,
     attn_sink: list | None = None,
     alpha_sink: list | None = None,
-) -> tuple[nk.Tensor, MgctParams]:
+) -> nk.Tensor:
     """Full pipeline for one sample: embed both modalities, fuse, classify.
 
-    Returns (hazard logits as a (bins, 1) tensor, bound parameter tree).
+    Returns the hazard logits as a (bins, 1) tensor, taped when ``arrays``
+    holds tape leaves (see ``bind_model``).
     """
-    params = bind_model(arrays, spec, tape)
+    params = bind_model(arrays, spec)
     g = embed_genomics(
         genomic, params.snn, training=training, dropout_p=dropout_p, dropout_key=dropout_key
     )
@@ -575,4 +557,4 @@ def forward_logits(
         attn_sink=attn_sink,
         alpha_sink=alpha_sink,
     )
-    return classify(fused, params.head), params
+    return classify(fused, params.head)

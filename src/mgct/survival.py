@@ -66,10 +66,6 @@ def assign_bin(t: float, edges: np.ndarray) -> int:
     return int(np.searchsorted(edges, t, side="left"))
 
 
-def with_bins(labels: Sequence[SurvivalLabel], edges: np.ndarray) -> list[SurvivalLabel]:
-    return [SurvivalLabel(t=lab.t, event=lab.event, bin=assign_bin(lab.t, edges)) for lab in labels]
-
-
 # ---------------------------------------------------------------------------
 # loss
 

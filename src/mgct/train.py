@@ -98,36 +98,40 @@ def adam_step(
 # single-sample passes
 
 
-def sample_loss_and_grads(
+def sample_loss(
     sample: BagSample,
-    arrays: dict[str, np.ndarray],
+    arrays: dict,
     spec: ModelSpec,
     label: survival.SurvivalLabel,
     dropout: float = 0.0,
     dropout_key: tuple[int, int] | None = None,
     loss_alpha: float = 0.0,
+) -> nk.Tensor:
+    """The 1x1 training NLL of one sample: forward, sigmoid, discrete-time NLL.
+
+    Taped when ``arrays`` holds tape leaves, untaped for raw arrays or untaped
+    tensors. With ``dropout=0`` it equals the evaluation-mode loss.
+    """
+    logits = forward_logits(
+        sample.patches, sample.genomic, arrays, spec, training=True, dropout_p=dropout, dropout_key=dropout_key
+    )
+    return survival.nll_loss(nk.sigmoid(logits), label, alpha=loss_alpha)
+
+
+def sample_loss_and_grads(
+    sample: BagSample, arrays: dict[str, np.ndarray], *args, **kwargs
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Forward + backward for one sample; returns (loss, per-parameter grads)."""
+    """Forward + backward of ``sample_loss`` (same arguments); returns (loss, per-parameter grads)."""
     tape = nk.Tape()
     leaves = {name: tape.leaf(arr) for name, arr in arrays.items()}
-    logits, _ = forward_logits(
-        sample.patches,
-        sample.genomic,
-        leaves,
-        spec,
-        tape=tape,
-        training=True,
-        dropout_p=dropout,
-        dropout_key=dropout_key,
-    )
-    loss = survival.nll_loss(nk.sigmoid(logits), label, alpha=loss_alpha)
+    loss = sample_loss(sample, leaves, *args, **kwargs)
     grads = nk.backward(loss, tape)
     return loss.item(), {name: grads[leaf] for name, leaf in leaves.items()}
 
 
 def predict(sample: BagSample, arrays: dict[str, np.ndarray], spec: ModelSpec) -> survival.SurvivalPrediction:
     """Evaluation-mode prediction (no tape, no dropout)."""
-    logits, _ = forward_logits(sample.patches, sample.genomic, arrays, spec)
+    logits = forward_logits(sample.patches, sample.genomic, arrays, spec)
     return survival.SurvivalPrediction.from_hazards(nk.sigmoid(logits).data.ravel())
 
 

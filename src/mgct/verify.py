@@ -4,7 +4,9 @@ Each check returns (passed, detail). The suite backs the ``verify`` CLI
 command: gradient agreement against central finite differences, simplex
 invariants of attention and pooling weights, permutation invariance of the
 fusion pipeline, and layout round-trips. Sizes are kept small so the whole
-suite runs in seconds.
+suite runs in seconds. The gradient harness (``gradient_error``) and the
+permutation harness (``patch_permutation_deviation``) are shared with the
+test suite, which runs them at its own sizes and tolerances.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import embedders as emb
 from . import numkit as nk
 from . import survival
-from .gradcheck import finite_difference, max_relative_error, relative_error
+from .dataio import BagSample
+from .gradcheck import finite_difference, max_relative_error
 from .mgct_core import (
     AblationSpec,
     FusionConfig,
@@ -26,23 +30,33 @@ from .mgct_core import (
     gated_attention_pool,
     init_model_arrays,
 )
+from .train import sample_loss
 
 GRAD_TOL = 1e-4
 SIMPLEX_TOL = 1e-12
 PERMUTATION_TOL = 1e-9
 
 
+def gradient_error(build, params) -> tuple[float, str]:
+    """Tape gradient of ``build`` against central finite differences at ``params``.
+
+    ``build(tensors) -> 1x1 tensor`` runs once on ``params`` registered as tape
+    leaves, whose loss is backpropagated, and then on untaped tensors for every
+    finite-difference evaluation. Returns (max relative error, its parameter).
+    """
+    tape = nk.Tape()
+    leaves = {k: tape.leaf(v) for k, v in params.items()}
+    grads = nk.backward(build(leaves), tape)
+    analytic = {k: grads[v] for k, v in leaves.items()}
+    numeric = finite_difference(lambda p: build({k: nk.Tensor(v) for k, v in p.items()}).item(), params)
+    return max_relative_error(analytic, numeric)
+
+
 def _check_op_gradient(build) -> tuple[bool, str]:
     """``build(tensors) -> scalar tensor`` checked against finite differences."""
     rng = np.random.default_rng(11)
     params = {"x": rng.uniform(-2.0, 2.0, (3, 4)), "y": rng.uniform(-2.0, 2.0, (3, 4))}
-    tape = nk.Tape()
-    leaves = {k: tape.leaf(v) for k, v in params.items()}
-    loss = build(leaves)
-    grads = nk.backward(loss, tape)
-    analytic = {k: grads[v] for k, v in leaves.items()}
-    numeric = finite_difference(lambda p: build({k: nk.Tensor(v) for k, v in p.items()}).item(), params)
-    err, name = max_relative_error(analytic, numeric)
+    err, name = gradient_error(build, params)
     return err < GRAD_TOL, f"max rel err {err:.3g} ({name})"
 
 
@@ -74,18 +88,11 @@ check_elu_gradient = _elementwise_check("elu")
 
 def check_loss_gradient() -> tuple[bool, str]:
     rng = np.random.default_rng(5)
-    logits = rng.uniform(-1.5, 1.5, (4, 1))
     label = survival.SurvivalLabel(t=10.0, event=1, bin=2)
-
-    def run(p):
-        return survival.nll_loss(nk.sigmoid(nk.Tensor(p["logits"])), label)
-
-    tape = nk.Tape()
-    leaf = tape.leaf(logits)
-    loss = survival.nll_loss(nk.sigmoid(leaf), label)
-    grads = nk.backward(loss, tape)
-    numeric = finite_difference(lambda p: run(p).item(), {"logits": logits})
-    err = relative_error(grads[leaf], numeric["logits"])
+    err, _ = gradient_error(
+        lambda t: survival.nll_loss(nk.sigmoid(t["logits"]), label),
+        {"logits": rng.uniform(-1.5, 1.5, (4, 1))},
+    )
     return err < GRAD_TOL, f"max rel err {err:.3g}"
 
 
@@ -105,24 +112,11 @@ def check_model_gradient() -> tuple[bool, str]:
     rng = np.random.default_rng(8)
     patches = rng.uniform(-2.0, 2.0, (5, 7))
     genomic = [rng.uniform(-2.0, 2.0, n) for n in spec.gene_lengths]
+    sample = BagSample("verify", patches, genomic, t=8.0, event=1)
     label = survival.SurvivalLabel(t=8.0, event=1, bin=1)
-
-    def run(p) -> float:
-        logits, _ = forward_logits(
-            patches, genomic, p, spec, training=True, dropout_p=0.25, dropout_key=(3, 0)
-        )
-        return survival.nll_loss(nk.sigmoid(logits), label).item()
-
-    tape = nk.Tape()
-    leaves = {k: tape.leaf(v) for k, v in arrays.items()}
-    logits, _ = forward_logits(
-        patches, genomic, leaves, spec, tape=tape, training=True, dropout_p=0.25, dropout_key=(3, 0)
+    err, name = gradient_error(
+        lambda t: sample_loss(sample, t, spec, label, dropout=0.25, dropout_key=(3, 0)), arrays
     )
-    loss = survival.nll_loss(nk.sigmoid(logits), label)
-    grads = nk.backward(loss, tape)
-    analytic = {k: grads[v] for k, v in leaves.items()}
-    numeric = finite_difference(run, arrays)
-    err, name = max_relative_error(analytic, numeric)
     return err < GRAD_TOL, f"max rel err {err:.3g} ({name})"
 
 
@@ -145,24 +139,33 @@ def check_attention_simplex() -> tuple[bool, str]:
     return worst < SIMPLEX_TOL, f"max row-sum deviation {worst:.3g}"
 
 
-def check_patch_permutation_invariance() -> tuple[bool, str]:
-    rng = np.random.default_rng(13)
-    spec = _tiny_spec()
-    arrays = init_model_arrays(spec, seed=9, head_init="xavier")
-    params = bind_model(arrays, spec, None)
-    from . import embedders as emb
+def patch_permutation_deviation(
+    spec: ModelSpec, array_seed: int, data_seed: int, n_patches: int, n_perms: int
+) -> float:
+    """Largest |fuse(H permuted) - fuse(H)| over ``n_perms`` random patch orders.
 
-    patches = rng.uniform(-2.0, 2.0, (5, 9))
+    From ``data_seed`` it draws a (d_in, n_patches) bag, then one vector per
+    genomic category, then the permutations; the model is Xavier-initialized
+    from ``array_seed``.
+    """
+    rng = np.random.default_rng(data_seed)
+    params = bind_model(init_model_arrays(spec, seed=array_seed, head_init="xavier"), spec)
+    patches = rng.uniform(-2.0, 2.0, (spec.d_in, n_patches))
     genomic = [rng.uniform(-2.0, 2.0, n) for n in spec.gene_lengths]
     g = emb.embed_genomics(genomic, params.snn)
-    base = fuse(emb.embed_patches(patches, params.patch), g, params.fusion, spec.fusion).data
-    worst = 0.0
-    for _ in range(20):
-        perm = rng.permutation(patches.shape[1])
-        out = fuse(
-            emb.embed_patches(patches[:, perm], params.patch), g, params.fusion, spec.fusion
-        ).data
-        worst = max(worst, float(np.abs(out - base).max()))
+
+    def fused(bag: np.ndarray) -> np.ndarray:
+        h = emb.embed_patches(bag, params.patch)
+        return fuse(h, g, params.fusion, spec.fusion, ablation=spec.ablation).data
+
+    base = fused(patches)
+    return max(
+        float(np.abs(fused(patches[:, rng.permutation(n_patches)]) - base).max()) for _ in range(n_perms)
+    )
+
+
+def check_patch_permutation_invariance() -> tuple[bool, str]:
+    worst = patch_permutation_deviation(_tiny_spec(), array_seed=9, data_seed=13, n_patches=9, n_perms=20)
     return worst < PERMUTATION_TOL, f"max deviation {worst:.3g}"
 
 

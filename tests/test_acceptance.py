@@ -14,16 +14,12 @@ import pytest
 from mgct import dataio, numkit as nk, survival as sv
 from mgct.checkpoint import save_checkpoint
 from mgct.dataio import monte_carlo_splits
-from mgct.gradcheck import finite_difference, max_relative_error
 from mgct.mgct_core import (
     AblationSpec,
     FusionConfig,
     GatedPoolParams,
     MgcaParams,
     ModelSpec,
-    bind_model,
-    forward_logits,
-    fuse,
     gated_attention_pool,
     init_model_arrays,
     mgca,
@@ -34,10 +30,12 @@ from mgct.train import (
     adam_step,
     cross_validate,
     predict,
+    sample_loss,
     sample_loss_and_grads,
     train_fold,
     write_metrics_csv,
 )
+from mgct.verify import gradient_error, patch_permutation_deviation
 
 DATASET_SEED = 7
 DATASET_SIZE = 200
@@ -94,25 +92,14 @@ def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(3)
     patches = rng.uniform(-2.0, 2.0, (6, 12))  # N = 12
     genomic = [rng.uniform(-2.0, 2.0, 3) for _ in range(6)]
+    sample = dataio.BagSample("c1", patches, genomic, t=10.0, event=1)
     label = sv.SurvivalLabel(t=10.0, event=1, bin=1)
 
-    def loss_at(p) -> float:
-        logits, _ = forward_logits(
-            patches, genomic, p, spec, training=True, dropout_p=0.25, dropout_key=(5, 0)
-        )
-        return sv.nll_loss(nk.sigmoid(logits), label).item()
-
     start = time.monotonic()
-    tape = nk.Tape()
-    leaves = {k: tape.leaf(v) for k, v in arrays.items()}
-    logits, _ = forward_logits(
-        patches, genomic, leaves, spec, tape=tape, training=True, dropout_p=0.25, dropout_key=(5, 0)
+    err, worst = gradient_error(
+        lambda t: sample_loss(sample, t, spec, label, dropout=0.25, dropout_key=(5, 0)), arrays
     )
-    grads = nk.backward(sv.nll_loss(nk.sigmoid(logits), label), tape)
-    analytic = {k: grads[v] for k, v in leaves.items()}
-    numeric = finite_difference(loss_at, arrays, step=1e-5)
     elapsed = time.monotonic() - start
-    err, worst = max_relative_error(analytic, numeric)
     n_params = sum(a.size for a in arrays.values())
     ok = err < 1e-4 and elapsed < 30.0
     report(
@@ -125,22 +112,7 @@ def test_criterion_1_gradient_correctness():
 def test_criterion_2_patch_permutation_invariance():
     """fuse() is invariant to patch order within 1e-9, 100 permutations."""
     spec = ModelSpec(d_in=16, gene_lengths=(8,) * 6, snn_hidden=32, fusion=FusionConfig())
-    arrays = init_model_arrays(spec, seed=11, head_init="xavier")
-    params = bind_model(arrays, spec, None)
-    from mgct import embedders as emb
-
-    rng = np.random.default_rng(21)
-    patches = rng.uniform(-2.0, 2.0, (16, 30))
-    genomic = [rng.uniform(-2.0, 2.0, 8) for _ in range(6)]
-    g = emb.embed_genomics(genomic, params.snn)
-    base = fuse(emb.embed_patches(patches, params.patch), g, params.fusion, spec.fusion).data
-    worst = 0.0
-    for _ in range(100):
-        perm = rng.permutation(patches.shape[1])
-        out = fuse(
-            emb.embed_patches(patches[:, perm], params.patch), g, params.fusion, spec.fusion
-        ).data
-        worst = max(worst, float(np.abs(out - base).max()))
+    worst = patch_permutation_deviation(spec, array_seed=11, data_seed=21, n_patches=30, n_perms=100)
     report(2, worst < 1e-9, f"max |fuse(H_perm) - fuse(H)| = {worst:.3g} over 100 permutations")
 
 

@@ -82,6 +82,24 @@ class TestSynth:
             events = [row["event"] for row in csv.DictReader(fh)]
         assert events == ["1"] * 12
 
+    @pytest.mark.parametrize(
+        "flags,env_seed,message",
+        [
+            (["--n", "2"], None, "n >= 4"),
+            (["--seed", "-1"], None, "seed -1"),
+            ([], "-1", "seed -1"),
+            (["--categories", "0"], None, "category"),
+            (["--d-in", "0"], None, "d_in"),
+        ],
+    )
+    def test_bad_value_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, flags, env_seed, message):
+        if env_seed is not None:
+            monkeypatch.setenv("MGCT_SEED", env_seed)
+        out = tmp_path / "d"
+        assert main(["synth", "--out", str(out)] + flags) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MGCT_SEED", "77")
         a, b = tmp_path / "a", tmp_path / "b"
@@ -134,6 +152,14 @@ class TestConfigValidation:
         runs = tmp_path / "runs"
         assert main(["train", "--config", cfg, "--out", str(runs)] + flags) == 2
         assert message in capsys.readouterr().err
+        assert not runs.exists()
+
+    @pytest.mark.parametrize("command,jobs", [("cv", "0"), ("ablate", "-3")])
+    def test_bad_jobs_exits_2_before_run_dir(self, tmp_path, dataset_dir, capsys, command, jobs):
+        cfg = write_config(tmp_path, dataset_dir)
+        runs = tmp_path / "runs"
+        assert main([command, "--config", cfg, "--out", str(runs), "--jobs", jobs]) == 2
+        assert "cv.jobs" in capsys.readouterr().err
         assert not runs.exists()
 
     def test_cli_exit_code_on_bad_config(self, tmp_path, dataset_dir, capsys):

@@ -252,6 +252,18 @@ class TestSynthesize:
             for g0, g1 in zip(orig.genomic, loaded.genomic):
                 np.testing.assert_array_equal(g1, g0)  # CSV keeps full precision
 
+    @pytest.mark.parametrize("broken", ["bag", "gene"])
+    def test_mixed_layout_names_the_file(self, tmp_path, broken):
+        manifest = write_dataset(synthesize(6, seed=11), tmp_path / "data")
+        if broken == "bag":  # a 9-wide bag among 16-wide ones
+            path = tmp_path / "data/bags/synth-0003.bag"
+            dataio.write_bag(path, np.ones((9, 4)))
+        else:  # a sample missing its last gene
+            path = tmp_path / "data/genomic/synth-0003.csv"
+            path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        with pytest.raises(dataio.IngestError, match=path.name):
+            dataio.load_samples(manifest, read_category_map(tmp_path / "data/category_map.json"))
+
     def test_write_dataset_bitwise_deterministic(self, tmp_path):
         ds = synthesize(5, seed=13)
         m1 = write_dataset(ds, tmp_path / "a")

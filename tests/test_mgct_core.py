@@ -6,8 +6,8 @@ import pytest
 
 from mgct import numkit as nk
 from mgct.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from mgct.dataio import BagSample
 from mgct.embedders import embed_genomics, embed_patches
-from mgct.gradcheck import finite_difference, max_relative_error
 from mgct.mgct_core import (
     AblationSpec,
     FusionConfig,
@@ -26,7 +26,8 @@ from mgct.mgct_core import (
     mgca,
     mgct_layer,
 )
-from mgct.train import parameter_count
+from mgct.train import parameter_count, sample_loss_and_grads
+from mgct.verify import gradient_error
 
 
 def rng_tensor(rng, rows, cols, lo=-1.5, hi=1.5):
@@ -203,14 +204,7 @@ class TestMgctLayer:
                 mgct_layer(nk.Tensor(query), nk.Tensor(context), layer, stage_final=True)
             )
 
-        tape = nk.Tape()
-        leaves = {k: tape.leaf(v) for k, v in arrays.items()}
-        grads = nk.backward(build(leaves), tape)
-        analytic = {k: grads[v] for k, v in leaves.items()}
-        numeric = finite_difference(
-            lambda p: build({k: nk.Tensor(v) for k, v in p.items()}).item(), arrays
-        )
-        err, name = max_relative_error(analytic, numeric)
+        err, name = gradient_error(build, arrays)
         assert err < 1e-4, f"{name}: {err}"
 
 
@@ -228,7 +222,7 @@ class TestFuse:
     def test_final_embedding_shape(self):
         spec = tiny_spec()
         arrays = init_model_arrays(spec, seed=0, head_init="xavier")
-        params = bind_model(arrays, spec, None)
+        params = bind_model(arrays, spec)
         rng = np.random.default_rng(15)
         h = rng_tensor(rng, 8, 12)
         g = rng_tensor(rng, 8, 6)
@@ -239,7 +233,7 @@ class TestFuse:
         # the stage-1 stacks each pool to one token of width d
         spec = tiny_spec()
         arrays = init_model_arrays(spec, seed=1, head_init="xavier")
-        params = bind_model(arrays, spec, None)
+        params = bind_model(arrays, spec)
         rng = np.random.default_rng(16)
         from mgct.mgct_core import _run_stack
 
@@ -253,7 +247,7 @@ class TestFuse:
     def test_zero_parameters_give_zero_embedding(self):
         spec = tiny_spec()
         arrays = {k: np.zeros_like(v) for k, v in init_model_arrays(spec, 0).items()}
-        params = bind_model(arrays, spec, None)
+        params = bind_model(arrays, spec)
         rng = np.random.default_rng(17)
         out = fuse(rng_tensor(rng, 8, 7), rng_tensor(rng, 8, 3), params.fusion, spec.fusion)
         np.testing.assert_array_equal(out.data, np.zeros((16, 1)))
@@ -261,7 +255,7 @@ class TestFuse:
     def test_patch_permutation_invariance(self):
         spec = tiny_spec()
         arrays = init_model_arrays(spec, seed=2, head_init="xavier")
-        params = bind_model(arrays, spec, None)
+        params = bind_model(arrays, spec)
         rng = np.random.default_rng(18)
         h = rng.uniform(-2, 2, (8, 11))
         g = rng_tensor(rng, 8, 3)
@@ -276,7 +270,7 @@ class TestFuse:
         # each modality and stacking the two vectors
         spec = tiny_spec(AblationSpec.preset("A"))
         arrays = init_model_arrays(spec, seed=3)
-        params = bind_model(arrays, spec, None)
+        params = bind_model(arrays, spec)
         rng = np.random.default_rng(19)
         h = rng.uniform(-1, 1, (8, 9))
         g = rng.uniform(-1, 1, (8, 4))
@@ -291,7 +285,7 @@ class TestFuse:
         rng = np.random.default_rng(20)
         patches = rng.uniform(-1, 1, (5, 7))
         genomic = [rng.uniform(-1, 1, n) for n in spec.gene_lengths]
-        logits, _ = forward_logits(patches, genomic, arrays, spec)
+        logits = forward_logits(patches, genomic, arrays, spec)
         assert logits.shape == (4, 1)
         assert np.all(np.isfinite(logits.data))
 
@@ -314,8 +308,8 @@ class TestFuse:
         rng = np.random.default_rng(21)
         patches = rng.uniform(-1, 1, (5, 6))
         genomic = [rng.uniform(-1, 1, n) for n in (3, 2)]
-        a, _ = forward_logits(patches, genomic, arrays, spec_plain)
-        b, _ = forward_logits(patches, genomic, arrays, spec_res)
+        a = forward_logits(patches, genomic, arrays, spec_plain)
+        b = forward_logits(patches, genomic, arrays, spec_res)
         assert not np.allclose(a.data, b.data)
 
 
@@ -333,7 +327,7 @@ class TestClassify:
         spec = tiny_spec(bins=4)
         arrays = init_model_arrays(spec, seed=6)
         rng = np.random.default_rng(23)
-        logits, _ = forward_logits(
+        logits = forward_logits(
             rng.uniform(-1, 1, (5, 4)), [rng.uniform(-1, 1, n) for n in spec.gene_lengths],
             arrays, spec,
         )
@@ -352,17 +346,9 @@ class TestClassify:
         rng = np.random.default_rng(24)
         patches = rng.uniform(-1, 1, (5, 6))
         genomic = [rng.uniform(-1, 1, n) for n in spec.gene_lengths]
-
-        def f(p):
-            logits, _ = forward_logits(patches, genomic, p, spec)
-            return nk.sum_all(nk.sigmoid(logits)).item()
-
-        tape = nk.Tape()
-        leaves = {k: tape.leaf(v) for k, v in arrays.items()}
-        logits, _ = forward_logits(patches, genomic, leaves, spec, tape=tape)
-        grads = nk.backward(nk.sum_all(nk.sigmoid(logits)), tape)
-        analytic = {k: grads[v] for k, v in leaves.items()}
-        err, name = max_relative_error(analytic, finite_difference(f, arrays))
+        err, name = gradient_error(
+            lambda t: nk.sum_all(nk.sigmoid(forward_logits(patches, genomic, t, spec))), arrays
+        )
         assert err < 1e-4, f"{name}: {err}"
 
     def test_every_parameter_reaches_loss(self):
@@ -372,15 +358,11 @@ class TestClassify:
         spec = tiny_spec()
         arrays = init_model_arrays(spec, seed=8, head_init="xavier")
         rng = np.random.default_rng(25)
-        patches = rng.uniform(-1, 1, (5, 6))
-        genomic = [rng.uniform(-1, 1, n) for n in spec.gene_lengths]
-        tape = nk.Tape()
-        leaves = {k: tape.leaf(v) for k, v in arrays.items()}
-        logits, _ = forward_logits(patches, genomic, leaves, spec, tape=tape)
-        loss = sv.nll_loss(nk.sigmoid(logits), sv.SurvivalLabel(5.0, 1, bin=1))
-        grads = nk.backward(loss, tape)
-        for name, leaf in leaves.items():
-            g = grads[leaf]
+        sample = BagSample(
+            "s", rng.uniform(-1, 1, (5, 6)), [rng.uniform(-1, 1, n) for n in spec.gene_lengths], 5.0, 1
+        )
+        _, grads = sample_loss_and_grads(sample, arrays, spec, sv.SurvivalLabel(5.0, 1, bin=1))
+        for name, g in grads.items():
             assert np.all(np.isfinite(g)), name
             if "b_in" not in name and "b_out" not in name and name != "head.b":
                 assert np.any(g != 0), f"dead branch at {name}"

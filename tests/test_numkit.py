@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgct import numkit as nk
-from mgct.gradcheck import finite_difference, relative_error
+from mgct.verify import gradient_error
 
 GRAD_TOL = 1e-5
 
@@ -19,15 +19,7 @@ def rand(rows, cols, seed=0, lo=-2.0, hi=2.0):
 def check_unary(build, x, tol=GRAD_TOL):
     """Tape gradient of sum(weighted(op(x))) against central differences."""
     w = np.linspace(0.3, 1.7, x.size).reshape(x.shape)
-
-    def f(p):
-        return nk.sum_all(nk.mul(build(nk.Tensor(p["x"])), nk.Tensor(w))).item()
-
-    tape = nk.Tape()
-    leaf = tape.leaf(x)
-    loss = nk.sum_all(nk.mul(build(leaf), nk.Tensor(w)))
-    grads = nk.backward(loss, tape)
-    err = relative_error(grads[leaf], finite_difference(f, {"x": x})["x"])
+    err, _ = gradient_error(lambda t: nk.sum_all(nk.mul(build(t["x"]), nk.Tensor(w))), {"x": x})
     assert err < tol, f"gradient mismatch: rel err {err}"
 
 
@@ -49,16 +41,8 @@ class TestMatmul:
 
     def test_gradient_both_operands(self):
         a, b = rand(5, 4, seed=2), rand(4, 3, seed=3)
-
-        def f(p):
-            return nk.sum_all(nk.matmul(nk.Tensor(p["a"]), nk.Tensor(p["b"]))).item()
-
-        tape = nk.Tape()
-        la, lb = tape.leaf(a), tape.leaf(b)
-        grads = nk.backward(nk.sum_all(nk.matmul(la, lb)), tape)
-        fd = finite_difference(f, {"a": a, "b": b})
-        assert relative_error(grads[la], fd["a"]) < 1e-6
-        assert relative_error(grads[lb], fd["b"]) < 1e-6
+        err, name = gradient_error(lambda t: nk.sum_all(nk.matmul(t["a"], t["b"])), {"a": a, "b": b})
+        assert err < 1e-6, f"{name}: {err}"
 
 
 class TestSoftmaxRows:
@@ -299,13 +283,5 @@ def test_softmax_simplex_property(shape, seed):
 def test_matmul_gradient_property(m, k, n, seed):
     rng = np.random.default_rng(seed)
     a, b = rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (k, n))
-
-    def f(p):
-        return nk.sum_all(nk.matmul(nk.Tensor(p["a"]), nk.Tensor(p["b"]))).item()
-
-    tape = nk.Tape()
-    la, lb = tape.leaf(a), tape.leaf(b)
-    grads = nk.backward(nk.sum_all(nk.matmul(la, lb)), tape)
-    fd = finite_difference(f, {"a": a, "b": b})
-    assert relative_error(grads[la], fd["a"]) < 1e-4
-    assert relative_error(grads[lb], fd["b"]) < 1e-4
+    err, name = gradient_error(lambda t: nk.sum_all(nk.matmul(t["a"], t["b"])), {"a": a, "b": b})
+    assert err < 1e-4, f"{name}: {err}"
