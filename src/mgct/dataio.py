@@ -272,7 +272,10 @@ def read_category_map(path) -> CategoryMap:
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"category map not found: {path}")
-    doc = json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise IngestError(f"{path}: category map is not UTF-8 JSON: {exc}") from None
     if not isinstance(doc, dict) or not doc:
         raise IngestError(f"{path}: category map must be a non-empty JSON object")
     categories = tuple(doc.keys())

@@ -3,7 +3,8 @@
 Genomics: one independent two-hidden-layer network per functional category
 (ELU activations, alpha dropout after each hidden layer), projected to d and
 assembled column-wise into a (d, S) token matrix. Histology: a single affine
-map applied to each patch column, giving (d, N).
+map applied to each patch column, giving (d, N). Both run on a batch of
+samples at once: genomic vectors stacked as columns, bags side by side.
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ def _leaves(arrays: dict, prefix: str, *names: str) -> list[nk.Tensor]:
     """``arrays["prefix.name"]`` for each name: tape leaves pass through, raw arrays stay untaped."""
     found = [arrays[f"{prefix}.{n}"] for n in names]
     return [a if isinstance(a, nk.Tensor) else nk.Tensor(a) for a in found]
-
-
-def affine(w: nk.Tensor, x: nk.Tensor, b: nk.Tensor) -> nk.Tensor:
-    """w @ x + b with the bias column broadcast across x's columns."""
-    return nk.add(nk.matmul(w, x), b)
 
 
 @dataclass
@@ -87,13 +83,17 @@ def embed_genomics(
     params: SnnParams,
     training: bool = False,
     dropout_p: float = 0.0,
-    dropout_key: tuple[int, int] | None = None,
+    dropout_key: tuple | None = None,
 ) -> nk.Tensor:
-    """Embed S raw category vectors into a (d, S) token matrix.
+    """Embed S raw category inputs into a (d, S * B) token matrix.
 
-    Column s is a function of category s alone. ``dropout_key`` is the
-    (seed, step) pair that makes training-mode dropout reproducible; the
-    per-layer component of the counter key is derived internally.
+    Each input is one sample's category vector (B = 1) or a (len_s, B) matrix
+    holding B samples' vectors as columns, so each category network runs as
+    one GEMM over the batch. Category s fills columns s*B .. s*B + B - 1, and
+    column s*B + b is a function of sample b's category s alone.
+    ``dropout_key`` is the (seed, step) pair that makes training-mode dropout
+    reproducible, with one step per sample when B > 1; the per-layer
+    component of the counter key is derived internally.
     """
     if len(raw) != len(params.per_category):
         raise nk.ShapeError(
@@ -104,25 +104,31 @@ def embed_genomics(
     seed, step = dropout_key if dropout_key is not None else (0, 0)
     columns = None
     for s, (vec, p) in enumerate(zip(raw, params.per_category)):
-        x = vec if isinstance(vec, nk.Tensor) else nk.Tensor(np.asarray(vec, dtype=np.float64).reshape(-1, 1))
+        if isinstance(vec, nk.Tensor):
+            x = vec
+        else:
+            arr = np.asarray(vec, dtype=np.float64)
+            x = nk.Tensor(arr.reshape(-1, 1) if arr.ndim == 1 else arr)
         if x.rows != p.w1.cols:
             raise nk.ShapeError(
                 f"category {s}: vector length {x.rows} does not match weights ({p.w1.cols})"
             )
-        a = nk.elu(affine(p.w1, x, p.b1))
+        if columns is not None and x.cols * s != columns.cols:
+            raise nk.ShapeError(f"category {s}: {x.cols} samples, category 0 has {columns.cols // s}")
+        a = nk.elu(nk.affine(p.w1, x, p.b1))
         a = nk.alpha_dropout(a, dropout_p, (seed, 2 * s, step), training)
-        a = nk.elu(affine(p.w2, a, p.b2))
+        a = nk.elu(nk.affine(p.w2, a, p.b2))
         a = nk.alpha_dropout(a, dropout_p, (seed, 2 * s + 1, step), training)
-        col = affine(p.w_out, a, p.b_out)
+        col = nk.affine(p.w_out, a, p.b_out)
         columns = col if columns is None else nk.concat(columns, col, "cols")
     return columns
 
 
 def embed_patches(patches, params: PatchProjParams) -> nk.Tensor:
-    """Project a (d_in, N) bag to (d, N), column by column."""
+    """Project a (d_in, N) bag, or several bags side by side, to (d, N), column by column."""
     x = patches if isinstance(patches, nk.Tensor) else nk.Tensor(patches)
     if x.rows != params.weight.cols:
         raise nk.ShapeError(
             f"bag width {x.rows} does not match projection input width {params.weight.cols}"
         )
-    return affine(params.weight, x, params.bias)
+    return nk.affine(params.weight, x, params.bias)

@@ -2,9 +2,12 @@
 
 Every value is a row-major (rows, cols) float64 matrix. Operations build a
 flat tape of primitive nodes; ``backward`` walks the tape once, in reverse,
-and returns a gradient for every leaf. Tensors are treated as immutable once
-constructed, and one tape belongs to one training run (one writer). When no
-operand is on a tape an op just computes, recording nothing.
+and returns a gradient for every leaf. It spends the tape: each non-leaf
+node is dropped once pulled, freeing the activations its closure holds, and
+a spent tape cannot be walked again. One tape records one loss, such as one
+training window (one writer). Tensors are treated as immutable once
+constructed. When no operand is on a tape an op just computes, recording
+nothing.
 
 Shapes in comments use the convention ``(rows, cols)``.
 """
@@ -22,6 +25,7 @@ __all__ = [
     "Tape",
     "Grads",
     "matmul",
+    "affine",
     "add",
     "sub",
     "mul",
@@ -41,6 +45,7 @@ __all__ = [
     "split",
     "slice_rows",
     "slice_cols",
+    "gather_cols",
     "alpha_dropout",
     "backward",
 ]
@@ -126,12 +131,16 @@ class _Node:
 
 
 class Tape:
-    """Ordered record of primitive ops; parents always precede children."""
+    """Ordered record of primitive ops; parents always precede children.
 
-    __slots__ = ("nodes",)
+    ``backward`` spends it: pulled nodes become ``None`` and ``spent`` is set.
+    """
+
+    __slots__ = ("nodes", "spent")
 
     def __init__(self):
-        self.nodes: list[_Node] = []
+        self.nodes: list[_Node | None] = []
+        self.spent = False
 
     def leaf(self, values) -> Tensor:
         """Register values as a differentiable leaf (e.g. a trainable weight)."""
@@ -146,16 +155,24 @@ class Tape:
 
 
 class Grads:
-    """Gradient of a scalar loss with respect to every tape node."""
+    """Gradient of a scalar loss with respect to every leaf of its (spent) tape.
 
-    __slots__ = ("_by_node",)
+    A leaf the loss does not reach has a zero gradient; asking for a non-leaf
+    tensor raises ``KeyError``, since ``backward`` keeps no gradient for it.
+    """
 
-    def __init__(self, by_node: list[np.ndarray | None]):
+    __slots__ = ("_tape", "_by_node")
+
+    def __init__(self, tape: Tape, by_node: list[np.ndarray | None]):
+        self._tape = tape
         self._by_node = by_node
 
     def __getitem__(self, t: Tensor) -> np.ndarray:
-        if t.node_id is None:
-            raise KeyError("tensor was never recorded on the tape")
+        if t.tape is not self._tape or t.node_id is None:
+            raise KeyError("tensor was never recorded on this tape")
+        node = self._tape.nodes[t.node_id]
+        if node is None or node.pull is not None:
+            raise KeyError("gradients are kept for tape leaves only")
         g = self._by_node[t.node_id]
         if g is None:
             return np.zeros_like(t.data)
@@ -220,12 +237,48 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     tape = _tape_of(a, b)
     if tape is None:
         return _wrap(out)
-    ad, bd = a.data, b.data
+    # an untaped operand (a raw input) needs no gradient
+    ad = a.data if b.node_id is not None else None
+    bd = b.data if a.node_id is not None else None
 
     def pull(g):
-        return (g @ bd.T, ad.T @ g)
+        return (None if bd is None else g @ bd.T, None if ad is None else ad.T @ g)
 
     return tape._emit(out, (a, b), pull)
+
+
+def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
+    """w @ x + b with the bias column broadcast across x's columns, as one tape node.
+
+    Bitwise equal to ``add(matmul(w, x), b)``, forward and backward.
+    """
+    w, x, b = _as_tensor(w), _as_tensor(x), _as_tensor(b)
+    if w.data.shape[1] != x.data.shape[0]:
+        raise ShapeError(f"affine: inner dimensions differ, {w.shape} @ {x.shape}")
+    if b.data.shape != (w.data.shape[0], 1):
+        raise ShapeError(f"affine: bias {b.shape} is not a ({w.rows}, 1) column")
+    out = w.data @ x.data
+    out += b.data
+    tape = _tape_of(w, x)
+    if b.tape is not None:
+        if tape is not None and b.tape is not tape:
+            raise ValueError("operands were recorded on different tapes")
+        tape = b.tape
+    if tape is None:
+        return _wrap(out)
+    # an untaped operand (a raw input) needs no gradient
+    wd = w.data if x.node_id is not None else None
+    xd = x.data if w.node_id is not None else None
+    b_taped = b.node_id is not None
+
+    def pull(g):
+        return (
+            None if xd is None else g @ xd.T,
+            None if wd is None else wd.T @ g,
+            g.sum(axis=1, keepdims=True) if b_taped else None,
+        )
+
+    return tape._emit(out, (w, x, b), pull)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -505,6 +558,26 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return tape._emit(out, (a,), pull)
 
 
+def gather_cols(a: Tensor, cols: Sequence[int]) -> Tensor:
+    """Columns ``cols`` of ``a``, in that order; the indices must be distinct."""
+    a = _as_tensor(a)
+    cols = list(cols)
+    if not cols or len(set(cols)) != len(cols) or not all(0 <= c < a.cols for c in cols):
+        raise ShapeError(f"gather_cols {cols} must be distinct columns of {a.shape}")
+    out = a.data[:, cols]
+    tape = _tape_of(a)
+    if tape is None:
+        return _wrap(out)
+    shape = a.shape
+
+    def pull(g):
+        full = np.zeros(shape)
+        full[:, cols] = g
+        return (full,)
+
+    return tape._emit(out, (a,), pull)
+
+
 def split(a: Tensor, sizes: Iterable[int], axis: str) -> list[Tensor]:
     """Inverse of repeated ``concat``: cut into consecutive blocks of ``sizes``."""
     a = _as_tensor(a)
@@ -546,13 +619,22 @@ def _cached_mask(word: int, shape: tuple[int, int], keep: float) -> np.ndarray:
     return mask
 
 
-def dropout_mask(key: tuple[int, int, int], shape: tuple[int, int], keep: float) -> np.ndarray:
+def dropout_mask(key: tuple, shape: tuple[int, int], keep: float) -> np.ndarray:
     """Deterministic keep-mask from a counter-based generator keyed by (seed, layer, step).
+
+    ``step`` may also be a sequence with one step per column: column i is then
+    the (rows, 1) mask of ``(seed, layer, step[i])``, so a batch of samples
+    stacked as columns draws what each sample would draw alone.
 
     Masks are memoized; repeated evaluation at the same key (e.g. during a
     finite-difference sweep) reuses the same draw.
     """
     seed, layer, step = key
+    if not isinstance(step, (int, np.integer)):
+        steps = list(step)
+        if len(steps) != shape[1]:
+            raise ShapeError(f"dropout_mask: {len(steps)} steps for {shape[1]} columns")
+        return np.hstack([dropout_mask((seed, layer, s), (shape[0], 1), keep) for s in steps])
     word = ((seed & _MASK64) << 64) | ((layer & _MASK32) << 32) | (step & _MASK32)
     return _cached_mask(word, shape, keep)
 
@@ -560,12 +642,13 @@ def dropout_mask(key: tuple[int, int, int], shape: tuple[int, int], keep: float)
 def alpha_dropout(
     a: Tensor,
     p: float,
-    key: tuple[int, int, int],
+    key: tuple,
     training: bool,
 ) -> Tensor:
     """Self-normalizing dropout: dropped entries saturate at a fixed negative
     value and an affine correction restores the mean/variance of a
-    standard-normal input. Identity when not training or p == 0.
+    standard-normal input. Identity when not training or p == 0. ``key`` is
+    the ``dropout_mask`` key (seed, layer, step or one step per column).
     """
     a = _as_tensor(a)
     if not 0.0 <= p < 1.0:
@@ -592,23 +675,31 @@ def alpha_dropout(
 
 
 def backward(loss: Tensor, tape: Tape) -> Grads:
-    """Gradient of a scalar loss w.r.t. every node on the tape.
+    """Gradient of a scalar loss w.r.t. every leaf on the tape.
 
-    Visits each node exactly once, in reverse recording order.
+    Visits each node once, in reverse recording order, and spends the tape:
+    a pulled node's gradient and tape entry are dropped at once, so the
+    activations its closure holds are freed during the walk. A second call on
+    the same tape raises ``ValueError``.
     """
     if loss.shape != (1, 1):
         raise ValueError(f"backward: loss must be 1x1, got {loss.shape}")
     if loss.tape is not tape or loss.node_id is None:
         raise ValueError("backward: loss is not recorded on this tape")
-    by_node: list[np.ndarray | None] = [None] * len(tape.nodes)
+    if tape.spent:
+        raise ValueError("backward: tape already spent by an earlier backward")
+    tape.spent = True
+    nodes = tape.nodes
+    by_node: list[np.ndarray | None] = [None] * len(nodes)
     by_node[loss.node_id] = np.ones((1, 1))
     for nid in range(loss.node_id, -1, -1):
         g = by_node[nid]
         if g is None:
             continue
-        node = tape.nodes[nid]
+        node = nodes[nid]
         if node.pull is None:  # leaf
             continue
+        by_node[nid] = nodes[nid] = None
         for pid, pg in zip(node.parents, node.pull(g)):
             if pid is None:
                 continue  # untaped constant operand
@@ -616,4 +707,4 @@ def backward(loss: Tensor, tape: Tape) -> Grads:
                 by_node[pid] = pg
             else:
                 by_node[pid] = by_node[pid] + pg
-    return Grads(by_node)
+    return Grads(tape, by_node)

@@ -1,9 +1,12 @@
 """Optimization loop, Monte Carlo cross-validation, and the ablation matrix.
 
-Batch size is fixed at 1 (bags vary in size); gradients are averaged over an
-accumulation window before each Adam step, so the learning rate behaves like
-an effective batch of ``accumulation`` samples. Everything is deterministic
-given (seed, config, dataset).
+The update rule is the paper's: each sample's loss is taken at batch size 1
+(bags vary in size) and the gradients of an accumulation window are averaged
+before each Adam step, so the learning rate behaves like an effective batch
+of ``accumulation`` samples. A window is computed on one tape: the genomic
+networks and the patch projection run once over the whole window, each
+sample is fused on its own, and one backward of the mean loss gives the mean
+gradient. Everything is deterministic given (seed, config, dataset).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .mgct_core import (
     forward_logits,
     init_model_arrays,
     ranged,
+    window_logits,
 )
 
 log = logging.getLogger(__name__)
@@ -95,7 +99,35 @@ def adam_step(
 
 
 # ---------------------------------------------------------------------------
-# single-sample passes
+# window and single-sample passes
+
+
+def window_losses(
+    samples: list[BagSample],
+    arrays: dict,
+    spec: ModelSpec,
+    labels: list[survival.SurvivalLabel],
+    dropout: float = 0.0,
+    dropout_key: tuple | None = None,
+    loss_alpha: float = 0.0,
+) -> list[nk.Tensor]:
+    """The 1x1 training NLL of each sample of a window: forward, sigmoid, discrete-time NLL.
+
+    One forward pass covers the window (see ``window_logits``); ``dropout_key``
+    is (seed, step) for one sample or (seed, steps) with one step per sample.
+    Taped when ``arrays`` holds tape leaves, untaped for raw arrays or untaped
+    tensors. With ``dropout=0`` each loss equals the evaluation-mode loss.
+    """
+    logits = window_logits(
+        [s.patches for s in samples],
+        [s.genomic for s in samples],
+        arrays,
+        spec,
+        training=True,
+        dropout_p=dropout,
+        dropout_key=dropout_key,
+    )
+    return [survival.nll_loss(nk.sigmoid(z), label, alpha=loss_alpha) for z, label in zip(logits, labels)]
 
 
 def sample_loss(
@@ -107,26 +139,39 @@ def sample_loss(
     dropout_key: tuple[int, int] | None = None,
     loss_alpha: float = 0.0,
 ) -> nk.Tensor:
-    """The 1x1 training NLL of one sample: forward, sigmoid, discrete-time NLL.
+    """``window_losses`` of a one-sample window: that sample's 1x1 training NLL."""
+    return window_losses([sample], arrays, spec, [label], dropout, dropout_key, loss_alpha)[0]
 
-    Taped when ``arrays`` holds tape leaves, untaped for raw arrays or untaped
-    tensors. With ``dropout=0`` it equals the evaluation-mode loss.
+
+def window_loss_and_grads(
+    samples: list[BagSample], arrays: dict[str, np.ndarray], *args, **kwargs
+) -> tuple[list[float], dict[str, np.ndarray]]:
+    """Forward + backward of ``window_losses`` (same arguments) on one tape.
+
+    Returns each sample's loss and the gradient of their mean, which is the
+    mean of the per-sample gradients, per parameter.
     """
-    logits = forward_logits(
-        sample.patches, sample.genomic, arrays, spec, training=True, dropout_p=dropout, dropout_key=dropout_key
-    )
-    return survival.nll_loss(nk.sigmoid(logits), label, alpha=loss_alpha)
+    tape = nk.Tape()
+    leaves = {name: tape.leaf(arr) for name, arr in arrays.items()}
+    losses = window_losses(samples, leaves, *args, **kwargs)
+    total = losses[0]
+    for loss in losses[1:]:
+        total = nk.add(total, loss)
+    grads = nk.backward(total if len(losses) == 1 else nk.scale(total, 1.0 / len(losses)), tape)
+    return [loss.item() for loss in losses], {name: grads[leaf] for name, leaf in leaves.items()}
 
 
 def sample_loss_and_grads(
-    sample: BagSample, arrays: dict[str, np.ndarray], *args, **kwargs
+    sample: BagSample,
+    arrays: dict[str, np.ndarray],
+    spec: ModelSpec,
+    label: survival.SurvivalLabel,
+    *args,
+    **kwargs,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Forward + backward of ``sample_loss`` (same arguments); returns (loss, per-parameter grads)."""
-    tape = nk.Tape()
-    leaves = {name: tape.leaf(arr) for name, arr in arrays.items()}
-    loss = sample_loss(sample, leaves, *args, **kwargs)
-    grads = nk.backward(loss, tape)
-    return loss.item(), {name: grads[leaf] for name, leaf in leaves.items()}
+    """``window_loss_and_grads`` of a one-sample window (``sample_loss``'s arguments)."""
+    losses, grads = window_loss_and_grads([sample], arrays, spec, [label], *args, **kwargs)
+    return losses[0], grads
 
 
 def predict(sample: BagSample, arrays: dict[str, np.ndarray], spec: ModelSpec) -> survival.SurvivalPrediction:
@@ -225,47 +270,27 @@ def train_fold(
     for epoch in range(config.epochs):
         order_rng = np.random.default_rng([config.seed, split.fold, epoch])
         order = order_rng.permutation(len(train_samples))
-        pending: dict[str, np.ndarray] | None = None
-        pending_count = 0
         loss_sum = 0.0
-
-        def flush():
-            nonlocal arrays, pending, pending_count
-            if pending_count == 0:
-                return
-            mean_grads = {n: g / pending_count for n, g in pending.items()}
+        for start in range(0, len(order), config.accumulation):
+            window = [train_samples[i] for i in order[start : start + config.accumulation]]
+            losses, grads = window_loss_and_grads(
+                window,
+                arrays,
+                spec,
+                [label_of[s.sample_id] for s in window],
+                dropout=config.dropout,
+                dropout_key=(config.seed, range(dropout_step, dropout_step + len(window))),
+                loss_alpha=config.loss_alpha,
+            )
+            dropout_step += len(window)
+            loss_sum = sum(losses, loss_sum)  # left to right, one sample at a time
             arrays = adam_step(
                 arrays,
-                mean_grads,
+                grads,
                 state,
                 lr=config.learning_rate,
                 weight_decay=config.weight_decay,
             )
-            pending = None
-            pending_count = 0
-
-        for idx in order:
-            s = train_samples[idx]
-            loss, grads = sample_loss_and_grads(
-                s,
-                arrays,
-                spec,
-                label_of[s.sample_id],
-                dropout=config.dropout,
-                dropout_key=(config.seed, dropout_step),
-                loss_alpha=config.loss_alpha,
-            )
-            dropout_step += 1
-            loss_sum += loss
-            if pending is None:
-                pending = grads
-            else:
-                for n in pending:
-                    pending[n] = pending[n] + grads[n]
-            pending_count += 1
-            if pending_count == config.accumulation:
-                flush()
-        flush()
 
         if val_samples:
             _, ci, auc = evaluate(val_samples, arrays, spec, horizon)
@@ -323,7 +348,8 @@ def cross_validate(
     """
     splits = monte_carlo_splits(dataset.ids, k, ratio=ratio, seed=config.seed)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the fork start method starts every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(splits))) as pool:
             outcomes = [pool.submit(train_fold, dataset, sp, config, ablation).result for sp in splits]
     else:
         outcomes = [partial(train_fold, dataset, sp, config, ablation) for sp in splits]

@@ -33,6 +33,7 @@ from mgct.train import (
     sample_loss,
     sample_loss_and_grads,
     train_fold,
+    window_loss_and_grads,
     write_metrics_csv,
 )
 from mgct.verify import gradient_error, patch_permutation_deviation
@@ -220,23 +221,17 @@ def test_criterion_5_gradient_accumulation_equivalence(default_dataset):
     arrays = init_model_arrays(spec, seed=2, head_init="xavier")
     edges = sv.time_bin_edges([sv.SurvivalLabel(s.t, s.event) for s in ds.samples], 4)
     samples = ds.samples[:32]
+    labels = [sv.SurvivalLabel(s.t, s.event, bin=sv.assign_bin(s.t, edges)) for s in samples]
 
-    def grads_for(i):
-        s = samples[i]
-        label = sv.SurvivalLabel(s.t, s.event, bin=sv.assign_bin(s.t, edges))
-        _, g = sample_loss_and_grads(
-            s, arrays, spec, label, dropout=cfg.dropout, dropout_key=(cfg.seed, i)
-        )
-        return g
-
-    # training-loop route: running sum, divided by the window size
-    pending = None
-    for i in range(32):
-        g = grads_for(i)
-        pending = g if pending is None else {k: pending[k] + g[k] for k in pending}
-    accumulated = {k: v / 32 for k, v in pending.items()}
-    # oracle route: stack and take the mean directly
-    per_sample = [grads_for(i) for i in range(32)]
+    # training-loop route: one tape for the window, one backward of the mean loss
+    _, accumulated = window_loss_and_grads(
+        samples, arrays, spec, labels, dropout=cfg.dropout, dropout_key=(cfg.seed, range(32))
+    )
+    # oracle route: 32 batch-1 gradients, stacked, and their mean taken directly
+    per_sample = [
+        sample_loss_and_grads(s, arrays, spec, label, dropout=cfg.dropout, dropout_key=(cfg.seed, i))[1]
+        for i, (s, label) in enumerate(zip(samples, labels))
+    ]
     direct = {k: np.mean([g[k] for g in per_sample], axis=0) for k in per_sample[0]}
 
     p1 = adam_step(dict(arrays), accumulated, AdamState(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay)

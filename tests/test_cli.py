@@ -171,6 +171,14 @@ class TestConfigValidation:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("content", [b"{not json", b'{"Tumor Suppression": ["\xff"]}'])
+    def test_malformed_category_map_exits_2_naming_it(self, tmp_path, dataset_dir, capsys, content):
+        cmap = dataset_dir / "category_map.json"
+        cmap.write_bytes(content)
+        cfg = write_config(tmp_path, dataset_dir)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) == 2
+        assert f"{cmap}: category map is not UTF-8 JSON" in capsys.readouterr().err
+
 
 class TestTrainCommand:
     def test_artifacts_and_config_echo(self, tmp_path, dataset_dir, capsys):

@@ -68,6 +68,25 @@ class TestGenomicEmbedder:
         with pytest.raises(ValueError, match="key"):
             embed_genomics([np.ones(3)], params, training=True, dropout_p=0.5)
 
+    def test_window_columns_match_single_samples(self):
+        # a window of 5 samples stacked as columns, each with its own dropout step
+        gene_lengths = [3, 2, 4]
+        _, params = snn_setup(gene_lengths, d=6, hidden=7, seed=2)
+        rng = np.random.default_rng(3)
+        samples = [[rng.normal(size=n) for n in gene_lengths] for _ in range(5)]
+        steps = (10, 11, 12, 13, 14)
+        stacked = [np.column_stack(cat) for cat in zip(*samples)]
+        window = embed_genomics(stacked, params, training=True, dropout_p=0.25, dropout_key=(4, steps))
+        assert window.shape == (6, 3 * 5)
+        for b, (raw, step) in enumerate(zip(samples, steps)):
+            alone = embed_genomics(raw, params, training=True, dropout_p=0.25, dropout_key=(4, step))
+            np.testing.assert_allclose(window.data[:, b::5], alone.data, rtol=0, atol=1e-13)
+
+    def test_window_size_mismatch(self):
+        _, params = snn_setup([3, 4])
+        with pytest.raises(nk.ShapeError, match="category 1: 3 samples, category 0 has 2"):
+            embed_genomics([np.ones((3, 2)), np.ones((4, 3))], params)
+
     def test_gradient_through_snn(self):
         gene_lengths = [3, 2]
         rng = np.random.default_rng(5)

@@ -45,6 +45,22 @@ class TestMatmul:
         assert err < 1e-6, f"{name}: {err}"
 
 
+class TestAffine:
+    def test_bitwise_equal_to_matmul_plus_bias(self):
+        w, x, b = rand(4, 3, seed=42), rand(3, 6, seed=43), rand(4, 1, seed=44)
+        fused = nk.affine(nk.Tensor(w), nk.Tensor(x), nk.Tensor(b))
+        np.testing.assert_array_equal(fused.data, nk.add(nk.matmul(nk.Tensor(w), nk.Tensor(x)), nk.Tensor(b)).data)
+
+    def test_gradient_all_operands(self):
+        params = {"w": rand(4, 3, seed=45), "x": rand(3, 6, seed=46), "b": rand(4, 1, seed=47)}
+        err, name = gradient_error(lambda t: nk.sum_all(nk.tanh(nk.affine(t["w"], t["x"], t["b"]))), params)
+        assert err < GRAD_TOL, f"{name}: {err}"
+
+    def test_bias_must_be_a_column(self):
+        with pytest.raises(nk.ShapeError, match="bias"):
+            nk.affine(nk.Tensor(np.ones((4, 3))), nk.Tensor(np.ones((3, 2))), nk.Tensor(np.ones((4, 2))))
+
+
 class TestSoftmaxRows:
     def test_uniform_row(self):
         out = nk.softmax_rows(nk.Tensor([[0.0, 0.0, 0.0]]))
@@ -120,6 +136,25 @@ class TestConcatSplit:
         np.testing.assert_allclose(grads[lb], w[:, 3:], atol=1e-15)
 
 
+class TestGatherCols:
+    def test_picks_columns_in_order(self):
+        x = rand(3, 6, seed=39)
+        np.testing.assert_array_equal(nk.gather_cols(nk.Tensor(x), [4, 1, 2]).data, x[:, [4, 1, 2]])
+
+    def test_gradient_scatters_back(self):
+        w = rand(3, 3, seed=41)
+        err, _ = gradient_error(
+            lambda t: nk.sum_all(nk.mul(nk.gather_cols(t["x"], range(1, 6, 2)), nk.Tensor(w))),
+            {"x": rand(3, 6, seed=40)},
+        )
+        assert err < GRAD_TOL
+
+    @pytest.mark.parametrize("cols", [[], [0, 0], [6], [-1]])
+    def test_bad_columns_rejected(self, cols):
+        with pytest.raises(nk.ShapeError):
+            nk.gather_cols(nk.Tensor(np.zeros((2, 6))), cols)
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         w = rand(3, 4, seed=16)
@@ -154,6 +189,33 @@ class TestBackward:
         unused = tape.leaf(rand(3, 3, seed=21))
         grads = nk.backward(nk.sum_all(used), tape)
         np.testing.assert_array_equal(grads[unused], np.zeros((3, 3)))
+
+    def test_second_backward_on_spent_tape_rejected(self):
+        tape = nk.Tape()
+        leaf = tape.leaf(rand(2, 2, seed=34))
+        loss = nk.sum_all(nk.mul(leaf, leaf))
+        nk.backward(loss, tape)
+        assert tape.spent
+        with pytest.raises(ValueError, match="spent"):
+            nk.backward(loss, tape)
+
+    def test_pulled_nodes_are_dropped(self):
+        tape = nk.Tape()
+        leaf = tape.leaf(rand(2, 2, seed=35))
+        nk.backward(nk.sum_all(nk.tanh(leaf)), tape)
+        assert tape.nodes[0] is not None
+        assert tape.nodes[1:] == [None, None]
+
+    def test_non_leaf_gradient_not_kept(self):
+        tape = nk.Tape()
+        leaf = tape.leaf(rand(2, 2, seed=36))
+        hidden = nk.tanh(leaf)
+        unused = nk.relu(leaf)  # recorded, never pulled
+        grads = nk.backward(nk.sum_all(hidden), tape)
+        for t in (hidden, unused, nk.Tensor(np.ones((2, 2)))):
+            with pytest.raises(KeyError):
+                grads[t]
+        np.testing.assert_allclose(grads[leaf], 1.0 - np.tanh(leaf.data) ** 2, atol=1e-15)
 
     def test_mixed_tapes_rejected(self):
         t1, t2 = nk.Tape(), nk.Tape()
@@ -208,6 +270,15 @@ class TestAlphaDropout:
         out = nk.alpha_dropout(nk.Tensor(z), 0.5, (42, 0, 0), training=True)
         assert abs(out.data.mean()) < 0.01
         assert abs(out.data.var() - 1.0) < 0.05
+
+    def test_one_step_per_column(self):
+        # column i of a window mask is the mask that step i draws alone
+        steps = (5, 9, 6, 100)
+        window = nk.dropout_mask((3, 2, steps), (40, 4), 0.75)
+        for i, step in enumerate(steps):
+            np.testing.assert_array_equal(window[:, [i]], nk.dropout_mask((3, 2, step), (40, 1), 0.75))
+        with pytest.raises(nk.ShapeError, match="2 steps for 4 columns"):
+            nk.dropout_mask((3, 2, (1, 2)), (40, 4), 0.75)
 
     def test_gradient_through_mask(self):
         x = rand(4, 5, seed=31)

@@ -1,11 +1,12 @@
 """Optimizer, fold-training, and cross-validation tests (small configs)."""
 
 import logging
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from mgct import dataio, survival as sv, train
+from mgct import dataio, numkit as nk, survival as sv, train
 from mgct.dataio import RiskModel, monte_carlo_splits
 from mgct.mgct_core import AblationSpec, FusionConfig, ModelSpec, init_model_arrays
 from mgct.train import (
@@ -18,6 +19,7 @@ from mgct.train import (
     run_ablation_matrix,
     sample_loss_and_grads,
     train_fold,
+    window_loss_and_grads,
     write_ablation_csv,
     write_metrics_csv,
 )
@@ -39,6 +41,39 @@ def tiny_config(**overrides) -> TrainConfig:
 def tiny_dataset(n=24, seed=5):
     rm = RiskModel(genes_per_category=3, patches_min=4, patches_max=8)
     return dataio.synthesize(n, d_in=5, s_categories=3, risk_model=rm, seed=seed)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs each task in-process."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 - delivered through the future
+            future.set_exception(exc)
+        return future
+
+
+def mean_of_sample_grads(samples, arrays, spec, labels, seed, first_step, dropout):
+    """Per-sample losses and the mean of the one-sample gradients, step by step as in the paper."""
+    per = [
+        sample_loss_and_grads(s, arrays, spec, label, dropout=dropout, dropout_key=(seed, first_step + i))
+        for i, (s, label) in enumerate(zip(samples, labels))
+    ]
+    mean = {name: np.mean([g[name] for _, g in per], axis=0) for name in arrays}
+    return [loss for loss, _ in per], mean
 
 
 def train_fold_failing_fold_1(dataset, split, config, ablation):
@@ -118,6 +153,81 @@ class TestAccumulationEquivalence:
         p2 = adam_step(dict(arrays), direct_mean, AdamState(), lr=2e-4, weight_decay=1e-5)
         for name in p1:
             assert np.abs(p1[name] - p2[name]).max() < 1e-10
+
+
+class TestWindowEquivalence:
+    """One tape per window gives the mean of the batch-size-1 gradients."""
+
+    def test_window_matches_mean_of_sample_gradients(self):
+        # the reference config at full width (criterion 5 runs a narrow model)
+        ds = dataio.synthesize(200, seed=7)  # ragged bags
+        cfg = TrainConfig()
+        spec = ModelSpec(
+            d_in=ds.d_in, gene_lengths=tuple(ds.gene_lengths), snn_hidden=cfg.snn_hidden,
+            fusion=cfg.fusion, ablation=AblationSpec(),
+        )
+        arrays = init_model_arrays(spec, seed=2, head_init="xavier")
+        edges = sv.time_bin_edges([sv.SurvivalLabel(s.t, s.event) for s in ds.samples], 4)
+        samples = ds.samples[:32]
+        assert len({s.patches.shape[1] for s in samples}) > 1
+        labels = [sv.SurvivalLabel(s.t, s.event, bin=sv.assign_bin(s.t, edges)) for s in samples]
+
+        losses, window = window_loss_and_grads(
+            samples, arrays, spec, labels, dropout=0.25, dropout_key=(cfg.seed, range(32))
+        )
+        sample_losses, mean = mean_of_sample_grads(samples, arrays, spec, labels, cfg.seed, 0, 0.25)
+
+        assert max(abs(a - b) for a, b in zip(losses, sample_losses)) < 1e-12
+        step = dict(lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
+        p1 = adam_step(dict(arrays), window, AdamState(), **step)
+        p2 = adam_step(dict(arrays), mean, AdamState(), **step)
+        assert max(float(np.abs(p1[k] - p2[k]).max()) for k in p1) < 1e-10
+
+    def test_partial_last_window_averages_its_own_samples(self, monkeypatch):
+        # 37 training samples at accumulation 32: a 32-sample and a 5-sample window
+        calls = []
+
+        def recording_adam_step(params, grads, state, **kwargs):
+            calls.append((params, grads))
+            return adam_step(params, grads, state, **kwargs)
+
+        monkeypatch.setattr(train, "adam_step", recording_adam_step)
+        ds = tiny_dataset(n=45)
+        split = dataio.FoldSplit(fold=0, train_ids=tuple(ds.ids[:37]), val_ids=tuple(ds.ids[37:]))
+        cfg = tiny_config(accumulation=32, dropout=0.25)
+        result = train_fold(ds, split, cfg)
+        assert len(calls) == 2
+
+        train_samples = ds.subset(split.train_ids)
+        edges = sv.time_bin_edges([sv.SurvivalLabel(s.t, s.event) for s in train_samples], 4)
+        order = np.random.default_rng([cfg.seed, split.fold, 0]).permutation(37)
+        all_losses = []
+        for (params, grads), start, size in zip(calls, (0, 32), (32, 5)):
+            window = [train_samples[i] for i in order[start : start + 32]]
+            assert len(window) == size
+            labels = [sv.SurvivalLabel(s.t, s.event, bin=sv.assign_bin(s.t, edges)) for s in window]
+            losses, mean = mean_of_sample_grads(window, params, result.spec, labels, cfg.seed, start, 0.25)
+            all_losses += losses
+            assert max(float(np.abs(grads[k] - mean[k]).max()) for k in mean) < 1e-12
+        assert result.history[0].loss == pytest.approx(np.mean(all_losses), abs=1e-12)
+
+    def test_one_sample_records_no_gather_or_slice(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a one-sample pass gathered or sliced columns")
+
+        monkeypatch.setattr(nk, "gather_cols", refuse)
+        monkeypatch.setattr(nk, "slice_cols", refuse)
+        ds = tiny_dataset()
+        cfg = tiny_config()
+        spec = ModelSpec(
+            d_in=ds.d_in, gene_lengths=tuple(ds.gene_lengths), snn_hidden=cfg.snn_hidden,
+            fusion=cfg.fusion, ablation=AblationSpec(),
+        )
+        arrays = init_model_arrays(spec, seed=1, head_init="xavier")
+        s = ds.samples[0]
+        loss, _ = sample_loss_and_grads(s, arrays, spec, sv.SurvivalLabel(s.t, s.event, bin=1), 0.1, (0, 3))
+        assert np.isfinite(loss)
+        assert np.isfinite(predict(s, arrays, spec).risk)
 
 
 class TestTrainFold:
@@ -246,6 +356,15 @@ class TestCrossValidation:
         assert seq.errors == par.errors == {1: "fold 1 diverged"}
         assert [f.fold for f in seq.folds] == [f.fold for f in par.folds] == [0, 2]
         assert [f.final_c_index for f in seq.folds] == [f.final_c_index for f in par.folds]
+
+    def test_pool_never_larger_than_fold_count(self, monkeypatch):
+        monkeypatch.setattr(RecordingPool, "max_workers", [])
+        monkeypatch.setattr(train, "ProcessPoolExecutor", RecordingPool)
+        ds = tiny_dataset(n=16)
+        cv = cross_validate(ds, 2, tiny_config(), jobs=1000)
+        cross_validate(ds, 3, tiny_config(), jobs=2)
+        assert RecordingPool.max_workers == [2, 2]
+        assert len(cv.folds) == 2 and not cv.errors
 
     def test_metrics_csv_shape(self, tmp_path):
         ds = tiny_dataset()
