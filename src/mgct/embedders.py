@@ -3,8 +3,8 @@
 Genomics: one independent two-hidden-layer network per functional category
 (ELU activations, alpha dropout after each hidden layer), projected to d and
 assembled column-wise into a (d, S) token matrix. Histology: a single affine
-map applied to each patch column, giving (d, N). Both run on a batch of
-samples at once: genomic vectors stacked as columns, bags side by side.
+map applied to each patch column, giving (d, N). The genomic networks also
+run on a batch of samples at once, their vectors stacked as columns.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ def _leaves(arrays: dict, prefix: str, *names: str) -> list[nk.Tensor]:
     """``arrays["prefix.name"]`` for each name: tape leaves pass through, raw arrays stay untaped."""
     found = [arrays[f"{prefix}.{n}"] for n in names]
     return [a if isinstance(a, nk.Tensor) else nk.Tensor(a) for a in found]
+
+
+def affine(w: nk.Tensor, x: nk.Tensor, b: nk.Tensor) -> nk.Tensor:
+    """w @ x + b with the bias column broadcast across x's columns."""
+    return nk.add(nk.matmul(w, x), b)
 
 
 @dataclass
@@ -115,20 +120,20 @@ def embed_genomics(
             )
         if columns is not None and x.cols * s != columns.cols:
             raise nk.ShapeError(f"category {s}: {x.cols} samples, category 0 has {columns.cols // s}")
-        a = nk.elu(nk.affine(p.w1, x, p.b1))
+        a = nk.elu(affine(p.w1, x, p.b1))
         a = nk.alpha_dropout(a, dropout_p, (seed, 2 * s, step), training)
-        a = nk.elu(nk.affine(p.w2, a, p.b2))
+        a = nk.elu(affine(p.w2, a, p.b2))
         a = nk.alpha_dropout(a, dropout_p, (seed, 2 * s + 1, step), training)
-        col = nk.affine(p.w_out, a, p.b_out)
+        col = affine(p.w_out, a, p.b_out)
         columns = col if columns is None else nk.concat(columns, col, "cols")
     return columns
 
 
 def embed_patches(patches, params: PatchProjParams) -> nk.Tensor:
-    """Project a (d_in, N) bag, or several bags side by side, to (d, N), column by column."""
+    """Project a (d_in, N) bag to (d, N), column by column."""
     x = patches if isinstance(patches, nk.Tensor) else nk.Tensor(patches)
     if x.rows != params.weight.cols:
         raise nk.ShapeError(
             f"bag width {x.rows} does not match projection input width {params.weight.cols}"
         )
-    return nk.affine(params.weight, x, params.bias)
+    return affine(params.weight, x, params.bias)

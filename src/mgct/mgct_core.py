@@ -38,6 +38,7 @@ from .embedders import (
     PatchProjParams,
     SNN_HIDDEN_DEFAULT,
     SnnParams,
+    affine,
     bind_patch_proj,
     bind_snn,
     embed_genomics,
@@ -365,8 +366,8 @@ def mgct_layer(
         if alpha_sink is not None:
             alpha_sink.append(alpha.data)
     if ablation.feedforward:
-        hidden = nk.relu(nk.affine(params.mlp.w_in, r, params.mlp.b_in))
-        out = nk.affine(params.mlp.w_out, hidden, params.mlp.b_out)
+        hidden = nk.relu(affine(params.mlp.w_in, r, params.mlp.b_in))
+        out = affine(params.mlp.w_out, hidden, params.mlp.b_out)
         if residual:
             out = nk.add(out, r)
         return out
@@ -428,7 +429,7 @@ def classify(r_final: nk.Tensor, head: HeadParams) -> nk.Tensor:
         raise nk.ShapeError(
             f"classifier expects ({head.w.cols}, 1) input, got {r_final.shape}"
         )
-    return nk.affine(head.w, r_final, head.b)
+    return affine(head.w, r_final, head.b)
 
 
 # ---------------------------------------------------------------------------
@@ -539,32 +540,23 @@ def window_logits(
 ) -> list[nk.Tensor]:
     """Full pipeline for a window of B samples: embed both modalities, fuse, classify.
 
-    The genomic networks run once on the window's stacked category vectors
-    and the patch projection once on its bags side by side; each sample then
-    takes its own genomic columns (``gather_cols``) and patch columns
-    (``slice_cols``) through the fusion and head, since bags differ in size.
+    The genomic networks run once on the window's stacked category vectors;
+    each sample then takes its own genomic columns (``gather_cols``) and,
+    since bags differ in size, its own patch projection, fusion and head.
     ``dropout_key`` is (seed, step) for one sample or (seed, steps) with one
-    step per sample. One sample records no gather or slice. Returns the B
-    hazard-logit tensors, each (bins, 1), taped when ``arrays`` holds tape
-    leaves (see ``bind_model``).
+    step per sample. One sample records no gather. Returns the B hazard-logit
+    tensors, each (bins, 1), taped when ``arrays`` holds tape leaves (see
+    ``bind_model``).
     """
     params = bind_model(arrays, spec)
     n = len(bags)
     raw = genomics[0] if n == 1 else [np.column_stack(cat) for cat in zip(*genomics)]
     g = embed_genomics(raw, params.snn, training=training, dropout_p=dropout_p, dropout_key=dropout_key)
-    h = embed_patches(bags[0] if n == 1 else np.hstack(bags), params.patch)
     logits = []
-    start = 0
     for b, bag in enumerate(bags):
-        if n == 1:
-            g_b, h_b = g, h
-        else:
-            g_b = nk.gather_cols(g, range(b, g.cols, n))
-            h_b = nk.slice_cols(h, start, start + bag.shape[1])
-            start += bag.shape[1]
         fused = fuse(
-            h_b,
-            g_b,
+            embed_patches(bag, params.patch),
+            g if n == 1 else nk.gather_cols(g, range(b, g.cols, n)),
             params.fusion,
             spec.fusion,
             ablation=spec.ablation,

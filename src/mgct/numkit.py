@@ -4,10 +4,10 @@ Every value is a row-major (rows, cols) float64 matrix. Operations build a
 flat tape of primitive nodes; ``backward`` walks the tape once, in reverse,
 and returns a gradient for every leaf. It spends the tape: each non-leaf
 node is dropped once pulled, freeing the activations its closure holds, and
-a spent tape cannot be walked again. One tape records one loss, such as one
-training window (one writer). Tensors are treated as immutable once
-constructed. When no operand is on a tape an op just computes, recording
-nothing.
+a spent tape cannot be walked again. One tape records one loss, such as the
+summed loss of several training samples (one writer). Tensors are treated
+as immutable once constructed. When no operand is on a tape an op just
+computes, recording nothing.
 
 Shapes in comments use the convention ``(rows, cols)``.
 """
@@ -25,7 +25,6 @@ __all__ = [
     "Tape",
     "Grads",
     "matmul",
-    "affine",
     "add",
     "sub",
     "mul",
@@ -237,48 +236,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     tape = _tape_of(a, b)
     if tape is None:
         return _wrap(out)
-    # an untaped operand (a raw input) needs no gradient
-    ad = a.data if b.node_id is not None else None
-    bd = b.data if a.node_id is not None else None
+    ad, bd = a.data, b.data
 
     def pull(g):
-        return (None if bd is None else g @ bd.T, None if ad is None else ad.T @ g)
+        return (g @ bd.T, ad.T @ g)
 
     return tape._emit(out, (a, b), pull)
-
-
-def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
-    """w @ x + b with the bias column broadcast across x's columns, as one tape node.
-
-    Bitwise equal to ``add(matmul(w, x), b)``, forward and backward.
-    """
-    w, x, b = _as_tensor(w), _as_tensor(x), _as_tensor(b)
-    if w.data.shape[1] != x.data.shape[0]:
-        raise ShapeError(f"affine: inner dimensions differ, {w.shape} @ {x.shape}")
-    if b.data.shape != (w.data.shape[0], 1):
-        raise ShapeError(f"affine: bias {b.shape} is not a ({w.rows}, 1) column")
-    out = w.data @ x.data
-    out += b.data
-    tape = _tape_of(w, x)
-    if b.tape is not None:
-        if tape is not None and b.tape is not tape:
-            raise ValueError("operands were recorded on different tapes")
-        tape = b.tape
-    if tape is None:
-        return _wrap(out)
-    # an untaped operand (a raw input) needs no gradient
-    wd = w.data if x.node_id is not None else None
-    xd = x.data if w.node_id is not None else None
-    b_taped = b.node_id is not None
-
-    def pull(g):
-        return (
-            None if xd is None else g @ xd.T,
-            None if wd is None else wd.T @ g,
-            g.sum(axis=1, keepdims=True) if b_taped else None,
-        )
-
-    return tape._emit(out, (w, x, b), pull)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

@@ -3,10 +3,11 @@
 The update rule is the paper's: each sample's loss is taken at batch size 1
 (bags vary in size) and the gradients of an accumulation window are averaged
 before each Adam step, so the learning rate behaves like an effective batch
-of ``accumulation`` samples. A window is computed on one tape: the genomic
-networks and the patch projection run once over the whole window, each
-sample is fused on its own, and one backward of the mean loss gives the mean
-gradient. Everything is deterministic given (seed, config, dataset).
+of ``accumulation`` samples. A window is computed on as few tapes as
+``TAPE_PATCHES`` allows: on each, the genomic networks run once over its
+samples, each sample is fused on its own, and one backward of their share of
+the mean loss gives their share of the mean gradient. Everything is
+deterministic given (seed, config, dataset).
 """
 
 from __future__ import annotations
@@ -38,6 +39,13 @@ log = logging.getLogger(__name__)
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+# Patch columns that may share one tape. A tape holds every sample's fusion
+# activations until its backward, and those grow with the patch count, so a
+# window of large bags (or a long window) is cut into consecutive runs of
+# samples with at most this many patches between them (a larger bag has a
+# tape to itself). 1024 columns keep a 32-sample window of bags of up to 32
+# patches on one tape, and a tape no larger than a 1024-patch bag's.
+TAPE_PATCHES = 1024
 
 
 @dataclass(frozen=True)
@@ -143,22 +151,60 @@ def sample_loss(
     return window_losses([sample], arrays, spec, [label], dropout, dropout_key, loss_alpha)[0]
 
 
+def tape_spans(bag_sizes: list[int], max_patches: int) -> list[tuple[int, int]]:
+    """Cut a window into consecutive (start, stop) runs of at most ``max_patches`` patches.
+
+    A run grows while the next bag fits, and a bag larger than the bound is a
+    run by itself.
+    """
+    spans: list[tuple[int, int]] = []
+    start, total = 0, 0
+    for i, n in enumerate(bag_sizes):
+        if i > start and total + n > max_patches:
+            spans.append((start, i))
+            start, total = i, 0
+        total += n
+    spans.append((start, len(bag_sizes)))
+    return spans
+
+
 def window_loss_and_grads(
-    samples: list[BagSample], arrays: dict[str, np.ndarray], *args, **kwargs
+    samples: list[BagSample],
+    arrays: dict[str, np.ndarray],
+    spec: ModelSpec,
+    labels: list[survival.SurvivalLabel],
+    dropout: float = 0.0,
+    dropout_key: tuple | None = None,
+    loss_alpha: float = 0.0,
 ) -> tuple[list[float], dict[str, np.ndarray]]:
-    """Forward + backward of ``window_losses`` (same arguments) on one tape.
+    """Forward + backward of ``window_losses`` (same arguments).
 
     Returns each sample's loss and the gradient of their mean, which is the
-    mean of the per-sample gradients, per parameter.
+    mean of the per-sample gradients, per parameter. The samples of each
+    ``tape_spans`` run of at most ``TAPE_PATCHES`` patches share one tape and
+    one backward of their share of the mean loss; the gradients of several
+    runs are summed.
     """
-    tape = nk.Tape()
-    leaves = {name: tape.leaf(arr) for name, arr in arrays.items()}
-    losses = window_losses(samples, leaves, *args, **kwargs)
-    total = losses[0]
-    for loss in losses[1:]:
-        total = nk.add(total, loss)
-    grads = nk.backward(total if len(losses) == 1 else nk.scale(total, 1.0 / len(losses)), tape)
-    return [loss.item() for loss in losses], {name: grads[leaf] for name, leaf in leaves.items()}
+    losses: list[float] = []
+    grads: dict[str, np.ndarray] | None = None
+    scale = 1.0 / len(samples)
+    for start, stop in tape_spans([s.patches.shape[1] for s in samples], TAPE_PATCHES):
+        key = dropout_key
+        if stop - start < len(samples) and key is not None:
+            key = (key[0], key[1][start:stop])
+        tape = nk.Tape()
+        leaves = {name: tape.leaf(arr) for name, arr in arrays.items()}
+        run = window_losses(samples[start:stop], leaves, spec, labels[start:stop], dropout, key, loss_alpha)
+        total = run[0]
+        for loss in run[1:]:
+            total = nk.add(total, loss)
+        g = nk.backward(total if len(samples) == 1 else nk.scale(total, scale), tape)
+        losses += [loss.item() for loss in run]
+        if grads is None:
+            grads = {name: g[leaf] for name, leaf in leaves.items()}
+        else:
+            grads = {name: grads[name] + g[leaf] for name, leaf in leaves.items()}
+    return losses, grads
 
 
 def sample_loss_and_grads(

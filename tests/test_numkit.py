@@ -45,22 +45,6 @@ class TestMatmul:
         assert err < 1e-6, f"{name}: {err}"
 
 
-class TestAffine:
-    def test_bitwise_equal_to_matmul_plus_bias(self):
-        w, x, b = rand(4, 3, seed=42), rand(3, 6, seed=43), rand(4, 1, seed=44)
-        fused = nk.affine(nk.Tensor(w), nk.Tensor(x), nk.Tensor(b))
-        np.testing.assert_array_equal(fused.data, nk.add(nk.matmul(nk.Tensor(w), nk.Tensor(x)), nk.Tensor(b)).data)
-
-    def test_gradient_all_operands(self):
-        params = {"w": rand(4, 3, seed=45), "x": rand(3, 6, seed=46), "b": rand(4, 1, seed=47)}
-        err, name = gradient_error(lambda t: nk.sum_all(nk.tanh(nk.affine(t["w"], t["x"], t["b"]))), params)
-        assert err < GRAD_TOL, f"{name}: {err}"
-
-    def test_bias_must_be_a_column(self):
-        with pytest.raises(nk.ShapeError, match="bias"):
-            nk.affine(nk.Tensor(np.ones((4, 3))), nk.Tensor(np.ones((3, 2))), nk.Tensor(np.ones((4, 2))))
-
-
 class TestSoftmaxRows:
     def test_uniform_row(self):
         out = nk.softmax_rows(nk.Tensor([[0.0, 0.0, 0.0]]))

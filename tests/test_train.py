@@ -156,9 +156,10 @@ class TestAccumulationEquivalence:
 
 
 class TestWindowEquivalence:
-    """One tape per window gives the mean of the batch-size-1 gradients."""
+    """A window's tapes give the mean of the batch-size-1 gradients."""
 
-    def test_window_matches_mean_of_sample_gradients(self):
+    @pytest.mark.parametrize("max_patches, tapes", [(train.TAPE_PATCHES, 1), (200, 5)])
+    def test_window_matches_mean_of_sample_gradients(self, monkeypatch, max_patches, tapes):
         # the reference config at full width (criterion 5 runs a narrow model)
         ds = dataio.synthesize(200, seed=7)  # ragged bags
         cfg = TrainConfig()
@@ -172,6 +173,8 @@ class TestWindowEquivalence:
         assert len({s.patches.shape[1] for s in samples}) > 1
         labels = [sv.SurvivalLabel(s.t, s.event, bin=sv.assign_bin(s.t, edges)) for s in samples]
 
+        assert len(train.tape_spans([s.patches.shape[1] for s in samples], max_patches)) == tapes
+        monkeypatch.setattr(train, "TAPE_PATCHES", max_patches)
         losses, window = window_loss_and_grads(
             samples, arrays, spec, labels, dropout=0.25, dropout_key=(cfg.seed, range(32))
         )
@@ -211,12 +214,11 @@ class TestWindowEquivalence:
             assert max(float(np.abs(grads[k] - mean[k]).max()) for k in mean) < 1e-12
         assert result.history[0].loss == pytest.approx(np.mean(all_losses), abs=1e-12)
 
-    def test_one_sample_records_no_gather_or_slice(self, monkeypatch):
+    def test_one_sample_records_no_gather(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("a one-sample pass gathered or sliced columns")
+            raise AssertionError("a one-sample pass gathered columns")
 
         monkeypatch.setattr(nk, "gather_cols", refuse)
-        monkeypatch.setattr(nk, "slice_cols", refuse)
         ds = tiny_dataset()
         cfg = tiny_config()
         spec = ModelSpec(
@@ -228,6 +230,32 @@ class TestWindowEquivalence:
         loss, _ = sample_loss_and_grads(s, arrays, spec, sv.SurvivalLabel(s.t, s.event, bin=1), 0.1, (0, 3))
         assert np.isfinite(loss)
         assert np.isfinite(predict(s, arrays, spec).risk)
+
+
+class TestTapeSpans:
+    def test_runs_fill_up_to_the_bound(self):
+        assert train.tape_spans([10, 20, 30, 5, 25], 30) == [(0, 2), (2, 3), (3, 5)]
+
+    def test_larger_bag_has_a_tape_to_itself(self):
+        assert train.tape_spans([5, 50, 5, 5], 20) == [(0, 1), (1, 2), (2, 4)]
+        assert train.tape_spans([50], 20) == [(0, 1)]
+
+    def test_reference_window_is_one_tape(self):
+        # 32 bags of at most 32 patches (the synthetic default)
+        assert train.tape_spans([32] * 32, train.TAPE_PATCHES) == [(0, 32)]
+        assert train.tape_spans([32] * 33, train.TAPE_PATCHES) == [(0, 32), (32, 33)]
+
+    def test_large_bags_train_like_one_tape(self, monkeypatch):
+        # bags larger than the bound: every sample on its own tape, same fold
+        ds = tiny_dataset(n=30)
+        split = monte_carlo_splits(ds.ids, 1, ratio=0.2, seed=1)[0]
+        cfg = tiny_config(accumulation=8, dropout=0.25)
+        one = train_fold(ds, split, cfg)
+        monkeypatch.setattr(train, "TAPE_PATCHES", 1)
+        many = train_fold(ds, split, cfg)
+        for name in one.arrays:
+            np.testing.assert_allclose(many.arrays[name], one.arrays[name], rtol=0, atol=1e-12)
+        assert [h.loss for h in many.history] == pytest.approx([h.loss for h in one.history], abs=1e-12)
 
 
 class TestTrainFold:
