@@ -14,7 +14,7 @@ rng = np.random.default_rng(0)
 # --- forward math without a tape: nothing is recorded -----------------------
 x = nk.Tensor(rng.standard_normal((3, 4)))
 w = nk.Tensor(rng.standard_normal((4, 2)))
-print("x @ w ->", (x @ w).shape)
+print("x @ w ->", nk.matmul(x, w).shape)
 print("softmax rows sum to:", nk.softmax_rows(x).data.sum(axis=1))
 
 # --- the same expression, recorded -------------------------------------------
@@ -43,8 +43,8 @@ print("rel err wy:", relative_error(grads[wy], numeric["wy"]))
 
 # --- deterministic, self-normalizing dropout ---------------------------------
 z = nk.Tensor(rng.standard_normal((2000, 500)))
-dropped = nk.alpha_dropout(z, p=0.5, key=(seed := 42, 0, 0), training=True)
+dropped = nk.alpha_dropout(z, p=0.5, key=(seed := 42, 0, 0))
 print("\nalpha dropout at p=0.5 on standard-normal input:")
 print("  mean %.4f (target 0), var %.4f (target 1)" % (dropped.data.mean(), dropped.data.var()))
-same = nk.alpha_dropout(z, 0.5, (seed, 0, 0), training=True)
+same = nk.alpha_dropout(z, 0.5, (seed, 0, 0))
 print("  same (seed, layer, step) key reproduces the mask:", np.array_equal(dropped.data, same.data))

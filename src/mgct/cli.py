@@ -23,8 +23,9 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import dataio, survival, verify
-from .mgct_core import AblationSpec, Config, ConfigError, FusionConfig, ModelSpec, from_json, ranged
+from .mgct_core import AblationSpec, Config, ConfigError, FusionConfig, ModelSpec, from_json, model_layout
 from .train import (
+    CvConfig,
     TrainConfig,
     cross_validate,
     predict,
@@ -46,13 +47,6 @@ EXIT_USAGE = 2
 class DatasetConfig(Config):
     manifest: str = ""
     category_map: str = ""  # default: category_map.json beside the manifest
-
-
-@dataclass(frozen=True)
-class CvConfig(Config):
-    folds: int = ranged(5, "[1, inf)")
-    ratio: float = ranged(0.2, "(0, 1)")
-    jobs: int = ranged(1, "[1, inf)")
 
 
 SECTIONS = {
@@ -166,32 +160,37 @@ def cmd_synth(args) -> int:
 
 
 def _prepare_run(args):
+    """Load the config, apply ``--seed``, ``--jobs`` and ``--model`` to its
+    sections and check them; then load the dataset and make the run directory.
+
+    ``config.json`` in the run directory echoes the config file, flags unapplied.
+    """
     cfg, provided = load_config(args.config)
-    train = cfg["train"]
-    seed = resolve_seed(args.seed, train.seed if "train.seed" in provided else None, train.seed)
-    train_cfg = replace(train, seed=seed)
-    train_cfg.validate()  # the seed may come from --seed or MGCT_SEED
-    if getattr(args, "jobs", None) is not None:
-        from_json(CvConfig, {"jobs": args.jobs}, "cv")  # --jobs has the range of cv.jobs
-    dataset = load_dataset(cfg["dataset"])
-    run_dir = make_run_dir(args.out, seed)
     echo = {name: asdict(section) for name, section in cfg.items()}
     del echo["train"]["fusion"]  # echoed as the model section
+    train = cfg["train"]
+    seed = resolve_seed(args.seed, train.seed if "train.seed" in provided else None, train.seed)
+    cfg["train"] = replace(train, seed=seed)
+    if getattr(args, "jobs", None) is not None:
+        cfg["cv"] = replace(cfg["cv"], jobs=args.jobs)
+    if getattr(args, "model", None):
+        cfg["ablation"] = AblationSpec.preset(args.model)
+    problems = [f"{name}.{p}" for name, section in cfg.items() for p in section.problems()]
+    if problems:
+        raise ConfigError("; ".join(problems))
+    dataset = load_dataset(cfg["dataset"])
+    run_dir = make_run_dir(args.out, seed)
     (run_dir / "config.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
-    return cfg, train_cfg, dataset, run_dir
-
-
-def _ablation_from(cfg: dict, model_flag: str | None) -> AblationSpec:
-    return AblationSpec.preset(model_flag) if model_flag else cfg["ablation"]
+    return cfg, dataset, run_dir
 
 
 def cmd_train(args) -> int:
-    cfg, train_cfg, dataset, run_dir = _prepare_run(args)
-    ablation = _ablation_from(cfg, args.model)
+    cfg, dataset, run_dir = _prepare_run(args)
+    train_cfg = cfg["train"]
     splits = dataio.monte_carlo_splits(dataset.ids, 1, ratio=cfg["cv"].ratio, seed=train_cfg.seed)
     from .train import train_fold
 
-    result = train_fold(dataset, splits[0], train_cfg, ablation)
+    result = train_fold(dataset, splits[0], train_cfg, cfg["ablation"])
     write_metrics_csv(run_dir / "metrics.csv", [result])
     ckpt.save_checkpoint(run_dir / "fold_0.ckpt", result.arrays, checkpoint_meta(result, dataset))
     final = result.final_c_index
@@ -203,11 +202,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    cfg, train_cfg, dataset, run_dir = _prepare_run(args)
-    ablation = _ablation_from(cfg, args.model)
-    cv_cfg = cfg["cv"]
-    jobs = args.jobs if args.jobs is not None else cv_cfg.jobs
-    cv = cross_validate(dataset, cv_cfg.folds, train_cfg, ablation, ratio=cv_cfg.ratio, jobs=jobs)
+    cfg, dataset, run_dir = _prepare_run(args)
+    cv = cross_validate(dataset, cfg["cv"], cfg["train"], cfg["ablation"])
     write_metrics_csv(run_dir / "metrics.csv", cv.folds)
     for fr in cv.folds:
         ckpt.save_checkpoint(run_dir / f"fold_{fr.fold}.ckpt", fr.arrays, checkpoint_meta(fr, dataset))
@@ -221,10 +217,8 @@ def cmd_cv(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg, train_cfg, dataset, run_dir = _prepare_run(args)
-    cv_cfg = cfg["cv"]
-    jobs = args.jobs if args.jobs is not None else cv_cfg.jobs
-    rows = run_ablation_matrix(dataset, train_cfg, k=cv_cfg.folds, ratio=cv_cfg.ratio, jobs=jobs)
+    cfg, dataset, run_dir = _prepare_run(args)
+    rows = run_ablation_matrix(dataset, cfg["cv"], cfg["train"])
     write_ablation_csv(run_dir / "ablation.csv", rows)
     print(f"run dir: {run_dir}")
     print(f"{'model':<6}{'c-index':>22}{'auc':>22}")
@@ -244,6 +238,16 @@ def cmd_eval(args) -> int:
     if "model" not in meta or type(horizon) not in (int, float):
         raise ckpt.CheckpointError(f"{args.checkpoint}: meta needs a model and a numeric auc_horizon")
     spec = ModelSpec.from_dict(meta["model"])
+    shapes = {name: shape for name, shape, _ in model_layout(spec)}  # draws nothing
+    problems = [f"missing block {name!r}" for name in shapes if name not in arrays]
+    problems += [f"unexpected block {name!r}" for name in arrays if name not in shapes]
+    problems += [
+        f"block {name!r} is {arrays[name].shape}, the model needs {shape}"
+        for name, shape in shapes.items()
+        if name in arrays and arrays[name].shape != shape
+    ]
+    if problems:
+        raise ckpt.CheckpointError(f"{args.checkpoint}: " + "; ".join(problems))
     dataset = load_dataset(DatasetConfig(args.manifest, args.category_map or ""))
     if (dataset.d_in, tuple(dataset.gene_lengths)) != (spec.d_in, spec.gene_lengths):
         raise ckpt.CheckpointError(
@@ -289,8 +293,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.inject:
-        verify.inject_fault(args.inject)
     results = verify.run_checks()
     failed = [name for name, ok, _ in results if not ok]
     for name, ok, detail in results:
@@ -343,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("verify", help="run the numerical invariant suite")
-    p.add_argument("--inject", default=None, help="inject a known fault (test fixture)")
     p.set_defaults(fn=cmd_verify)
     return parser
 

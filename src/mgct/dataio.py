@@ -497,7 +497,7 @@ def write_dataset(dataset: Dataset, out_dir) -> Path:
 # cross-validation splits
 
 
-def monte_carlo_splits(ids, k: int, ratio: float = 0.2, seed: int = 0) -> list[FoldSplit]:
+def monte_carlo_splits(ids, k: int, ratio: float, seed: int) -> list[FoldSplit]:
     """k independent random train/validation partitions (resampled, not disjoint).
 
     Each fold holds out floor(ratio * n) ids; folds are drawn independently,

@@ -56,18 +56,23 @@ class PatchProjParams:
     bias: nk.Tensor  # (d, 1)
 
 
-def init_snn_arrays(
-    gene_lengths: list[int], d: int, hidden: int, rng: np.random.Generator
-) -> dict[str, np.ndarray]:
-    arrays: dict[str, np.ndarray] = {}
+def snn_layout(gene_lengths: list[int], d: int, hidden: int):
+    """Yield (name, shape, drawn) for every genomic-network array, in draw order."""
     for s, length in enumerate(gene_lengths):
-        arrays[f"snn.c{s}.w1"] = xavier_uniform(hidden, length, rng)
-        arrays[f"snn.c{s}.b1"] = np.zeros((hidden, 1))
-        arrays[f"snn.c{s}.w2"] = xavier_uniform(hidden, hidden, rng)
-        arrays[f"snn.c{s}.b2"] = np.zeros((hidden, 1))
-        arrays[f"snn.c{s}.w_out"] = xavier_uniform(d, hidden, rng)
-        arrays[f"snn.c{s}.b_out"] = np.zeros((d, 1))
-    return arrays
+        yield f"snn.c{s}.w1", (hidden, length), True
+        yield f"snn.c{s}.b1", (hidden, 1), False
+        yield f"snn.c{s}.w2", (hidden, hidden), True
+        yield f"snn.c{s}.b2", (hidden, 1), False
+        yield f"snn.c{s}.w_out", (d, hidden), True
+        yield f"snn.c{s}.b_out", (d, 1), False
+
+
+def init_arrays(layout, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """The arrays of a (name, shape, drawn) layout, in its order.
+
+    Drawn arrays are Xavier-uniform from ``rng``, the others zero.
+    """
+    return {name: xavier_uniform(*shape, rng) if drawn else np.zeros(shape) for name, shape, drawn in layout}
 
 
 def bind_snn(arrays: dict[str, np.ndarray], n_categories: int) -> SnnParams:
@@ -75,8 +80,10 @@ def bind_snn(arrays: dict[str, np.ndarray], n_categories: int) -> SnnParams:
     return SnnParams([SnnCategoryParams(*_leaves(arrays, f"snn.c{s}", *names)) for s in range(n_categories)])
 
 
-def init_patch_proj_arrays(d_in: int, d: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    return {"patch.w": xavier_uniform(d, d_in, rng), "patch.b": np.zeros((d, 1))}
+def patch_proj_layout(d_in: int, d: int):
+    """Yield (name, shape, drawn) for the patch projection's arrays."""
+    yield "patch.w", (d, d_in), True
+    yield "patch.b", (d, 1), False
 
 
 def bind_patch_proj(arrays: dict[str, np.ndarray]) -> PatchProjParams:
@@ -84,9 +91,8 @@ def bind_patch_proj(arrays: dict[str, np.ndarray]) -> PatchProjParams:
 
 
 def embed_genomics(
-    raw: list,
+    raw: list[np.ndarray],
     params: SnnParams,
-    training: bool = False,
     dropout_p: float = 0.0,
     dropout_key: tuple | None = None,
 ) -> nk.Tensor:
@@ -96,24 +102,22 @@ def embed_genomics(
     holding B samples' vectors as columns, so each category network runs as
     one GEMM over the batch. Category s fills columns s*B .. s*B + B - 1, and
     column s*B + b is a function of sample b's category s alone.
-    ``dropout_key`` is the (seed, step) pair that makes training-mode dropout
-    reproducible, with one step per sample when B > 1; the per-layer
-    component of the counter key is derived internally.
+    Dropout is on when ``dropout_p > 0``; ``dropout_key`` is then the
+    (seed, step) pair that makes it reproducible, with one step per sample
+    when B > 1; the per-layer component of the counter key is derived
+    internally.
     """
     if len(raw) != len(params.per_category):
         raise nk.ShapeError(
             f"got {len(raw)} category vectors for {len(params.per_category)} category networks"
         )
-    if training and dropout_p > 0.0 and dropout_key is None:
-        raise ValueError("training-mode dropout needs a (seed, step) key")
+    if dropout_p > 0.0 and dropout_key is None:
+        raise ValueError("dropout needs a (seed, step) key")
     seed, step = dropout_key if dropout_key is not None else (0, 0)
     columns = None
     for s, (vec, p) in enumerate(zip(raw, params.per_category)):
-        if isinstance(vec, nk.Tensor):
-            x = vec
-        else:
-            arr = np.asarray(vec, dtype=np.float64)
-            x = nk.Tensor(arr.reshape(-1, 1) if arr.ndim == 1 else arr)
+        arr = np.asarray(vec, dtype=np.float64)
+        x = nk.Tensor(arr.reshape(-1, 1) if arr.ndim == 1 else arr)
         if x.rows != p.w1.cols:
             raise nk.ShapeError(
                 f"category {s}: vector length {x.rows} does not match weights ({p.w1.cols})"
@@ -121,17 +125,17 @@ def embed_genomics(
         if columns is not None and x.cols * s != columns.cols:
             raise nk.ShapeError(f"category {s}: {x.cols} samples, category 0 has {columns.cols // s}")
         a = nk.elu(affine(p.w1, x, p.b1))
-        a = nk.alpha_dropout(a, dropout_p, (seed, 2 * s, step), training)
+        a = nk.alpha_dropout(a, dropout_p, (seed, 2 * s, step))
         a = nk.elu(affine(p.w2, a, p.b2))
-        a = nk.alpha_dropout(a, dropout_p, (seed, 2 * s + 1, step), training)
+        a = nk.alpha_dropout(a, dropout_p, (seed, 2 * s + 1, step))
         col = affine(p.w_out, a, p.b_out)
         columns = col if columns is None else nk.concat(columns, col, "cols")
     return columns
 
 
-def embed_patches(patches, params: PatchProjParams) -> nk.Tensor:
+def embed_patches(patches: np.ndarray, params: PatchProjParams) -> nk.Tensor:
     """Project a (d_in, N) bag to (d, N), column by column."""
-    x = patches if isinstance(patches, nk.Tensor) else nk.Tensor(patches)
+    x = nk.Tensor(patches)
     if x.rows != params.weight.cols:
         raise nk.ShapeError(
             f"bag width {x.rows} does not match projection input width {params.weight.cols}"

@@ -11,15 +11,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-DEFAULT_STEP = 1e-5
+STEP = 1e-5
 
 
 def finite_difference(
-    f: Callable[[Mapping[str, np.ndarray]], float],
-    params: Mapping[str, np.ndarray],
-    step: float = DEFAULT_STEP,
+    f: Callable[[Mapping[str, np.ndarray]], float], params: Mapping[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
-    """Central-difference gradient of ``f`` at ``params``, entry by entry.
+    """Central-difference gradient of ``f`` at ``params``, entry by entry, with step ``STEP``.
 
     ``f`` must be deterministic (fix any dropout keys before calling).
     """
@@ -32,12 +30,12 @@ def finite_difference(
         g = np.empty_like(flat)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + STEP
             up = f(work)
-            flat[i] = orig - step
+            flat[i] = orig - STEP
             down = f(work)
             flat[i] = orig
-            g[i] = (up - down) / (2.0 * step)
+            g[i] = (up - down) / (2.0 * STEP)
         work[name] = arr
         grads[name] = g.reshape(arr.shape)
     return grads

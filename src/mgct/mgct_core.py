@@ -43,9 +43,9 @@ from .embedders import (
     bind_snn,
     embed_genomics,
     embed_patches,
-    init_patch_proj_arrays,
-    init_snn_arrays,
-    xavier_uniform,
+    init_arrays,
+    patch_proj_layout,
+    snn_layout,
     _leaves,
 )
 
@@ -190,7 +190,7 @@ class AblationSpec(Config):
         try:
             flags = cls._PRESETS[name.upper()]
         except KeyError:
-            raise ValueError(f"unknown model preset {name!r}; expected one of A..E") from None
+            raise ConfigError(f"unknown model preset {name!r}; expected one of A..E") from None
         return cls(*flags)
 
     @classmethod
@@ -446,6 +446,32 @@ def _layer_names(config: FusionConfig, ablation: AblationSpec):
             yield f"{stack}.{i}", i == depth - 1
 
 
+def model_layout(spec: ModelSpec, head_init: str = "zeros"):
+    """Yield (name, shape, drawn) for every trainable array, in draw and checkpoint order.
+
+    Drawn arrays are Xavier-uniform, the others zero; ``head.w`` is drawn
+    only for ``head_init="xavier"``.
+    """
+    d, cfg = spec.fusion.d, spec.fusion
+    yield from snn_layout(list(spec.gene_lengths), d, spec.snn_hidden)
+    yield from patch_proj_layout(spec.d_in, d)
+    for prefix, stage_final in _layer_names(cfg, spec.ablation):
+        if spec.ablation.mgca:
+            for name in ("wq", "wk", "wv"):
+                yield f"{prefix}.attn.{name}", (d, d), True
+        if stage_final and spec.ablation.gap:
+            yield f"{prefix}.pool.v", (cfg.d_attn, d), True
+            yield f"{prefix}.pool.u", (cfg.d_attn, d), True
+            yield f"{prefix}.pool.w", (1, cfg.d_attn), True
+        if spec.ablation.feedforward:
+            yield f"{prefix}.mlp.w_in", (cfg.d_ff, d), True
+            yield f"{prefix}.mlp.b_in", (cfg.d_ff, 1), False
+            yield f"{prefix}.mlp.w_out", (d, cfg.d_ff), True
+            yield f"{prefix}.mlp.b_out", (d, 1), False
+    yield "head.w", (cfg.bins, 2 * d), head_init == "xavier"
+    yield "head.b", (cfg.bins, 1), False
+
+
 def init_model_arrays(spec: ModelSpec, seed, head_init: str = "zeros") -> dict[str, np.ndarray]:
     """Freshly initialized trainable arrays: Xavier-uniform weights, zero biases.
 
@@ -457,33 +483,9 @@ def init_model_arrays(spec: ModelSpec, seed, head_init: str = "zeros") -> dict[s
     position (e.g. for gradient checking).
     """
     spec.fusion.validate()
-    rng = np.random.default_rng(seed)
-    d = spec.fusion.d
-    arrays: dict[str, np.ndarray] = {}
-    arrays.update(init_snn_arrays(list(spec.gene_lengths), d, spec.snn_hidden, rng))
-    arrays.update(init_patch_proj_arrays(spec.d_in, d, rng))
-    for prefix, stage_final in _layer_names(spec.fusion, spec.ablation):
-        if spec.ablation.mgca:
-            arrays[f"{prefix}.attn.wq"] = xavier_uniform(d, d, rng)
-            arrays[f"{prefix}.attn.wk"] = xavier_uniform(d, d, rng)
-            arrays[f"{prefix}.attn.wv"] = xavier_uniform(d, d, rng)
-        if stage_final and spec.ablation.gap:
-            arrays[f"{prefix}.pool.v"] = xavier_uniform(spec.fusion.d_attn, d, rng)
-            arrays[f"{prefix}.pool.u"] = xavier_uniform(spec.fusion.d_attn, d, rng)
-            arrays[f"{prefix}.pool.w"] = xavier_uniform(1, spec.fusion.d_attn, rng)
-        if spec.ablation.feedforward:
-            arrays[f"{prefix}.mlp.w_in"] = xavier_uniform(spec.fusion.d_ff, d, rng)
-            arrays[f"{prefix}.mlp.b_in"] = np.zeros((spec.fusion.d_ff, 1))
-            arrays[f"{prefix}.mlp.w_out"] = xavier_uniform(d, spec.fusion.d_ff, rng)
-            arrays[f"{prefix}.mlp.b_out"] = np.zeros((d, 1))
-    if head_init == "xavier":
-        arrays["head.w"] = xavier_uniform(spec.fusion.bins, 2 * d, rng)
-    elif head_init == "zeros":
-        arrays["head.w"] = np.zeros((spec.fusion.bins, 2 * d))
-    else:
+    if head_init not in ("zeros", "xavier"):
         raise ValueError(f"unknown head_init {head_init!r}")
-    arrays["head.b"] = np.zeros((spec.fusion.bins, 1))
-    return arrays
+    return init_arrays(model_layout(spec, head_init), np.random.default_rng(seed))
 
 
 def _bind_layer(
@@ -532,7 +534,6 @@ def window_logits(
     genomics: list[list[np.ndarray]],
     arrays: dict[str, np.ndarray],
     spec: ModelSpec,
-    training: bool = False,
     dropout_p: float = 0.0,
     dropout_key: tuple | None = None,
     attn_sink: list | None = None,
@@ -544,14 +545,14 @@ def window_logits(
     each sample then takes its own genomic columns (``gather_cols``) and,
     since bags differ in size, its own patch projection, fusion and head.
     ``dropout_key`` is (seed, step) for one sample or (seed, steps) with one
-    step per sample. One sample records no gather. Returns the B hazard-logit
-    tensors, each (bins, 1), taped when ``arrays`` holds tape leaves (see
-    ``bind_model``).
+    step per sample; dropout is on when ``dropout_p > 0``. One sample records
+    no gather. Returns the B hazard-logit tensors, each (bins, 1), taped when
+    ``arrays`` holds tape leaves (see ``bind_model``).
     """
     params = bind_model(arrays, spec)
     n = len(bags)
     raw = genomics[0] if n == 1 else [np.column_stack(cat) for cat in zip(*genomics)]
-    g = embed_genomics(raw, params.snn, training=training, dropout_p=dropout_p, dropout_key=dropout_key)
+    g = embed_genomics(raw, params.snn, dropout_p=dropout_p, dropout_key=dropout_key)
     logits = []
     for b, bag in enumerate(bags):
         fused = fuse(
@@ -572,7 +573,6 @@ def forward_logits(
     genomic: list[np.ndarray],
     arrays: dict[str, np.ndarray],
     spec: ModelSpec,
-    training: bool = False,
     dropout_p: float = 0.0,
     dropout_key: tuple[int, int] | None = None,
     attn_sink: list | None = None,
@@ -580,5 +580,5 @@ def forward_logits(
 ) -> nk.Tensor:
     """``window_logits`` for one sample: its (bins, 1) hazard logits."""
     return window_logits(
-        [patches], [genomic], arrays, spec, training, dropout_p, dropout_key, attn_sink, alpha_sink
+        [patches], [genomic], arrays, spec, dropout_p, dropout_key, attn_sink, alpha_sink
     )[0]

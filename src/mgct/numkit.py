@@ -43,7 +43,6 @@ __all__ = [
     "concat",
     "split",
     "slice_rows",
-    "slice_cols",
     "gather_cols",
     "alpha_dropout",
     "backward",
@@ -87,34 +86,10 @@ class Tensor:
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
     def item(self) -> float:
         if self.data.shape != (1, 1):
             raise ShapeError(f"item() needs a 1x1 tensor, got {self.data.shape}")
         return float(self.data[0, 0])
-
-    def __matmul__(self, other) -> "Tensor":
-        return matmul(self, _as_tensor(other))
-
-    def __add__(self, other) -> "Tensor":
-        return add(self, _as_tensor(other))
-
-    def __sub__(self, other) -> "Tensor":
-        return sub(self, _as_tensor(other))
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other) -> "Tensor":
-        return self.__mul__(other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
 
     def __repr__(self) -> str:
         tag = "" if self.node_id is None else f", node={self.node_id}"
@@ -390,8 +365,8 @@ def _elu(x: np.ndarray) -> np.ndarray:
 
 
 # kind -> (forward, derivative in terms of input x and output y); the
-# derivative is looked up at backward time so the verify harness can inject
-# a deliberate fault without touching recorded nodes.
+# derivative is looked up at backward time so a test can inject a deliberate
+# fault, which ``verify`` must catch, without touching recorded nodes.
 ELEMENTWISE_KINDS: dict[str, tuple[Callable, Callable]] = {
     "tanh": (np.tanh, lambda x, y: 1.0 - y * y),
     "sigmoid": (_sigmoid, lambda x, y: y * (1.0 - y)),
@@ -503,24 +478,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return tape._emit(out, (a,), pull)
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    if not 0 <= start < stop <= a.cols:
-        raise ShapeError(f"slice_cols [{start}:{stop}] out of range for {a.shape}")
-    out = a.data[:, start:stop]
-    tape = _tape_of(a)
-    if tape is None:
-        return _wrap(out)
-    shape = a.shape
-
-    def pull(g):
-        full = np.zeros(shape)
-        full[:, start:stop] = g
-        return (full,)
-
-    return tape._emit(out, (a,), pull)
-
-
 def gather_cols(a: Tensor, cols: Sequence[int]) -> Tensor:
     """Columns ``cols`` of ``a``, in that order; the indices must be distinct."""
     a = _as_tensor(a)
@@ -556,7 +513,7 @@ def split(a: Tensor, sizes: Iterable[int], axis: str) -> list[Tensor]:
         if axis == "rows":
             parts.append(slice_rows(a, offset, offset + s))
         else:
-            parts.append(slice_cols(a, offset, offset + s))
+            parts.append(gather_cols(a, range(offset, offset + s)))
         offset += s
     return parts
 
@@ -602,21 +559,17 @@ def dropout_mask(key: tuple, shape: tuple[int, int], keep: float) -> np.ndarray:
     return _cached_mask(word, shape, keep)
 
 
-def alpha_dropout(
-    a: Tensor,
-    p: float,
-    key: tuple,
-    training: bool,
-) -> Tensor:
+def alpha_dropout(a: Tensor, p: float, key: tuple) -> Tensor:
     """Self-normalizing dropout: dropped entries saturate at a fixed negative
     value and an affine correction restores the mean/variance of a
-    standard-normal input. Identity when not training or p == 0. ``key`` is
-    the ``dropout_mask`` key (seed, layer, step or one step per column).
+    standard-normal input. Identity at p == 0, the evaluation setting.
+    ``key`` is the ``dropout_mask`` key (seed, layer, step or one step per
+    column).
     """
     a = _as_tensor(a)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"alpha_dropout: p must lie in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if p == 0.0:
         return a
     keep = 1.0 - p
     mask = dropout_mask(key, a.shape, keep)

@@ -70,22 +70,16 @@ def assign_bin(t: float, edges: np.ndarray) -> int:
 # loss
 
 
-def nll_loss(
-    hazards: "nk.Tensor | SurvivalPrediction",
-    label: SurvivalLabel,
-    alpha: float = 0.0,
-    eps: float = HAZARD_EPS,
-) -> nk.Tensor:
+def nll_loss(hazards: nk.Tensor, label: SurvivalLabel, alpha: float = 0.0) -> nk.Tensor:
     """Negative log-likelihood of one sample under discrete hazards.
 
     A death in bin b contributes -log S(b-1) - log h(b); a sample censored
     in bin b contributes -log S(b). ``alpha`` in [0, 1) optionally
     down-weights censored terms, which up-weights the observed deaths.
-    Hazards are clamped to [eps, 1 - eps] so the loss is always finite.
-    Returns a 1x1 tensor; it participates in the tape when ``hazards`` does.
+    Hazards are clamped to [HAZARD_EPS, 1 - HAZARD_EPS] so the loss is always
+    finite. Returns a 1x1 tensor; it participates in the tape when ``hazards``
+    does.
     """
-    if isinstance(hazards, SurvivalPrediction):
-        hazards = nk.Tensor(hazards.hazards.reshape(-1, 1))
     if hazards.cols != 1:
         raise nk.ShapeError(f"hazards must be a column vector, got {hazards.shape}")
     bins = hazards.rows
@@ -94,15 +88,15 @@ def nll_loss(
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
 
-    h = nk.clamp(hazards, eps, 1.0 - eps)
+    h = nk.clamp(hazards, HAZARD_EPS, 1.0 - HAZARD_EPS)
     log_keep = nk.log(nk.sub(nk.Tensor(np.ones((bins, 1))), h))  # log(1 - h), per bin
     b = label.bin
     if label.event == 1:
-        loss = -nk.sum_all(nk.slice_rows(nk.log(h), b, b + 1))  # -log h(b)
+        loss = nk.scale(nk.sum_all(nk.slice_rows(nk.log(h), b, b + 1)), -1.0)  # -log h(b)
         if b > 0:
             loss = nk.sub(loss, nk.sum_all(nk.slice_rows(log_keep, 0, b)))  # -log S(b-1)
         return loss
-    loss = -nk.sum_all(nk.slice_rows(log_keep, 0, b + 1))  # -log S(b)
+    loss = nk.scale(nk.sum_all(nk.slice_rows(log_keep, 0, b + 1)), -1.0)  # -log S(b)
     return nk.scale(loss, 1.0 - alpha)
 
 

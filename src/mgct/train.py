@@ -61,6 +61,13 @@ class TrainConfig(Config):
     loss_alpha: float = ranged(0.0, "[0, 1)")
 
 
+@dataclass(frozen=True)
+class CvConfig(Config):
+    folds: int = ranged(5, "[1, inf)")
+    ratio: float = ranged(0.2, "(0, 1)")
+    jobs: int = ranged(1, "[1, inf)")
+
+
 @dataclass
 class AdamState:
     step_count: int = 0
@@ -75,8 +82,6 @@ def adam_step(
     state: AdamState,
     lr: float,
     weight_decay: float = 0.0,
-    betas: tuple[float, float] = ADAM_BETAS,
-    eps: float = ADAM_EPS,
 ) -> dict[str, np.ndarray]:
     """One Adam update with L2 decay folded into the gradient (lambda * theta).
 
@@ -88,7 +93,7 @@ def adam_step(
             state.skipped += 1
             log.warning("skipping update %d: non-finite gradient in %s", state.step_count + 1, name)
             return params
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.step_count += 1
     t = state.step_count
     out: dict[str, np.ndarray] = {}
@@ -102,7 +107,7 @@ def adam_step(
         state.v[name] = v
         m_hat = m / (1 - b1**t)
         v_hat = v / (1 - b2**t)
-        out[name] = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+        out[name] = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return out
 
 
@@ -131,7 +136,6 @@ def window_losses(
         [s.genomic for s in samples],
         arrays,
         spec,
-        training=True,
         dropout_p=dropout,
         dropout_key=dropout_key,
     )
@@ -381,21 +385,20 @@ def _aggregate(values: list[float | None]) -> tuple[float | None, float | None]:
 
 def cross_validate(
     dataset: Dataset,
-    k: int,
+    cv: CvConfig,
     config: TrainConfig,
     ablation: AblationSpec = AblationSpec(),
-    ratio: float = 0.2,
-    jobs: int = 1,
 ) -> CrossValidationResult:
-    """Run ``train_fold`` over k Monte Carlo splits and aggregate final metrics.
+    """Run ``train_fold`` over ``cv.folds`` Monte Carlo splits and aggregate final metrics.
 
-    A fold that raises is recorded in ``errors`` (never silently dropped) and
-    excluded from the aggregates.
+    With ``cv.jobs > 1`` the folds run in that many worker processes, at most
+    one per fold. A fold that raises is recorded in ``errors`` (never silently
+    dropped) and excluded from the aggregates.
     """
-    splits = monte_carlo_splits(dataset.ids, k, ratio=ratio, seed=config.seed)
-    if jobs > 1:
+    splits = monte_carlo_splits(dataset.ids, cv.folds, ratio=cv.ratio, seed=config.seed)
+    if cv.jobs > 1:
         # the fork start method starts every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(jobs, len(splits))) as pool:
+        with ProcessPoolExecutor(max_workers=min(cv.jobs, len(splits))) as pool:
             outcomes = [pool.submit(train_fold, dataset, sp, config, ablation).result for sp in splits]
     else:
         outcomes = [partial(train_fold, dataset, sp, config, ablation) for sp in splits]
@@ -426,15 +429,12 @@ class AblationRow:
     cv: CrossValidationResult
 
 
-def run_ablation_matrix(
-    dataset: Dataset, config: TrainConfig, k: int = 5, ratio: float = 0.2, jobs: int = 1
-) -> list[AblationRow]:
+def run_ablation_matrix(dataset: Dataset, cv: CvConfig, config: TrainConfig) -> list[AblationRow]:
     """Cross-validate every preset A..E on the same splits."""
     rows = []
     for name in AblationSpec.preset_names():
         ablation = AblationSpec.preset(name)
-        cv = cross_validate(dataset, k, config, ablation, ratio=ratio, jobs=jobs)
-        rows.append(AblationRow(model=name, ablation=ablation, cv=cv))
+        rows.append(AblationRow(model=name, ablation=ablation, cv=cross_validate(dataset, cv, config, ablation)))
     return rows
 
 

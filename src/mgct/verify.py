@@ -214,15 +214,6 @@ ALL_CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
-def inject_fault(name: str) -> None:
-    """Deliberately corrupt one numeric rule (test fixture for the verifier)."""
-    if name == "tanh-grad-sign":
-        fwd, deriv = nk.ELEMENTWISE_KINDS["tanh"]
-        nk.ELEMENTWISE_KINDS["tanh"] = (fwd, lambda x, y: -deriv(x, y))
-    else:
-        raise ValueError(f"unknown fault {name!r}")
-
-
 def run_checks() -> list[tuple[str, bool, str]]:
     results = []
     for name, fn in ALL_CHECKS:

@@ -26,6 +26,7 @@ from mgct.mgct_core import (
 )
 from mgct.train import (
     AdamState,
+    CvConfig,
     TrainConfig,
     adam_step,
     cross_validate,
@@ -75,8 +76,8 @@ def model_e_fold0(default_dataset, paper_config):
 @pytest.fixture(scope="module")
 def model_cv(default_dataset, paper_config):
     """Criterion 7: Models A and E cross-validated over the same 5 folds."""
-    cv_a = cross_validate(default_dataset, 5, paper_config, AblationSpec.preset("A"))
-    cv_e = cross_validate(default_dataset, 5, paper_config, AblationSpec.preset("E"))
+    cv_a = cross_validate(default_dataset, CvConfig(folds=5), paper_config, AblationSpec.preset("A"))
+    cv_e = cross_validate(default_dataset, CvConfig(folds=5), paper_config, AblationSpec.preset("E"))
     return cv_a, cv_e
 
 

@@ -298,7 +298,7 @@ class TestMonteCarloSplits:
 
     def test_deterministic(self):
         ids = [f"s{i}" for i in range(30)]
-        assert monte_carlo_splits(ids, 4, seed=9) == monte_carlo_splits(ids, 4, seed=9)
+        assert monte_carlo_splits(ids, 4, ratio=0.2, seed=9) == monte_carlo_splits(ids, 4, ratio=0.2, seed=9)
 
     def test_partition_invariants(self):
         ids = [f"s{i}" for i in range(25)]

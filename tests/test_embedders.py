@@ -9,15 +9,16 @@ from mgct.embedders import (
     bind_snn,
     embed_genomics,
     embed_patches,
-    init_patch_proj_arrays,
-    init_snn_arrays,
+    init_arrays,
+    patch_proj_layout,
+    snn_layout,
 )
 from mgct.verify import gradient_error
 
 
 def snn_setup(gene_lengths, d=8, hidden=8, seed=0):
     rng = np.random.default_rng(seed)
-    arrays = init_snn_arrays(list(gene_lengths), d, hidden, rng)
+    arrays = init_arrays(snn_layout(list(gene_lengths), d, hidden), rng)
     return arrays, bind_snn(arrays, len(gene_lengths))
 
 
@@ -38,8 +39,8 @@ class TestGenomicEmbedder:
         _, params = snn_setup([4, 4, 4], d=6)
         rng = np.random.default_rng(2)
         raw = [rng.normal(size=4) for _ in range(3)]
-        a = embed_genomics(raw, params, training=True, dropout_p=0.0, dropout_key=(0, 0))
-        b = embed_genomics(raw, params, training=False)
+        a = embed_genomics(raw, params, dropout_p=0.0, dropout_key=(0, 0))
+        b = embed_genomics(raw, params)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_column_locality(self):
@@ -66,7 +67,7 @@ class TestGenomicEmbedder:
     def test_training_dropout_needs_key(self):
         _, params = snn_setup([3])
         with pytest.raises(ValueError, match="key"):
-            embed_genomics([np.ones(3)], params, training=True, dropout_p=0.5)
+            embed_genomics([np.ones(3)], params, dropout_p=0.5)
 
     def test_window_columns_match_single_samples(self):
         # a window of 5 samples stacked as columns, each with its own dropout step
@@ -76,10 +77,10 @@ class TestGenomicEmbedder:
         samples = [[rng.normal(size=n) for n in gene_lengths] for _ in range(5)]
         steps = (10, 11, 12, 13, 14)
         stacked = [np.column_stack(cat) for cat in zip(*samples)]
-        window = embed_genomics(stacked, params, training=True, dropout_p=0.25, dropout_key=(4, steps))
+        window = embed_genomics(stacked, params, dropout_p=0.25, dropout_key=(4, steps))
         assert window.shape == (6, 3 * 5)
         for b, (raw, step) in enumerate(zip(samples, steps)):
-            alone = embed_genomics(raw, params, training=True, dropout_p=0.25, dropout_key=(4, step))
+            alone = embed_genomics(raw, params, dropout_p=0.25, dropout_key=(4, step))
             np.testing.assert_allclose(window.data[:, b::5], alone.data, rtol=0, atol=1e-13)
 
     def test_window_size_mismatch(self):
@@ -90,11 +91,11 @@ class TestGenomicEmbedder:
     def test_gradient_through_snn(self):
         gene_lengths = [3, 2]
         rng = np.random.default_rng(5)
-        arrays = init_snn_arrays(gene_lengths, 4, 6, rng)
+        arrays = init_arrays(snn_layout(gene_lengths, 4, 6), rng)
         raw = [rng.uniform(-2, 2, n) for n in gene_lengths]
 
         def build(t):
-            out = embed_genomics(raw, bind_snn(t, 2), training=True, dropout_p=0.3, dropout_key=(7, 1))
+            out = embed_genomics(raw, bind_snn(t, 2), dropout_p=0.3, dropout_key=(7, 1))
             return nk.sum_all(nk.tanh(out))
 
         err, name = gradient_error(build, arrays)
@@ -110,13 +111,13 @@ class TestPatchProjection:
 
     def test_single_patch(self):
         rng = np.random.default_rng(7)
-        arrays = init_patch_proj_arrays(d_in=4, d=6, rng=rng)
+        arrays = init_arrays(patch_proj_layout(d_in=4, d=6), rng)
         out = embed_patches(rng.normal(size=(4, 1)), bind_patch_proj(arrays))
         assert out.shape == (6, 1)
 
     def test_permutation_equivariance_bitwise(self):
         rng = np.random.default_rng(8)
-        arrays = init_patch_proj_arrays(d_in=5, d=7, rng=rng)
+        arrays = init_arrays(patch_proj_layout(d_in=5, d=7), rng)
         params = bind_patch_proj(arrays)
         x = rng.normal(size=(5, 11))
         perm = rng.permutation(11)
@@ -125,6 +126,6 @@ class TestPatchProjection:
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(9)
-        params = bind_patch_proj(init_patch_proj_arrays(4, 6, rng))
+        params = bind_patch_proj(init_arrays(patch_proj_layout(4, 6), rng))
         with pytest.raises(nk.ShapeError, match="bag width"):
             embed_patches(np.ones((5, 3)), params)

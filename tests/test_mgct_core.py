@@ -7,7 +7,6 @@ import pytest
 from mgct import numkit as nk
 from mgct.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from mgct.dataio import BagSample
-from mgct.embedders import embed_genomics, embed_patches
 from mgct.mgct_core import (
     AblationSpec,
     FusionConfig,

@@ -23,6 +23,10 @@ def check_unary(build, x, tol=GRAD_TOL):
     assert err < tol, f"gradient mismatch: rel err {err}"
 
 
+def test_every_public_name_resolves():
+    assert [name for name in nk.__all__ if not hasattr(nk, name)] == []
+
+
 class TestMatmul:
     def test_identity(self):
         a = rand(3, 3, seed=1)
@@ -227,31 +231,27 @@ class TestBroadcastAdd:
 class TestAlphaDropout:
     def test_p_zero_is_identity(self):
         x = nk.Tensor(rand(4, 4, seed=26))
-        assert nk.alpha_dropout(x, 0.0, (1, 2, 3), training=True) is x
-
-    def test_eval_mode_is_identity(self):
-        x = nk.Tensor(rand(4, 4, seed=27))
-        assert nk.alpha_dropout(x, 0.7, (1, 2, 3), training=False) is x
+        assert nk.alpha_dropout(x, 0.0, (1, 2, 3)) is x
 
     def test_p_out_of_range(self):
         x = nk.Tensor(rand(2, 2, seed=28))
         with pytest.raises(ValueError):
-            nk.alpha_dropout(x, 1.0, (0, 0, 0), training=True)
+            nk.alpha_dropout(x, 1.0, (0, 0, 0))
         with pytest.raises(ValueError):
-            nk.alpha_dropout(x, -0.1, (0, 0, 0), training=True)
+            nk.alpha_dropout(x, -0.1, (0, 0, 0))
 
     def test_deterministic_per_key(self):
         x = nk.Tensor(rand(8, 8, seed=29))
-        a = nk.alpha_dropout(x, 0.5, (3, 1, 7), training=True)
-        b = nk.alpha_dropout(x, 0.5, (3, 1, 7), training=True)
-        c = nk.alpha_dropout(x, 0.5, (3, 1, 8), training=True)
+        a = nk.alpha_dropout(x, 0.5, (3, 1, 7))
+        b = nk.alpha_dropout(x, 0.5, (3, 1, 7))
+        c = nk.alpha_dropout(x, 0.5, (3, 1, 8))
         np.testing.assert_array_equal(a.data, b.data)
         assert not np.array_equal(a.data, c.data)
 
     def test_standard_normal_moments_preserved(self):
         # Monte Carlo oracle: self-normalization should hold at p = 0.5
         z = np.random.default_rng(30).standard_normal((1000, 1000))
-        out = nk.alpha_dropout(nk.Tensor(z), 0.5, (42, 0, 0), training=True)
+        out = nk.alpha_dropout(nk.Tensor(z), 0.5, (42, 0, 0))
         assert abs(out.data.mean()) < 0.01
         assert abs(out.data.var() - 1.0) < 0.05
 
@@ -266,7 +266,7 @@ class TestAlphaDropout:
 
     def test_gradient_through_mask(self):
         x = rand(4, 5, seed=31)
-        check_unary(lambda t: nk.alpha_dropout(t, 0.4, (9, 9, 9), training=True), x)
+        check_unary(lambda t: nk.alpha_dropout(t, 0.4, (9, 9, 9)), x)
 
 
 class TestScalarHelpers:
@@ -312,7 +312,7 @@ def test_no_public_op_emits_nonfinite(shape, seed):
         nk.relu(x),
         nk.elu(x),
         nk.matmul(x, nk.transpose(y)),
-        nk.alpha_dropout(x, 0.5, (seed, 0, 0), training=True),
+        nk.alpha_dropout(x, 0.5, (seed, 0, 0)),
         nk.concat(x, y, "rows"),
     ]
     for out in outs:

@@ -11,6 +11,7 @@ from mgct.dataio import RiskModel, monte_carlo_splits
 from mgct.mgct_core import AblationSpec, FusionConfig, ModelSpec, init_model_arrays
 from mgct.train import (
     AdamState,
+    CvConfig,
     TrainConfig,
     adam_step,
     cross_validate,
@@ -262,7 +263,7 @@ class TestTrainFold:
     def test_zero_epochs_returns_initialization(self):
         ds = tiny_dataset()
         cfg = tiny_config(epochs=0)
-        split = monte_carlo_splits(ds.ids, 1, seed=0)[0]
+        split = monte_carlo_splits(ds.ids, 1, ratio=0.2, seed=0)[0]
         result = train_fold(ds, split, cfg)
         assert result.history == []
         init = init_model_arrays(result.spec, seed=[cfg.seed, split.fold])
@@ -272,7 +273,7 @@ class TestTrainFold:
     def test_bitwise_deterministic(self):
         ds = tiny_dataset()
         cfg = tiny_config(epochs=2)
-        split = monte_carlo_splits(ds.ids, 1, seed=0)[0]
+        split = monte_carlo_splits(ds.ids, 1, ratio=0.2, seed=0)[0]
         a = train_fold(ds, split, cfg)
         b = train_fold(ds, split, cfg)
         assert [(em.loss, em.c_index, em.auc) for em in a.history] == [
@@ -284,7 +285,7 @@ class TestTrainFold:
     def test_training_reduces_loss(self):
         ds = tiny_dataset(n=40)
         cfg = tiny_config(epochs=4, learning_rate=5e-3)
-        split = monte_carlo_splits(ds.ids, 1, seed=0)[0]
+        split = monte_carlo_splits(ds.ids, 1, ratio=0.2, seed=0)[0]
         result = train_fold(ds, split, cfg)
         assert result.history[-1].loss < result.history[0].loss
         assert all(np.isfinite(em.loss) for em in result.history)
@@ -293,7 +294,7 @@ class TestTrainFold:
         # poisoning the training outcomes must not move an untrained model's
         # validation risks or rank metrics (fixed horizon)
         ds = tiny_dataset()
-        split = monte_carlo_splits(ds.ids, 1, seed=0)[0]
+        split = monte_carlo_splits(ds.ids, 1, ratio=0.2, seed=0)[0]
         cfg = tiny_config(epochs=0)
         rng = np.random.default_rng(9)
         poisoned_samples = []
@@ -328,7 +329,7 @@ class TestTrainFold:
             ],
             category_map=ds.category_map,
         )
-        split = monte_carlo_splits(censored.ids, 1, seed=0)[0]
+        split = monte_carlo_splits(censored.ids, 1, ratio=0.2, seed=0)[0]
         result = train_fold(censored, split, tiny_config())
         assert result.history[-1].c_index is None
         assert result.history[-1].auc is None
@@ -341,7 +342,7 @@ class TestTrainFold:
 
     def test_prediction_is_valid_survival(self):
         ds = tiny_dataset()
-        split = monte_carlo_splits(ds.ids, 1, seed=0)[0]
+        split = monte_carlo_splits(ds.ids, 1, ratio=0.2, seed=0)[0]
         result = train_fold(ds, split, tiny_config())
         pred = predict(ds.samples[0], result.arrays, result.spec)
         assert np.all((pred.hazards > 0) & (pred.hazards < 1))
@@ -352,35 +353,35 @@ class TestTrainFold:
 class TestCrossValidation:
     def test_single_fold_zero_std(self):
         ds = tiny_dataset()
-        cv = cross_validate(ds, 1, tiny_config())
+        cv = cross_validate(ds, CvConfig(folds=1), tiny_config())
         assert cv.c_index_std == 0.0
         assert cv.c_index_mean == cv.folds[0].final_c_index
 
     def test_aggregation_matches_hand_computation(self):
         ds = tiny_dataset(n=30)
-        cv = cross_validate(ds, 3, tiny_config())
+        cv = cross_validate(ds, CvConfig(folds=3), tiny_config())
         finals = [f.final_c_index for f in cv.folds]
         assert cv.c_index_mean == pytest.approx(np.mean(finals), abs=1e-15)
         assert cv.c_index_std == pytest.approx(np.std(finals), abs=1e-15)
 
     def test_folds_use_distinct_splits(self):
         ds = tiny_dataset(n=30)
-        splits = monte_carlo_splits(ds.ids, 3, seed=0)
+        splits = monte_carlo_splits(ds.ids, 3, ratio=0.2, seed=0)
         assert len({sp.val_ids for sp in splits}) > 1
 
     def test_parallel_jobs_match_sequential(self):
         ds = tiny_dataset(n=16)
         cfg = tiny_config()
-        seq = cross_validate(ds, 2, cfg)
-        par = cross_validate(ds, 2, cfg, jobs=2)
+        seq = cross_validate(ds, CvConfig(folds=2), cfg)
+        par = cross_validate(ds, CvConfig(folds=2, jobs=2), cfg)
         assert [f.final_c_index for f in seq.folds] == [f.final_c_index for f in par.folds]
 
     def test_failing_fold_recorded_for_any_jobs(self, monkeypatch):
         # module-level, so that worker processes can unpickle it
         monkeypatch.setattr(train, "train_fold", train_fold_failing_fold_1)
         ds = tiny_dataset(n=16)
-        seq = cross_validate(ds, 3, tiny_config())
-        par = cross_validate(ds, 3, tiny_config(), jobs=2)
+        seq = cross_validate(ds, CvConfig(folds=3), tiny_config())
+        par = cross_validate(ds, CvConfig(folds=3, jobs=2), tiny_config())
         assert seq.errors == par.errors == {1: "fold 1 diverged"}
         assert [f.fold for f in seq.folds] == [f.fold for f in par.folds] == [0, 2]
         assert [f.final_c_index for f in seq.folds] == [f.final_c_index for f in par.folds]
@@ -389,14 +390,14 @@ class TestCrossValidation:
         monkeypatch.setattr(RecordingPool, "max_workers", [])
         monkeypatch.setattr(train, "ProcessPoolExecutor", RecordingPool)
         ds = tiny_dataset(n=16)
-        cv = cross_validate(ds, 2, tiny_config(), jobs=1000)
-        cross_validate(ds, 3, tiny_config(), jobs=2)
+        cv = cross_validate(ds, CvConfig(folds=2, jobs=1000), tiny_config())
+        cross_validate(ds, CvConfig(folds=3, jobs=2), tiny_config())
         assert RecordingPool.max_workers == [2, 2]
         assert len(cv.folds) == 2 and not cv.errors
 
     def test_metrics_csv_shape(self, tmp_path):
         ds = tiny_dataset()
-        cv = cross_validate(ds, 2, tiny_config(epochs=2))
+        cv = cross_validate(ds, CvConfig(folds=2), tiny_config(epochs=2))
         path = tmp_path / "metrics.csv"
         write_metrics_csv(path, cv.folds)
         lines = path.read_text().strip().split("\n")
@@ -410,7 +411,7 @@ class TestCrossValidation:
 class TestAblationMatrix:
     def test_five_rows_in_preset_order(self, tmp_path):
         ds = tiny_dataset()
-        rows = run_ablation_matrix(ds, tiny_config(), k=1)
+        rows = run_ablation_matrix(ds, CvConfig(folds=1), tiny_config())
         assert [r.model for r in rows] == ["A", "B", "C", "D", "E"]
         path = tmp_path / "ablation.csv"
         write_ablation_csv(path, rows)
@@ -424,5 +425,5 @@ class TestAblationMatrix:
         ds = tiny_dataset()
         cfg = tiny_config(epochs=2)
         for name in ("A", "B", "C", "D", "E"):
-            cv = cross_validate(ds, 1, cfg, AblationSpec.preset(name))
+            cv = cross_validate(ds, CvConfig(folds=1), cfg, AblationSpec.preset(name))
             assert all(np.isfinite(em.loss) for em in cv.folds[0].history), name
