@@ -22,7 +22,7 @@ tape = nk.Tape()
 wx = tape.leaf(rng.uniform(-2, 2, (3, 4)))
 wy = tape.leaf(rng.uniform(-2, 2, (4, 2)))
 hidden = nk.tanh(nk.matmul(wx, wy))  # (3, 2)
-loss = nk.mean_all(nk.mul(hidden, hidden))
+loss = nk.scale(nk.sum_all(nk.mul(hidden, hidden)), 1.0 / hidden.data.size)  # the mean
 print("\nloss =", loss.item())
 
 grads = nk.backward(loss, tape)
@@ -34,7 +34,7 @@ arrays = {"wx": wx.data, "wy": wy.data}
 
 def f(p):
     h = nk.tanh(nk.matmul(nk.Tensor(p["wx"]), nk.Tensor(p["wy"])))
-    return nk.mean_all(nk.mul(h, h)).item()
+    return nk.scale(nk.sum_all(nk.mul(h, h)), 1.0 / h.data.size).item()
 
 
 numeric = finite_difference(f, arrays)

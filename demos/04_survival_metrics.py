@@ -14,7 +14,7 @@ hazards = nk.Tensor(np.array([[0.1], [0.2], [0.3], [0.4]]))
 for event, b in ((1, 2), (0, 2)):
     label = sv.SurvivalLabel(t=14.0, event=event, bin=b)
     kind = "death" if event else "censored"
-    print(f"{kind} in bin {b}: nll = {sv.nll_loss(hazards, label).item():.4f}")
+    print(f"{kind} in bin {b}: nll = {sv.nll_loss(hazards, [label]).item():.4f}")
 
 pred = sv.SurvivalPrediction.from_hazards([0.1, 0.2, 0.3, 0.4])
 print(f"survival curve {np.round(pred.survival, 3)}  risk {pred.risk:.3f}")

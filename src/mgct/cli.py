@@ -163,11 +163,12 @@ def _prepare_run(args):
     """Load the config, apply ``--seed``, ``--jobs`` and ``--model`` to its
     sections and check them; then load the dataset and make the run directory.
 
-    ``config.json`` in the run directory echoes the config file, flags unapplied.
+    ``config.json`` in the run directory echoes the config file, flags
+    unapplied; ``effective_config.json`` is the config the run used, flags
+    (and an ``MGCT_SEED`` fallback) applied.
     """
     cfg, provided = load_config(args.config)
-    echo = {name: asdict(section) for name, section in cfg.items()}
-    del echo["train"]["fusion"]  # echoed as the model section
+    echo = _config_echo(cfg)
     train = cfg["train"]
     seed = resolve_seed(args.seed, train.seed if "train.seed" in provided else None, train.seed)
     cfg["train"] = replace(train, seed=seed)
@@ -180,8 +181,15 @@ def _prepare_run(args):
         raise ConfigError("; ".join(problems))
     dataset = load_dataset(cfg["dataset"])
     run_dir = make_run_dir(args.out, seed)
-    (run_dir / "config.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
+    (run_dir / "config.json").write_text(echo)
+    (run_dir / "effective_config.json").write_text(_config_echo(cfg))
     return cfg, dataset, run_dir
+
+
+def _config_echo(cfg: dict) -> str:
+    echo = {name: asdict(section) for name, section in cfg.items()}
+    del echo["train"]["fusion"]  # echoed as the model section
+    return json.dumps(echo, indent=2, sort_keys=True) + "\n"
 
 
 def cmd_train(args) -> int:

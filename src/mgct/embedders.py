@@ -134,7 +134,7 @@ def embed_genomics(
 
 
 def embed_patches(patches: np.ndarray, params: PatchProjParams) -> nk.Tensor:
-    """Project a (d_in, N) bag to (d, N), column by column."""
+    """Project a (d_in, N) bag, or several bags side by side, to (d, N), column by column."""
     x = nk.Tensor(patches)
     if x.rows != params.weight.cols:
         raise nk.ShapeError(

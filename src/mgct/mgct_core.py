@@ -15,6 +15,8 @@ Within a stack, layer s > 1 consumes layer s-1's output as its query with
 the same context; only the last layer of a stack pools, so intermediate
 layers preserve their token count. No positional information exists
 anywhere, which makes the pipeline permutation-invariant over patches.
+Every stage runs on a window of samples at once, each sample's tokens in
+their own columns, and yields one (2d, 1) embedding per sample.
 
 Ablation toggles degrade the pipeline toward a concat baseline: without
 attention a layer passes its query tokens through unchanged, without gated
@@ -27,9 +29,9 @@ concatenated into the classifier.
 
 from __future__ import annotations
 
-import math
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -274,6 +276,16 @@ class ModelSpec(Config):
 
 # ---------------------------------------------------------------------------
 # attention and pooling
+#
+# Every function here runs on a window of B samples at once: each token set
+# holds the samples' columns side by side, and a (B + 1,) offsets vector
+# marks where each sample's columns start (see ``numkit.segment_sum``).
+# Offsets left out mean one sample, all columns. Tokens of one sample only
+# ever meet tokens of the same sample.
+
+
+def _one_segment(tokens: nk.Tensor, offsets):
+    return (0, tokens.cols) if offsets is None else offsets
 
 
 def mgca(
@@ -281,60 +293,52 @@ def mgca(
     context_tokens: nk.Tensor,
     params: MgcaParams,
     attn_sink: list | None = None,
+    query_offsets=None,
+    context_offsets=None,
 ) -> nk.Tensor:
-    """Cross-modality attention: (d, m) queries against (d, n) context.
+    """Cross-modality attention: (d, M) queries against (d, N) context.
 
-    Scaled dot-product attention per head; the output keeps the query token
-    count. ``attn_sink`` collects each head's (m, n) weight rows.
+    Scaled dot-product attention per head, each sample's queries against its
+    own context; the output keeps the query token count. ``attn_sink``
+    collects the (m_b, n_b) weights of each head and, within a head, of each
+    sample.
     """
     if query_tokens.cols < 1 or context_tokens.cols < 1:
         raise ValueError("attention needs non-empty query and context token sets")
-    q = nk.matmul(params.w_q, query_tokens)
-    k = nk.matmul(params.w_k, context_tokens)
-    v = nk.matmul(params.w_v, context_tokens)
-    d = q.rows
-    h = params.heads
-    if d % h != 0:
-        raise nk.ShapeError(f"width {d} not divisible by {h} heads")
-    d_k = d // h
-    if h == 1:
-        qs, ks, vs = [q], [k], [v]
-    else:
-        sizes = [d_k] * h
-        qs = nk.split(q, sizes, "rows")
-        ks = nk.split(k, sizes, "rows")
-        vs = nk.split(v, sizes, "rows")
-    out = None
-    inv = 1.0 / math.sqrt(d_k)
-    for qi, ki, vi in zip(qs, ks, vs):
-        weights = nk.softmax_rows(nk.scale(nk.matmul(nk.transpose(qi), ki), inv))  # (m, n)
-        if attn_sink is not None:
-            attn_sink.append(weights.data)
-        head = nk.matmul(vi, nk.transpose(weights))  # (d_k, m)
-        out = head if out is None else nk.concat(out, head, "rows")
-    return out
+    return nk.segment_attention(
+        nk.matmul(params.w_q, query_tokens),
+        nk.matmul(params.w_k, context_tokens),
+        nk.matmul(params.w_v, context_tokens),
+        _one_segment(query_tokens, query_offsets),
+        _one_segment(context_tokens, context_offsets),
+        heads=params.heads,
+        sink=attn_sink,
+    )
+
+
+def _pool(tokens: nk.Tensor, scores: nk.Tensor, offsets) -> tuple[nk.Tensor, nk.Tensor]:
+    if tokens.cols < 1:
+        raise ValueError("cannot pool an empty token set")
+    offsets = _one_segment(tokens, offsets)
+    alpha = nk.segment_softmax(scores, offsets)  # (1, N), a simplex per sample
+    return nk.segment_sum(nk.mul(tokens, alpha), offsets), alpha
 
 
 def gated_attention_pool(
-    tokens: nk.Tensor, params: GatedPoolParams
+    tokens: nk.Tensor, params: GatedPoolParams, offsets=None
 ) -> tuple[nk.Tensor, nk.Tensor]:
-    """Pool (d, n) tokens to (d, 1) with tanh/sigmoid-gated softmax weights.
+    """Pool (d, N) tokens to (d, B), one column per sample, with tanh/sigmoid-gated softmax weights.
 
-    Returns (pooled, alpha) where alpha is the (1, n) simplex weighting.
+    Returns (pooled, alpha) where alpha is the (1, N) weighting, a simplex
+    over each sample's columns.
     """
-    if tokens.cols < 1:
-        raise ValueError("cannot pool an empty token set")
     gates = nk.mul(nk.tanh(nk.matmul(params.v, tokens)), nk.sigmoid(nk.matmul(params.u, tokens)))
-    alpha = nk.softmax_rows(nk.matmul(params.w, gates))  # (1, n)
-    pooled = nk.matmul(tokens, nk.transpose(alpha))  # (d, 1)
-    return pooled, alpha
+    return _pool(tokens, nk.matmul(params.w, gates), offsets)
 
 
-def mean_pool(tokens: nk.Tensor) -> tuple[nk.Tensor, nk.Tensor]:
-    """Uniform-weight pooling; the ablation stand-in for the gated scorer."""
-    n = tokens.cols
-    alpha = nk.Tensor(np.full((1, n), 1.0 / n))
-    return nk.matmul(tokens, nk.transpose(alpha)), alpha
+def mean_pool(tokens: nk.Tensor, offsets=None) -> tuple[nk.Tensor, nk.Tensor]:
+    """Uniform-weight pooling, the ablation stand-in for the gated scorer: all scores zero."""
+    return _pool(tokens, nk.Tensor(np.zeros((1, tokens.cols))), offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -350,21 +354,24 @@ def mgct_layer(
     residual: bool = False,
     attn_sink: list | None = None,
     alpha_sink: list | None = None,
+    query_offsets=None,
+    context_offsets=None,
 ) -> nk.Tensor:
-    """One fusion layer: attention, stage-final pooling, feed-forward."""
+    """One fusion layer: attention, stage-final pooling (to one column per sample), feed-forward."""
     if ablation.mgca:
-        r = mgca(query_tokens, context_tokens, params.mgca, attn_sink=attn_sink)
+        r = mgca(query_tokens, context_tokens, params.mgca, attn_sink, query_offsets, context_offsets)
         if residual:
             r = nk.add(r, query_tokens)
     else:
         r = query_tokens
     if stage_final:
         if ablation.gap:
-            r, alpha = gated_attention_pool(r, params.pool)
+            r, alpha = gated_attention_pool(r, params.pool, query_offsets)
         else:
-            r, alpha = mean_pool(r)
+            r, alpha = mean_pool(r, query_offsets)
         if alpha_sink is not None:
-            alpha_sink.append(alpha.data)
+            offsets = _one_segment(alpha, query_offsets)
+            alpha_sink.extend(alpha.data[:, a:b] for a, b in zip(offsets[:-1], offsets[1:]))
     if ablation.feedforward:
         hidden = nk.relu(affine(params.mlp.w_in, r, params.mlp.b_in))
         out = affine(params.mlp.w_out, hidden, params.mlp.b_out)
@@ -382,6 +389,8 @@ def _run_stack(
     residual: bool,
     attn_sink: list | None,
     alpha_sink: list | None,
+    query_offsets=None,
+    context_offsets=None,
 ) -> nk.Tensor:
     x = query
     last = len(layers) - 1
@@ -395,8 +404,18 @@ def _run_stack(
             residual=residual,
             attn_sink=attn_sink,
             alpha_sink=alpha_sink,
+            query_offsets=query_offsets,
+            context_offsets=context_offsets,
         )
     return x
+
+
+def _sample_major(tokens: nk.Tensor, groups: int) -> nk.Tensor:
+    """Reorder (d, groups * B) columns from group-major (g * B + b) to sample-major (b * groups + g)."""
+    n = tokens.cols // groups
+    if n == 1:
+        return tokens
+    return nk.gather_cols(tokens, [g * n + b for b in range(n) for g in range(groups)])
 
 
 def fuse(
@@ -407,28 +426,49 @@ def fuse(
     ablation: AblationSpec = FULL_MODEL,
     attn_sink: list | None = None,
     alpha_sink: list | None = None,
+    patch_offsets=None,
 ) -> nk.Tensor:
-    """Two-stage bidirectional fusion of (d, N) patch and (d, S) genomic tokens
-    into the final (2d, 1) multimodal embedding."""
-    kw = dict(
-        ablation=ablation, residual=config.residual, attn_sink=attn_sink, alpha_sink=alpha_sink
-    )
-    gh = _run_stack(genomic_tokens, patch_tokens, params.stage1_gh, **kw)  # (d, 1)
-    hg = _run_stack(patch_tokens, genomic_tokens, params.stage1_hg, **kw)  # (d, 1)
+    """Two-stage bidirectional fusion of a window's patch and genomic tokens
+    into its (2d, B) multimodal embeddings, one column per sample.
+
+    Patch tokens are (d, N), sample b's bag at columns ``patch_offsets[b]`` ..
+    ``patch_offsets[b + 1] - 1`` (one sample when left out); genomic tokens
+    are (d, S * B), sample-major (sample b's S tokens side by side). The
+    sinks receive sample 0's weights, then sample 1's, and so on; each
+    sample's in the order a one-sample window records them.
+    """
+    patch_offsets = _one_segment(patch_tokens, patch_offsets)
+    n = len(patch_offsets) - 1
+    if genomic_tokens.cols % n:
+        raise nk.ShapeError(f"{genomic_tokens.cols} genomic tokens do not split over {n} samples")
+    genomic_offsets = range(0, genomic_tokens.cols + 1, genomic_tokens.cols // n)
+    # recorded layer by layer, n blocks at a time, then regrouped by sample
+    attn, alphas = ([] if sink is not None else None for sink in (attn_sink, alpha_sink))
+    kw = dict(ablation=ablation, residual=config.residual, attn_sink=attn, alpha_sink=alphas)
+    gh = _run_stack(genomic_tokens, patch_tokens, params.stage1_gh, **kw,
+                    query_offsets=genomic_offsets, context_offsets=patch_offsets)  # (d, B)
+    hg = _run_stack(patch_tokens, genomic_tokens, params.stage1_hg, **kw,
+                    query_offsets=patch_offsets, context_offsets=genomic_offsets)  # (d, B)
     if not ablation.deep_fusion:
-        return nk.concat(gh, hg, "rows")
-    pair = nk.concat(gh, hg, "cols")  # (d, 2): the stage-1 token pair
-    fh = _run_stack(pair, patch_tokens, params.stage2_fh, **kw)
-    hf = _run_stack(patch_tokens, pair, params.stage2_hf, **kw)
-    return nk.concat(fh, hf, "rows")
+        out = nk.concat(gh, hg, "rows")
+    else:
+        pair = _sample_major(nk.concat(gh, hg, "cols"), 2)  # (d, 2B): each sample's stage-1 token pair
+        pair_offsets = range(0, 2 * n + 1, 2)
+        fh = _run_stack(pair, patch_tokens, params.stage2_fh, **kw,
+                        query_offsets=pair_offsets, context_offsets=patch_offsets)
+        hf = _run_stack(patch_tokens, pair, params.stage2_hf, **kw,
+                        query_offsets=patch_offsets, context_offsets=pair_offsets)
+        out = nk.concat(fh, hf, "rows")
+    for sink, blocks in ((attn_sink, attn), (alpha_sink, alphas)):
+        if blocks:
+            sink.extend(blocks[i] for b in range(n) for i in range(b, len(blocks), n))
+    return out
 
 
 def classify(r_final: nk.Tensor, head: HeadParams) -> nk.Tensor:
-    """Affine map from the fused (2d, 1) embedding to per-bin hazard logits."""
-    if r_final.rows != head.w.cols or r_final.cols != 1:
-        raise nk.ShapeError(
-            f"classifier expects ({head.w.cols}, 1) input, got {r_final.shape}"
-        )
+    """Affine map from the fused (2d, B) embeddings to (bins, B) hazard logits, one column per sample."""
+    if r_final.rows != head.w.cols:
+        raise nk.ShapeError(f"classifier expects ({head.w.cols}, B) input, got {r_final.shape}")
     return affine(head.w, r_final, head.b)
 
 
@@ -538,34 +578,33 @@ def window_logits(
     dropout_key: tuple | None = None,
     attn_sink: list | None = None,
     alpha_sink: list | None = None,
-) -> list[nk.Tensor]:
+) -> nk.Tensor:
     """Full pipeline for a window of B samples: embed both modalities, fuse, classify.
 
-    The genomic networks run once on the window's stacked category vectors;
-    each sample then takes its own genomic columns (``gather_cols``) and,
-    since bags differ in size, its own patch projection, fusion and head.
-    ``dropout_key`` is (seed, step) for one sample or (seed, steps) with one
-    step per sample; dropout is on when ``dropout_p > 0``. One sample records
-    no gather. Returns the B hazard-logit tensors, each (bins, 1), taped when
-    ``arrays`` holds tape leaves (see ``bind_model``).
+    The window runs as one pass: the genomic networks run once on its stacked
+    category vectors, and one affine map projects its bags side by side;
+    fusion and the head then take every sample's tokens at once, cut into
+    samples by offsets (see ``fuse``). ``dropout_key`` is (seed, step) for
+    one sample or (seed, steps) with one step per sample; dropout is on when
+    ``dropout_p > 0``. One sample records no gather. Returns the (bins, B)
+    hazard logits, taped when ``arrays`` holds tape leaves (see
+    ``bind_model``).
     """
     params = bind_model(arrays, spec)
     n = len(bags)
     raw = genomics[0] if n == 1 else [np.column_stack(cat) for cat in zip(*genomics)]
     g = embed_genomics(raw, params.snn, dropout_p=dropout_p, dropout_key=dropout_key)
-    logits = []
-    for b, bag in enumerate(bags):
-        fused = fuse(
-            embed_patches(bag, params.patch),
-            g if n == 1 else nk.gather_cols(g, range(b, g.cols, n)),
-            params.fusion,
-            spec.fusion,
-            ablation=spec.ablation,
-            attn_sink=attn_sink,
-            alpha_sink=alpha_sink,
-        )
-        logits.append(classify(fused, params.head))
-    return logits
+    fused = fuse(
+        embed_patches(np.hstack(bags), params.patch),
+        _sample_major(g, len(raw)),
+        params.fusion,
+        spec.fusion,
+        ablation=spec.ablation,
+        attn_sink=attn_sink,
+        alpha_sink=alpha_sink,
+        patch_offsets=list(accumulate((bag.shape[1] for bag in bags), initial=0)),
+    )
+    return classify(fused, params.head)
 
 
 def forward_logits(
@@ -581,4 +620,4 @@ def forward_logits(
     """``window_logits`` for one sample: its (bins, 1) hazard logits."""
     return window_logits(
         [patches], [genomic], arrays, spec, dropout_p, dropout_key, attn_sink, alpha_sink
-    )[0]
+    )

@@ -14,6 +14,8 @@ Shapes in comments use the convention ``(rows, cols)``.
 
 from __future__ import annotations
 
+import math
+import operator
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
@@ -31,10 +33,12 @@ __all__ = [
     "scale",
     "transpose",
     "sum_all",
-    "mean_all",
     "log",
     "clamp",
     "softmax_rows",
+    "segment_softmax",
+    "segment_sum",
+    "segment_attention",
     "elementwise",
     "tanh",
     "sigmoid",
@@ -166,16 +170,14 @@ def _wrap(out: np.ndarray, tape: "Tape | None" = None, node_id: int | None = Non
     return t
 
 
-def _tape_of(a: Tensor, b: Tensor | None = None) -> "Tape | None":
-    ta = a.tape
-    if b is None:
-        return ta
-    tb = b.tape
-    if ta is None:
-        return tb
-    if tb is not None and tb is not ta:
-        raise ValueError("operands were recorded on different tapes")
-    return ta
+def _tape_of(*operands: Tensor) -> "Tape | None":
+    tape = None
+    for t in operands:
+        if t.tape is not None:
+            if tape is not None and t.tape is not tape:
+                raise ValueError("operands were recorded on different tapes")
+            tape = t.tape
+    return tape
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -306,11 +308,6 @@ def sum_all(a: Tensor) -> Tensor:
         return (np.full(shape, g[0, 0]),)
 
     return tape._emit(out, (a,), pull)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    return scale(sum_all(a), 1.0 / a.data.size)
 
 
 def log(a: Tensor) -> Tensor:
@@ -516,6 +513,164 @@ def split(a: Tensor, sizes: Iterable[int], axis: str) -> list[Tensor]:
             parts.append(gather_cols(a, range(offset, offset + s)))
         offset += s
     return parts
+
+
+# ---------------------------------------------------------------------------
+# segmented primitives: the columns of several samples side by side, cut into
+# one segment per sample by a (B + 1,) vector of column offsets (segment b
+# spans columns offsets[b] .. offsets[b + 1] - 1)
+
+
+class _Segments:
+    """The zero-padded (B, width) layout of B non-empty column segments."""
+
+    __slots__ = ("sizes", "width", "valid")
+
+    def __init__(self, sizes: np.ndarray):
+        self.sizes = sizes
+        self.width = int(sizes.max())
+        # (B, width) mask of the real columns; None when no segment is padded
+        self.valid = None if sizes.min() == self.width else np.arange(self.width) < sizes[:, None]
+        for arr in (sizes, self.valid):  # shared by every call with these offsets
+            if arr is not None:
+                arr.setflags(write=False)
+
+    def pad(self, x: np.ndarray, fill: float = 0.0) -> np.ndarray:
+        """(r, N) columns as (r, B, width), padding set to ``fill``."""
+        b = self.sizes.size
+        if self.valid is None:
+            return x.reshape(x.shape[0], b, self.width)
+        padded = np.full((x.shape[0], b * self.width), fill)
+        padded[:, self.valid.ravel()] = x
+        return padded.reshape(x.shape[0], b, self.width)
+
+    def unpad(self, x: np.ndarray) -> np.ndarray:
+        """Inverse of ``pad``: (r, B, width) to the (r, N) columns."""
+        flat = x.reshape(x.shape[0], -1)
+        return flat if self.valid is None else flat[:, self.valid.ravel()]
+
+    def blocks(self, x: np.ndarray, heads: int) -> np.ndarray:
+        """(d, N) columns as (B, heads, width, d / heads) blocks, zero-padded."""
+        d, b = x.shape[0], self.sizes.size
+        if self.valid is not None:
+            x = self.pad(x)
+        return x.reshape(heads, d // heads, b, self.width).transpose(2, 0, 3, 1)
+
+    def unblock(self, blocks: np.ndarray) -> np.ndarray:
+        """Inverse of ``blocks``."""
+        b, heads, width, d_k = blocks.shape
+        return self.unpad(blocks.transpose(1, 3, 0, 2).reshape(heads * d_k, b, width))
+
+
+def _segments(offsets, cols: int, op: str) -> _Segments:
+    try:
+        key = tuple(map(operator.index, offsets))
+    except TypeError:  # not a sequence of integers
+        key = ()
+    seg = _layout(key, cols) if key else None
+    if seg is None:
+        cut = np.asarray(offsets).tolist()
+        raise ShapeError(f"{op}: offsets {cut} do not cut {cols} columns into non-empty segments")
+    return seg
+
+
+@lru_cache(maxsize=64)
+def _layout(offsets: tuple[int, ...], cols: int) -> _Segments | None:
+    # memoized: a forward pass and its backward cut each token set the same
+    # way in every call, and one-sample passes repeat their bag sizes
+    off = np.array(offsets)
+    sizes = off[1:] - off[:-1]
+    if off.size < 2 or off[0] != 0 or off[-1] != cols or sizes.min() < 1:
+        return None
+    return _Segments(sizes)
+
+
+def segment_sum(a: Tensor, offsets) -> Tensor:
+    """Sum of each column segment: (d, N) to (d, B)."""
+    a = _as_tensor(a)
+    seg = _segments(offsets, a.cols, "segment_sum")
+    out = seg.pad(a.data).sum(axis=2)
+    tape = _tape_of(a)
+    if tape is None:
+        return _wrap(out)
+
+    def pull(g):
+        return (np.repeat(g, seg.sizes, axis=1),)
+
+    return tape._emit(out, (a,), pull)
+
+
+def segment_softmax(a: Tensor, offsets) -> Tensor:
+    """Softmax over each column segment of every row, stabilized by the segment's max."""
+    a = _as_tensor(a)
+    seg = _segments(offsets, a.cols, "segment_softmax")
+    x = seg.pad(a.data, -np.inf)
+    ex = np.exp(x - x.max(axis=2, keepdims=True))
+    soft = ex / ex.sum(axis=2, keepdims=True)  # zero in the padding
+    out = seg.unpad(soft)
+    tape = _tape_of(a)
+    if tape is None:
+        return _wrap(out)
+
+    def pull(g):
+        g = seg.pad(g)
+        return (seg.unpad(soft * (g - (g * soft).sum(axis=2, keepdims=True))),)
+
+    return tape._emit(out, (a,), pull)
+
+
+def segment_attention(
+    q: Tensor, k: Tensor, v: Tensor, q_offsets, kv_offsets, heads: int = 1, sink: list | None = None
+) -> Tensor:
+    """Scaled dot-product attention of each query segment on its own key/value segment.
+
+    ``q`` holds (d, M) query columns cut into B segments by ``q_offsets``;
+    ``k`` and ``v`` hold (d, N) key and value columns cut into B segments by
+    ``kv_offsets``. The rows split into ``heads`` blocks of d_k = d / heads.
+    In each head, query column j of segment b becomes the weighted sum of the
+    value columns n of segment b, with weights softmax_n(q_j . k_n / sqrt(d_k)).
+    Returns (d, M). The weights are kept as one (B, heads, max m_b, max n_b)
+    array of per-segment blocks, zero-padded, never as an (M, N) matrix.
+    ``sink`` receives each segment's (m_b, n_b) weights, head by head and,
+    within a head, segment by segment.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    d = q.rows
+    if k.rows != d or v.shape != k.shape:
+        raise ShapeError(
+            f"segment_attention: queries {q.shape}, keys {k.shape} and values {v.shape} do not align"
+        )
+    if d % heads:
+        raise ShapeError(f"segment_attention: width {d} not divisible by {heads} heads")
+    qs = _segments(q_offsets, q.cols, "segment_attention")
+    cs = _segments(kv_offsets, k.cols, "segment_attention")
+    if qs.sizes.size != cs.sizes.size:
+        raise ShapeError(f"segment_attention: {qs.sizes.size} query segments, {cs.sizes.size} key segments")
+    inv = 1.0 / math.sqrt(d // heads)
+    qb, kb, vb = qs.blocks(q.data, heads), cs.blocks(k.data, heads), cs.blocks(v.data, heads)
+    weights = qb @ kb.swapaxes(2, 3)  # (B, heads, m, n) scores, then their softmax
+    weights *= inv
+    if cs.valid is not None:
+        np.copyto(weights, -np.inf, where=~cs.valid[:, None, None, :])
+    weights -= weights.max(axis=3, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=3, keepdims=True)
+    out = qs.unblock(weights @ vb)
+    if sink is not None:
+        for h in range(heads):
+            sink.extend(weights[b, h, :m, :n] for b, (m, n) in enumerate(zip(qs.sizes, cs.sizes)))
+    tape = _tape_of(q, k, v)
+    if tape is None:
+        return _wrap(out)
+
+    def pull(g):
+        gb = qs.blocks(g, heads)  # zero in padded query rows
+        gw = gb @ vb.swapaxes(2, 3)
+        gs = weights * (gw - (gw * weights).sum(axis=3, keepdims=True)) * inv
+        gq, gk = gs @ kb, gs.swapaxes(2, 3) @ qb
+        return qs.unblock(gq), cs.unblock(gk), cs.unblock(weights.swapaxes(2, 3) @ gb)
+
+    return tape._emit(out, (q, k, v), pull)
 
 
 # ---------------------------------------------------------------------------

@@ -70,34 +70,38 @@ def assign_bin(t: float, edges: np.ndarray) -> int:
 # loss
 
 
-def nll_loss(hazards: nk.Tensor, label: SurvivalLabel, alpha: float = 0.0) -> nk.Tensor:
-    """Negative log-likelihood of one sample under discrete hazards.
+def nll_loss(hazards: nk.Tensor, labels: Sequence[SurvivalLabel], alpha: float = 0.0) -> nk.Tensor:
+    """Negative log-likelihood of B samples under discrete hazards, one column each.
 
     A death in bin b contributes -log S(b-1) - log h(b); a sample censored
     in bin b contributes -log S(b). ``alpha`` in [0, 1) optionally
     down-weights censored terms, which up-weights the observed deaths.
     Hazards are clamped to [HAZARD_EPS, 1 - HAZARD_EPS] so the loss is always
-    finite. Returns a 1x1 tensor; it participates in the tape when ``hazards``
-    does.
+    finite. Scores (bins, B) hazards against B labels and returns the (1, B)
+    row of losses; it participates in the tape when ``hazards`` does.
     """
-    if hazards.cols != 1:
-        raise nk.ShapeError(f"hazards must be a column vector, got {hazards.shape}")
-    bins = hazards.rows
-    if label.bin is None or not 0 <= label.bin < bins:
-        raise ValueError(f"label bin {label.bin} outside [0, {bins})")
+    bins, n = hazards.shape
+    if len(labels) != n:
+        raise nk.ShapeError(f"{len(labels)} labels for {n} hazard columns")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    # per-column weights of log h and log(1 - h) in the negative log-likelihood
+    death = np.zeros((bins, n))
+    keep = np.zeros((bins, n))
+    for j, label in enumerate(labels):
+        b = label.bin
+        if b is None or not 0 <= b < bins:
+            raise ValueError(f"label bin {b} outside [0, {bins})")
+        if label.event == 1:
+            death[b, j] = 1.0  # -log h(b)
+            keep[:b, j] = 1.0  # -log S(b-1)
+        else:
+            keep[: b + 1, j] = 1.0 - alpha  # -log S(b)
 
     h = nk.clamp(hazards, HAZARD_EPS, 1.0 - HAZARD_EPS)
     log_keep = nk.log(nk.sub(nk.Tensor(np.ones((bins, 1))), h))  # log(1 - h), per bin
-    b = label.bin
-    if label.event == 1:
-        loss = nk.scale(nk.sum_all(nk.slice_rows(nk.log(h), b, b + 1)), -1.0)  # -log h(b)
-        if b > 0:
-            loss = nk.sub(loss, nk.sum_all(nk.slice_rows(log_keep, 0, b)))  # -log S(b-1)
-        return loss
-    loss = nk.scale(nk.sum_all(nk.slice_rows(log_keep, 0, b + 1)), -1.0)  # -log S(b)
-    return nk.scale(loss, 1.0 - alpha)
+    terms = nk.add(nk.mul(nk.Tensor(death), nk.log(h)), nk.mul(nk.Tensor(keep), log_keep))
+    return nk.matmul(nk.Tensor(np.full((1, bins), -1.0)), terms)  # minus each column's sum
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ The update rule is the paper's: each sample's loss is taken at batch size 1
 (bags vary in size) and the gradients of an accumulation window are averaged
 before each Adam step, so the learning rate behaves like an effective batch
 of ``accumulation`` samples. A window is computed on as few tapes as
-``TAPE_PATCHES`` allows: on each, the genomic networks run once over its
-samples, each sample is fused on its own, and one backward of their share of
-the mean loss gives their share of the mean gradient. Everything is
+``TAPE_PATCHES`` allows: each tape runs its samples through one forward
+pass (the genomic networks, the patch projection, fusion, head and loss
+each once over all of them; see ``window_logits``), and one backward of
+their share of the mean loss gives their share of the mean gradient.
+Validation scores its samples in the same runs, untaped. Everything is
 deterministic given (seed, config, dataset).
 """
 
@@ -123,8 +125,8 @@ def window_losses(
     dropout: float = 0.0,
     dropout_key: tuple | None = None,
     loss_alpha: float = 0.0,
-) -> list[nk.Tensor]:
-    """The 1x1 training NLL of each sample of a window: forward, sigmoid, discrete-time NLL.
+) -> nk.Tensor:
+    """The (1, B) row of training NLLs of a window's samples: forward, sigmoid, discrete-time NLL.
 
     One forward pass covers the window (see ``window_logits``); ``dropout_key``
     is (seed, step) for one sample or (seed, steps) with one step per sample.
@@ -139,7 +141,7 @@ def window_losses(
         dropout_p=dropout,
         dropout_key=dropout_key,
     )
-    return [survival.nll_loss(nk.sigmoid(z), label, alpha=loss_alpha) for z, label in zip(logits, labels)]
+    return survival.nll_loss(nk.sigmoid(logits), labels, alpha=loss_alpha)
 
 
 def sample_loss(
@@ -152,7 +154,7 @@ def sample_loss(
     loss_alpha: float = 0.0,
 ) -> nk.Tensor:
     """``window_losses`` of a one-sample window: that sample's 1x1 training NLL."""
-    return window_losses([sample], arrays, spec, [label], dropout, dropout_key, loss_alpha)[0]
+    return window_losses([sample], arrays, spec, [label], dropout, dropout_key, loss_alpha)
 
 
 def tape_spans(bag_sizes: list[int], max_patches: int) -> list[tuple[int, int]]:
@@ -168,7 +170,8 @@ def tape_spans(bag_sizes: list[int], max_patches: int) -> list[tuple[int, int]]:
             spans.append((start, i))
             start, total = i, 0
         total += n
-    spans.append((start, len(bag_sizes)))
+    if bag_sizes:
+        spans.append((start, len(bag_sizes)))
     return spans
 
 
@@ -191,7 +194,6 @@ def window_loss_and_grads(
     """
     losses: list[float] = []
     grads: dict[str, np.ndarray] | None = None
-    scale = 1.0 / len(samples)
     for start, stop in tape_spans([s.patches.shape[1] for s in samples], TAPE_PATCHES):
         key = dropout_key
         if stop - start < len(samples) and key is not None:
@@ -199,11 +201,8 @@ def window_loss_and_grads(
         tape = nk.Tape()
         leaves = {name: tape.leaf(arr) for name, arr in arrays.items()}
         run = window_losses(samples[start:stop], leaves, spec, labels[start:stop], dropout, key, loss_alpha)
-        total = run[0]
-        for loss in run[1:]:
-            total = nk.add(total, loss)
-        g = nk.backward(total if len(samples) == 1 else nk.scale(total, scale), tape)
-        losses += [loss.item() for loss in run]
+        g = nk.backward(nk.scale(nk.sum_all(run), 1.0 / len(samples)), tape)
+        losses += run.data[0].tolist()
         if grads is None:
             grads = {name: g[leaf] for name, leaf in leaves.items()}
         else:
@@ -275,8 +274,16 @@ def evaluate(
     spec: ModelSpec,
     horizon: float,
 ) -> tuple[list[float], float | None, float | None]:
-    """Risks plus C-index and fixed-horizon AUC for a sample list."""
-    risks = [predict(s, arrays, spec).risk for s in samples]
+    """Risks plus C-index and fixed-horizon AUC for a sample list.
+
+    Scores the samples untaped, in the ``tape_spans`` runs that training
+    would put on one tape; each risk is what ``predict`` gives its sample.
+    """
+    risks: list[float] = []
+    for start, stop in tape_spans([s.patches.shape[1] for s in samples], TAPE_PATCHES):
+        run = samples[start:stop]
+        logits = window_logits([s.patches for s in run], [s.genomic for s in run], arrays, spec)
+        risks += [survival.SurvivalPrediction.from_hazards(h).risk for h in nk.sigmoid(logits).data.T]
     labels = [survival.SurvivalLabel(s.t, s.event) for s in samples]
     return risks, survival.concordance_index(risks, labels), survival.binary_auc(risks, labels, horizon)
 

@@ -90,7 +90,7 @@ def check_loss_gradient() -> tuple[bool, str]:
     rng = np.random.default_rng(5)
     label = survival.SurvivalLabel(t=10.0, event=1, bin=2)
     err, _ = gradient_error(
-        lambda t: survival.nll_loss(nk.sigmoid(t["logits"]), label),
+        lambda t: survival.nll_loss(nk.sigmoid(t["logits"]), [label]),
         {"logits": rng.uniform(-1.5, 1.5, (4, 1))},
     )
     return err < GRAD_TOL, f"max rel err {err:.3g}"

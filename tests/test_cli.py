@@ -2,12 +2,14 @@
 
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from mgct import checkpoint, numkit as nk
 from mgct.cli import SECTIONS, main, validate_config, ConfigError
+from mgct.mgct_core import AblationSpec
 from mgct.train import TrainConfig
 
 TINY = {
@@ -205,6 +207,21 @@ class TestTrainCommand:
         echoed = json.loads((run_dir / "config.json").read_text())
         assert echoed["train"]["epochs"] == 1
         assert "final c-index" in capsys.readouterr().out
+
+    def test_effective_config_applies_flags(self, tmp_path, dataset_dir):
+        cfg = write_config(tmp_path, dataset_dir)
+        runs = tmp_path / "runs"
+        assert main(["train", "--config", cfg, "--model", "A", "--seed", "4", "--out", str(runs)]) == 0
+        (run_dir,) = run_dirs(runs)
+        effective = json.loads((run_dir / "effective_config.json").read_text())
+        assert effective["ablation"] == asdict(AblationSpec.preset("A"))
+        assert effective["train"]["seed"] == 4
+        # the echo of the file keeps the file's values
+        echoed = json.loads((run_dir / "config.json").read_text())
+        assert echoed["ablation"] == asdict(AblationSpec()) and echoed["train"]["seed"] == 0
+        assert {k: v for k, v in effective.items() if k not in ("ablation", "train")} == {
+            k: v for k, v in echoed.items() if k not in ("ablation", "train")
+        }
 
     def test_bitwise_deterministic_outputs(self, tmp_path, dataset_dir):
         cfg = write_config(tmp_path, dataset_dir)

@@ -24,6 +24,7 @@ from mgct.mgct_core import (
     mean_pool,
     mgca,
     mgct_layer,
+    window_logits,
 )
 from mgct.train import parameter_count, sample_loss_and_grads
 from mgct.verify import gradient_error
@@ -425,3 +426,59 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+
+class TestWindowLayout:
+    """A window of B samples is fused in one pass, with no mixing between samples."""
+
+    def window(self, preset="E", heads=2):
+        spec = ModelSpec(
+            d_in=5, gene_lengths=(3, 2, 4), snn_hidden=6,
+            fusion=FusionConfig(s1=1, s2=2, d=8, heads=heads, d_attn=6, d_ff=12, bins=4),
+            ablation=AblationSpec.preset(preset),
+        )
+        rng = np.random.default_rng(26)
+        bags = [rng.uniform(-1, 1, (5, n)) for n in (4, 1, 9, 2, 6)]
+        genomics = [[rng.uniform(-1, 1, n) for n in spec.gene_lengths] for _ in bags]
+        return spec, init_model_arrays(spec, seed=10, head_init="xavier"), bags, genomics
+
+    @pytest.mark.parametrize("preset", ["A", "C", "E"])
+    def test_sinks_are_the_one_sample_sinks_sample_by_sample(self, preset):
+        spec, arrays, bags, genomics = self.window(preset)
+        attn, alphas = [], []
+        logits = window_logits(bags, genomics, arrays, spec, attn_sink=attn, alpha_sink=alphas)
+        one_attn, one_alphas = [], []
+        one_logits = [
+            forward_logits(bag, genomic, arrays, spec, attn_sink=one_attn, alpha_sink=one_alphas).data
+            for bag, genomic in zip(bags, genomics)
+        ]
+        np.testing.assert_allclose(logits.data, np.hstack(one_logits), rtol=0, atol=1e-12)
+        for window_sink, one_sink in ((attn, one_attn), (alphas, one_alphas)):
+            assert [w.shape for w in window_sink] == [w.shape for w in one_sink]
+            for w, one in zip(window_sink, one_sink):
+                np.testing.assert_allclose(w, one, rtol=0, atol=1e-12)
+        stacks = 4 if spec.ablation.deep_fusion else 2  # each pools once per sample
+        assert len(alphas) == stacks * len(bags)
+
+    def test_samples_do_not_mix(self):
+        # changing one sample's bag moves only that sample's logits
+        spec, arrays, bags, genomics = self.window()
+        base = window_logits(bags, genomics, arrays, spec).data
+        bags[2] = bags[2] + 1.0
+        moved = window_logits(bags, genomics, arrays, spec).data
+        assert np.any(moved[:, 2] != base[:, 2])
+        np.testing.assert_array_equal(np.delete(moved, 2, axis=1), np.delete(base, 2, axis=1))
+
+    def test_mgca_sink_order_is_head_then_sample(self):
+        rng = np.random.default_rng(27)
+        params = make_mgca(rng, 6, heads=2)
+        query, context = rng_tensor(rng, 6, 5), rng_tensor(rng, 6, 7)
+        sink = []
+        out = mgca(query, context, params, sink, query_offsets=[0, 2, 5], context_offsets=[0, 4, 7])
+        assert [w.shape for w in sink] == [(2, 4), (3, 3), (2, 4), (3, 3)]
+        for b, (q, c) in enumerate([(slice(0, 2), slice(0, 4)), (slice(2, 5), slice(4, 7))]):
+            one_sink = []
+            one = mgca(nk.Tensor(query.data[:, q]), nk.Tensor(context.data[:, c]), params, one_sink)
+            np.testing.assert_allclose(out.data[:, q], one.data, rtol=0, atol=1e-12)
+            for head in range(2):
+                np.testing.assert_allclose(sink[2 * head + b], one_sink[head], rtol=0, atol=1e-12)

@@ -270,10 +270,6 @@ class TestAlphaDropout:
 
 
 class TestScalarHelpers:
-    def test_mean_all(self):
-        x = rand(3, 4, seed=32)
-        assert nk.mean_all(nk.Tensor(x)).item() == pytest.approx(x.mean(), abs=1e-15)
-
     def test_clamp_gradient_masks_outside(self):
         x = np.array([[-2.0, 0.5, 2.0]])
         tape = nk.Tape()
@@ -340,3 +336,122 @@ def test_matmul_gradient_property(m, k, n, seed):
     a, b = rng.uniform(-2, 2, (m, k)), rng.uniform(-2, 2, (k, n))
     err, name = gradient_error(lambda t: nk.sum_all(nk.matmul(t["a"], t["b"])), {"a": a, "b": b})
     assert err < 1e-4, f"{name}: {err}"
+
+
+# ---------------------------------------------------------------------------
+# segmented primitives: ragged segments of 1-33 columns, 1-8 of them
+
+segment_sizes = st.lists(st.integers(1, 33), min_size=1, max_size=8)
+
+
+def offsets_of(sizes):
+    return np.concatenate([[0], np.cumsum(sizes)])
+
+
+def segments(off):
+    return [slice(a, b) for a, b in zip(off[:-1], off[1:])]
+
+
+def softmax_of(x):
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def attention_layouts(draw):
+    """(query sizes, context sizes, heads): the same number of segments on both sides."""
+    b = draw(st.integers(1, 8))
+    sizes = st.lists(st.integers(1, 33), min_size=b, max_size=b)
+    return draw(sizes), draw(sizes), draw(st.sampled_from([1, 2]))
+
+
+def attention_loop(q, k, v, q_off, kv_off, heads):
+    out = np.zeros_like(q)
+    d_k = q.shape[0] // heads
+    for qs, cs in zip(segments(q_off), segments(kv_off)):
+        for h in range(heads):
+            rows = slice(h * d_k, (h + 1) * d_k)
+            w = softmax_of(q[rows, qs].T @ k[rows, cs] / np.sqrt(d_k))
+            out[rows, qs] = v[rows, cs] @ w.T
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(sizes=segment_sizes, seed=st.integers(0, 2**31 - 1))
+def test_segment_softmax_property(sizes, seed):
+    rng = np.random.default_rng(seed)
+    off = offsets_of(sizes)
+    x = rng.uniform(-3, 3, (1, off[-1]))
+    out = nk.segment_softmax(nk.Tensor(x), off).data
+    for seg in segments(off):
+        np.testing.assert_allclose(out[:, seg], softmax_of(x[:, seg]), rtol=0, atol=1e-12)
+    w = rng.uniform(0.5, 1.5, x.shape)
+    err, _ = gradient_error(
+        lambda t: nk.sum_all(nk.mul(nk.segment_softmax(t["x"], off), nk.Tensor(w))), {"x": x}
+    )
+    assert err < GRAD_TOL
+
+
+@settings(max_examples=25, deadline=None)
+@given(sizes=segment_sizes, rows=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
+def test_segment_sum_property(sizes, rows, seed):
+    rng = np.random.default_rng(seed)
+    off = offsets_of(sizes)
+    x = rng.uniform(-2, 2, (rows, off[-1]))
+    out = nk.segment_sum(nk.Tensor(x), off).data
+    loop = np.column_stack([x[:, s].sum(axis=1) for s in segments(off)])
+    np.testing.assert_allclose(out, loop, rtol=0, atol=1e-12)
+    w = rng.uniform(0.5, 1.5, (rows, len(sizes)))
+    err, _ = gradient_error(lambda t: nk.sum_all(nk.mul(nk.segment_sum(t["x"], off), nk.Tensor(w))), {"x": x})
+    assert err < GRAD_TOL
+
+
+@settings(max_examples=15, deadline=None)
+@given(layout=attention_layouts(), seed=st.integers(0, 2**31 - 1))
+def test_segment_attention_property(layout, seed):
+    q_sizes, kv_sizes, heads = layout
+    rng = np.random.default_rng(seed)
+    q_off, kv_off = offsets_of(q_sizes), offsets_of(kv_sizes)
+    d = 2 * heads
+    params = {"q": rng.uniform(-2, 2, (d, q_off[-1])), "k": rng.uniform(-2, 2, (d, kv_off[-1])),
+              "v": rng.uniform(-2, 2, (d, kv_off[-1]))}
+    sink = []
+    out = nk.segment_attention(*(nk.Tensor(params[n]) for n in "qkv"), q_off, kv_off, heads, sink)
+    loop = attention_loop(params["q"], params["k"], params["v"], q_off, kv_off, heads)
+    np.testing.assert_allclose(out.data, loop, rtol=0, atol=1e-12)
+    assert [w.shape for w in sink] == [(m, n) for _ in range(heads) for m, n in zip(q_sizes, kv_sizes)]
+    w = rng.uniform(0.5, 1.5, out.shape)
+
+    def build(t):
+        return nk.sum_all(nk.mul(nk.segment_attention(t["q"], t["k"], t["v"], q_off, kv_off, heads), nk.Tensor(w)))
+
+    err, name = gradient_error(build, params)
+    assert err < GRAD_TOL, f"{name}: {err}"
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(1, 33), n=st.integers(1, 33), heads=st.sampled_from([1, 2]), seed=st.integers(0, 2**31 - 1)
+)
+def test_one_segment_is_the_unsegmented_formula(m, n, heads, seed):
+    rng = np.random.default_rng(seed)
+    d = 4
+    x, row = nk.Tensor(rng.uniform(-3, 3, (d, n))), nk.Tensor(rng.uniform(-3, 3, (1, n)))
+    alpha = nk.softmax_rows(row)
+    np.testing.assert_allclose(nk.segment_softmax(row, [0, n]).data, alpha.data, rtol=0, atol=1e-12)
+    pooled = nk.matmul(x, nk.transpose(alpha))
+    np.testing.assert_allclose(nk.segment_sum(nk.mul(x, alpha), [0, n]).data, pooled.data, rtol=0, atol=1e-12)
+    q, k, v = (nk.Tensor(rng.uniform(-2, 2, (d, c))) for c in (m, n, n))
+    d_k = d // heads
+    heads_out = []
+    for qi, ki, vi in zip(*(nk.split(t, [d_k] * heads, "rows") for t in (q, k, v))):
+        weights = nk.softmax_rows(nk.scale(nk.matmul(nk.transpose(qi), ki), 1 / np.sqrt(d_k)))
+        heads_out.append(nk.matmul(vi, nk.transpose(weights)).data)
+    out = nk.segment_attention(q, k, v, [0, m], [0, n], heads)
+    np.testing.assert_allclose(out.data, np.vstack(heads_out), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("offsets", [[0, 2, 2, 5], [1, 5], [0, 4], [0.0, 5.0], [[0, 5]], [0], []])
+def test_bad_offsets_rejected(offsets):
+    with pytest.raises(nk.ShapeError, match="offsets"):
+        nk.segment_sum(nk.Tensor(np.ones((2, 5))), offsets)

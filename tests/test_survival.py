@@ -83,34 +83,34 @@ def logrank_oracle(group_a, group_b):
 class TestNllLoss:
     def test_uniform_hazards_death_in_first_bin(self):
         h = nk.Tensor(np.full((4, 1), 0.5))
-        loss = sv.nll_loss(h, lab(1.0, 1, 0))
+        loss = sv.nll_loss(h, [lab(1.0, 1, 0)])
         assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_death_in_later_bin(self):
         # -log S(1) - log h(2) with h = 0.5: 2*log2 + log2
         h = nk.Tensor(np.full((4, 1), 0.5))
-        loss = sv.nll_loss(h, lab(9.0, 1, 2))
+        loss = sv.nll_loss(h, [lab(9.0, 1, 2)])
         assert loss.item() == pytest.approx(3 * np.log(2.0), abs=1e-12)
 
     def test_censored_vanishing_hazard_gives_zero_loss(self):
         h = nk.Tensor(np.full((4, 1), 1e-12))
-        loss = sv.nll_loss(h, lab(50.0, 0, 3))
+        loss = sv.nll_loss(h, [lab(50.0, 0, 3)])
         assert loss.item() == pytest.approx(0.0, abs=1e-5)
 
     def test_extreme_hazards_stay_finite(self):
         for value in (0.0, 1.0):
             h = nk.Tensor(np.full((4, 1), value))
             for event in (0, 1):
-                assert np.isfinite(sv.nll_loss(h, lab(5.0, event, 2)).item())
+                assert np.isfinite(sv.nll_loss(h, [lab(5.0, event, 2)]).item())
 
     def test_alpha_downweights_censored_only(self):
         h = nk.Tensor(np.full((4, 1), 0.3))
         censored = lab(5.0, 0, 1)
         dead = lab(5.0, 1, 1)
-        assert sv.nll_loss(h, censored, alpha=0.5).item() == pytest.approx(
-            0.5 * sv.nll_loss(h, censored).item()
+        assert sv.nll_loss(h, [censored], alpha=0.5).item() == pytest.approx(
+            0.5 * sv.nll_loss(h, [censored]).item()
         )
-        assert sv.nll_loss(h, dead, alpha=0.5).item() == sv.nll_loss(h, dead).item()
+        assert sv.nll_loss(h, [dead], alpha=0.5).item() == sv.nll_loss(h, [dead]).item()
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
@@ -118,20 +118,20 @@ class TestNllLoss:
             h = nk.Tensor(rng.uniform(0.01, 0.99, (4, 1)))
             b = int(rng.integers(0, 4))
             e = int(rng.integers(0, 2))
-            assert sv.nll_loss(h, lab(1.0, e, b)).item() >= 0.0
+            assert sv.nll_loss(h, [lab(1.0, e, b)]).item() >= 0.0
 
     @pytest.mark.parametrize("event,b", [(1, 0), (1, 2), (0, 1), (0, 3)])
     def test_gradient_vs_finite_differences(self, event, b):
         rng = np.random.default_rng(b + event)
         logits = rng.uniform(-1.5, 1.5, (4, 1))
         label = lab(5.0, event, b)
-        err, _ = gradient_error(lambda t: sv.nll_loss(nk.sigmoid(t["z"]), label), {"z": logits})
+        err, _ = gradient_error(lambda t: sv.nll_loss(nk.sigmoid(t["z"]), [label]), {"z": logits})
         assert err < 1e-5
 
     def test_bin_required(self):
         h = nk.Tensor(np.full((4, 1), 0.5))
         with pytest.raises(ValueError, match="bin"):
-            sv.nll_loss(h, lab(1.0, 1, None))
+            sv.nll_loss(h, [lab(1.0, 1, None)])
 
 
 class TestSurvivalPrediction:

@@ -2,6 +2,7 @@
 
 import logging
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,23 +157,37 @@ class TestAccumulationEquivalence:
             assert np.abs(p1[name] - p2[name]).max() < 1e-10
 
 
+@pytest.fixture(scope="module")
+def reference_cohort():
+    """The reference dataset (ragged bags) and its training labels, binned on every sample."""
+    ds = dataio.synthesize(200, seed=7)
+    edges = sv.time_bin_edges([sv.SurvivalLabel(s.t, s.event) for s in ds.samples], 4)
+    return ds, [sv.SurvivalLabel(s.t, s.event, bin=sv.assign_bin(s.t, edges)) for s in ds.samples]
+
+
+def reference_spec(ds, ablation=AblationSpec(), **fusion) -> ModelSpec:
+    cfg = TrainConfig()
+    return ModelSpec(
+        d_in=ds.d_in, gene_lengths=tuple(ds.gene_lengths), snn_hidden=cfg.snn_hidden,
+        fusion=replace(cfg.fusion, **fusion), ablation=ablation,
+    )
+
+
+# (preset, heads, residual): presets A-E at one and two heads, and one residual model
+MODEL_MATRIX = [(p, h, False) for p in "ABCDE" for h in (1, 2) if (p, h) != ("E", 1)] + [("E", 2, True)]
+TAPE_SETTINGS = [(train.TAPE_PATCHES, 1), (200, 5)]  # (TAPE_PATCHES, tapes the window takes)
+
+
 class TestWindowEquivalence:
     """A window's tapes give the mean of the batch-size-1 gradients."""
 
-    @pytest.mark.parametrize("max_patches, tapes", [(train.TAPE_PATCHES, 1), (200, 5)])
-    def test_window_matches_mean_of_sample_gradients(self, monkeypatch, max_patches, tapes):
+    def check_window(self, monkeypatch, cohort, spec, max_patches, tapes):
         # the reference config at full width (criterion 5 runs a narrow model)
-        ds = dataio.synthesize(200, seed=7)  # ragged bags
+        ds, all_labels = cohort
         cfg = TrainConfig()
-        spec = ModelSpec(
-            d_in=ds.d_in, gene_lengths=tuple(ds.gene_lengths), snn_hidden=cfg.snn_hidden,
-            fusion=cfg.fusion, ablation=AblationSpec(),
-        )
         arrays = init_model_arrays(spec, seed=2, head_init="xavier")
-        edges = sv.time_bin_edges([sv.SurvivalLabel(s.t, s.event) for s in ds.samples], 4)
-        samples = ds.samples[:32]
+        samples, labels = ds.samples[:32], all_labels[:32]
         assert len({s.patches.shape[1] for s in samples}) > 1
-        labels = [sv.SurvivalLabel(s.t, s.event, bin=sv.assign_bin(s.t, edges)) for s in samples]
 
         assert len(train.tape_spans([s.patches.shape[1] for s in samples], max_patches)) == tapes
         monkeypatch.setattr(train, "TAPE_PATCHES", max_patches)
@@ -186,6 +201,33 @@ class TestWindowEquivalence:
         p1 = adam_step(dict(arrays), window, AdamState(), **step)
         p2 = adam_step(dict(arrays), mean, AdamState(), **step)
         assert max(float(np.abs(p1[k] - p2[k]).max()) for k in p1) < 1e-10
+
+    @pytest.mark.parametrize("max_patches, tapes", TAPE_SETTINGS)
+    def test_window_matches_mean_of_sample_gradients(self, monkeypatch, reference_cohort, max_patches, tapes):
+        spec = reference_spec(reference_cohort[0])  # preset E, one head
+        self.check_window(monkeypatch, reference_cohort, spec, max_patches, tapes)
+
+    @pytest.mark.parametrize("max_patches, tapes", TAPE_SETTINGS)
+    @pytest.mark.parametrize("preset, heads, residual", MODEL_MATRIX)
+    def test_model_matrix(self, monkeypatch, reference_cohort, preset, heads, residual, max_patches, tapes):
+        ablation = AblationSpec.preset(preset)
+        spec = reference_spec(reference_cohort[0], ablation, heads=heads, residual=residual)
+        self.check_window(monkeypatch, reference_cohort, spec, max_patches, tapes)
+
+    @pytest.mark.parametrize("max_patches", [train.TAPE_PATCHES, 200])
+    def test_evaluate_matches_predict(self, monkeypatch, reference_cohort, max_patches):
+        ds, _ = reference_cohort
+        spec = reference_spec(ds, heads=2)
+        arrays = init_model_arrays(spec, seed=3, head_init="xavier")
+        samples = ds.samples[:70]  # more patches than one run holds
+        monkeypatch.setattr(train, "TAPE_PATCHES", max_patches)
+        assert len(train.tape_spans([s.patches.shape[1] for s in samples], max_patches)) > 1
+        risks, ci, auc = evaluate(samples, arrays, spec, horizon=20.0)
+        one_by_one = [predict(s, arrays, spec).risk for s in samples]
+        assert max(abs(a - b) for a, b in zip(risks, one_by_one)) < 1e-12
+        labels = [sv.SurvivalLabel(s.t, s.event) for s in samples]
+        assert ci == sv.concordance_index(one_by_one, labels)
+        assert auc == sv.binary_auc(one_by_one, labels, 20.0)
 
     def test_partial_last_window_averages_its_own_samples(self, monkeypatch):
         # 37 training samples at accumulation 32: a 32-sample and a 5-sample window
