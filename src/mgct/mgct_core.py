@@ -321,7 +321,7 @@ def _pool(tokens: nk.Tensor, scores: nk.Tensor, offsets) -> tuple[nk.Tensor, nk.
         raise ValueError("cannot pool an empty token set")
     offsets = _one_segment(tokens, offsets)
     alpha = nk.segment_softmax(scores, offsets)  # (1, N), a simplex per sample
-    return nk.segment_sum(nk.mul(tokens, alpha), offsets), alpha
+    return nk.segment_sum(tokens, offsets, alpha), alpha
 
 
 def gated_attention_pool(

@@ -58,6 +58,8 @@ class ShapeError(ValueError):
 
 
 def _coerce(values) -> np.ndarray:
+    if type(values) is np.ndarray and values.ndim == 2 and values.dtype == np.float64:
+        return values  # the common case, such as a parameter array, taken as it is
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
@@ -170,14 +172,16 @@ def _wrap(out: np.ndarray, tape: "Tape | None" = None, node_id: int | None = Non
     return t
 
 
-def _tape_of(*operands: Tensor) -> "Tape | None":
-    tape = None
-    for t in operands:
-        if t.tape is not None:
-            if tape is not None and t.tape is not tape:
-                raise ValueError("operands were recorded on different tapes")
-            tape = t.tape
-    return tape
+def _tape_of(a: Tensor, b: Tensor | None = None) -> "Tape | None":
+    ta = a.tape
+    if b is None:
+        return ta
+    tb = b.tape
+    if ta is None:
+        return tb
+    if tb is not None and tb is not ta:
+        raise ValueError("operands were recorded on different tapes")
+    return ta
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -585,19 +589,29 @@ def _layout(offsets: tuple[int, ...], cols: int) -> _Segments | None:
     return _Segments(sizes)
 
 
-def segment_sum(a: Tensor, offsets) -> Tensor:
-    """Sum of each column segment: (d, N) to (d, B)."""
+def segment_sum(a: Tensor, offsets, weights: Tensor | None = None) -> Tensor:
+    """Sum of each column segment: (d, N) to (d, B).
+
+    ``weights``, a (1, N) row, scales each column before the sum (one node
+    for a weighted pooling); left out, every weight is 1.
+    """
     a = _as_tensor(a)
     seg = _segments(offsets, a.cols, "segment_sum")
-    out = seg.pad(a.data).sum(axis=2)
-    tape = _tape_of(a)
+    w = Tensor(np.ones((1, a.cols))) if weights is None else _as_tensor(weights)
+    if w.shape != (1, a.cols):
+        raise ShapeError(f"segment_sum: weights {w.shape} for {a.cols} columns")
+    x = seg.pad(a.data).transpose(1, 0, 2)  # (B, d, width)
+    c = seg.pad(w.data)[0][:, :, None]  # (B, width, 1), zero in the padding
+    out = (x @ c)[:, :, 0].T
+    tape = _tape_of(a, w)
     if tape is None:
         return _wrap(out)
 
     def pull(g):
-        return (np.repeat(g, seg.sizes, axis=1),)
+        gw = seg.unpad((g.T[:, None, :] @ x).transpose(1, 0, 2))
+        return seg.unpad(g[:, :, None] * c[:, :, 0]), gw
 
-    return tape._emit(out, (a,), pull)
+    return tape._emit(out, (a, w), pull)
 
 
 def segment_softmax(a: Tensor, offsets) -> Tensor:
@@ -659,7 +673,8 @@ def segment_attention(
     if sink is not None:
         for h in range(heads):
             sink.extend(weights[b, h, :m, :n] for b, (m, n) in enumerate(zip(qs.sizes, cs.sizes)))
-    tape = _tape_of(q, k, v)
+    _tape_of(q, k)  # raises for operands on different tapes
+    tape = _tape_of(v, q if q.tape is not None else k)
     if tape is None:
         return _wrap(out)
 

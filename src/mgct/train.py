@@ -277,7 +277,8 @@ def evaluate(
     """Risks plus C-index and fixed-horizon AUC for a sample list.
 
     Scores the samples untaped, in the ``tape_spans`` runs that training
-    would put on one tape; each risk is what ``predict`` gives its sample.
+    would put on one tape; each risk is ``predict``'s for its sample, up to
+    round-off.
     """
     risks: list[float] = []
     for start, stop in tape_spans([s.patches.shape[1] for s in samples], TAPE_PATCHES):

@@ -393,17 +393,22 @@ def test_segment_softmax_property(sizes, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(sizes=segment_sizes, rows=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
-def test_segment_sum_property(sizes, rows, seed):
+@given(sizes=segment_sizes, rows=st.integers(1, 4), weighted=st.booleans(), seed=st.integers(0, 2**31 - 1))
+def test_segment_sum_property(sizes, rows, weighted, seed):
     rng = np.random.default_rng(seed)
     off = offsets_of(sizes)
-    x = rng.uniform(-2, 2, (rows, off[-1]))
-    out = nk.segment_sum(nk.Tensor(x), off).data
-    loop = np.column_stack([x[:, s].sum(axis=1) for s in segments(off)])
+    params = {"x": rng.uniform(-2, 2, (rows, off[-1]))}
+    if weighted:
+        params["w"] = rng.uniform(-2, 2, (1, off[-1]))
+    x, w = params["x"], params.get("w", np.ones((1, off[-1])))
+    out = nk.segment_sum(nk.Tensor(x), off, nk.Tensor(w) if weighted else None).data
+    loop = np.column_stack([(x[:, s] * w[:, s]).sum(axis=1) for s in segments(off)])
     np.testing.assert_allclose(out, loop, rtol=0, atol=1e-12)
-    w = rng.uniform(0.5, 1.5, (rows, len(sizes)))
-    err, _ = gradient_error(lambda t: nk.sum_all(nk.mul(nk.segment_sum(t["x"], off), nk.Tensor(w))), {"x": x})
-    assert err < GRAD_TOL
+    c = rng.uniform(0.5, 1.5, (rows, len(sizes)))
+    err, name = gradient_error(
+        lambda t: nk.sum_all(nk.mul(nk.segment_sum(t["x"], off, t.get("w")), nk.Tensor(c))), params
+    )
+    assert err < GRAD_TOL, f"{name}: {err}"
 
 
 @settings(max_examples=15, deadline=None)
@@ -440,7 +445,7 @@ def test_one_segment_is_the_unsegmented_formula(m, n, heads, seed):
     alpha = nk.softmax_rows(row)
     np.testing.assert_allclose(nk.segment_softmax(row, [0, n]).data, alpha.data, rtol=0, atol=1e-12)
     pooled = nk.matmul(x, nk.transpose(alpha))
-    np.testing.assert_allclose(nk.segment_sum(nk.mul(x, alpha), [0, n]).data, pooled.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(nk.segment_sum(x, [0, n], alpha).data, pooled.data, rtol=0, atol=1e-12)
     q, k, v = (nk.Tensor(rng.uniform(-2, 2, (d, c))) for c in (m, n, n))
     d_k = d // heads
     heads_out = []
@@ -455,3 +460,8 @@ def test_one_segment_is_the_unsegmented_formula(m, n, heads, seed):
 def test_bad_offsets_rejected(offsets):
     with pytest.raises(nk.ShapeError, match="offsets"):
         nk.segment_sum(nk.Tensor(np.ones((2, 5))), offsets)
+
+
+def test_segment_sum_weights_are_one_row():
+    with pytest.raises(nk.ShapeError, match="weights"):
+        nk.segment_sum(nk.Tensor(np.ones((2, 5))), [0, 5], nk.Tensor(np.ones((2, 5))))

@@ -278,6 +278,7 @@ class TestWindowEquivalence:
 class TestTapeSpans:
     def test_runs_fill_up_to_the_bound(self):
         assert train.tape_spans([10, 20, 30, 5, 25], 30) == [(0, 2), (2, 3), (3, 5)]
+        assert train.tape_spans([], 30) == []
 
     def test_larger_bag_has_a_tape_to_itself(self):
         assert train.tape_spans([5, 50, 5, 5], 20) == [(0, 1), (1, 2), (2, 4)]
