@@ -279,9 +279,9 @@ class ModelSpec(Config):
 #
 # Every function here runs on a window of B samples at once: each token set
 # holds the samples' columns side by side, and a (B + 1,) offsets vector
-# marks where each sample's columns start (see ``numkit.segment_sum``).
-# Offsets left out mean one sample, all columns. Tokens of one sample only
-# ever meet tokens of the same sample.
+# marks where each sample's columns start (see the segmented primitives of
+# ``numkit``). Offsets left out mean one sample, all columns. Tokens of one
+# sample only ever meet tokens of the same sample.
 
 
 def _one_segment(tokens: nk.Tensor, offsets):
