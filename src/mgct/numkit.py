@@ -411,12 +411,18 @@ def elu(a: Tensor) -> Tensor:
     return elementwise(a, "elu")
 
 
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax along ``axis``, stabilized by subtracting the max; ``x`` is left as it is."""
+    out = x - x.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
 def softmax_rows(a: Tensor) -> Tensor:
     """Row-wise softmax, stabilized by subtracting each row's max."""
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    out = ex / ex.sum(axis=1, keepdims=True)
+    out = _softmax(a.data, 1)
     tape = _tape_of(a)
     if tape is None:
         return _wrap(out)
@@ -523,6 +529,11 @@ def split(a: Tensor, sizes: Iterable[int], axis: str) -> list[Tensor]:
 # segmented primitives: the columns of several samples side by side, cut into
 # one segment per sample by a (B + 1,) vector of column offsets (segment b
 # spans columns offsets[b] .. offsets[b + 1] - 1)
+#
+# A single untaped segment (a one-sample forward, such as ``predict``) takes
+# plain 2-D products instead: the padded-block layout costs a few
+# microseconds of reshapes per call, and a one-sample pass makes 14 such
+# calls. The two routes agree to round-off.
 
 
 class _Segments:
@@ -600,6 +611,8 @@ def segment_sum(a: Tensor, offsets, weights: Tensor | None = None) -> Tensor:
     w = Tensor(np.ones((1, a.cols))) if weights is None else _as_tensor(weights)
     if w.shape != (1, a.cols):
         raise ShapeError(f"segment_sum: weights {w.shape} for {a.cols} columns")
+    if seg.sizes.size == 1 and _tape_of(a, w) is None:
+        return _wrap(a.data @ w.data.T)  # one untaped segment: 2-D products
     x = seg.pad(a.data).transpose(1, 0, 2)  # (B, d, width)
     c = seg.pad(w.data)[0][:, :, None]  # (B, width, 1), zero in the padding
     out = (x @ c)[:, :, 0].T
@@ -618,9 +631,9 @@ def segment_softmax(a: Tensor, offsets) -> Tensor:
     """Softmax over each column segment of every row, stabilized by the segment's max."""
     a = _as_tensor(a)
     seg = _segments(offsets, a.cols, "segment_softmax")
-    x = seg.pad(a.data, -np.inf)
-    ex = np.exp(x - x.max(axis=2, keepdims=True))
-    soft = ex / ex.sum(axis=2, keepdims=True)  # zero in the padding
+    if seg.sizes.size == 1 and a.tape is None:
+        return _wrap(_softmax(a.data, 1))  # one untaped segment: 2-D products
+    soft = _softmax(seg.pad(a.data, -np.inf), 2)  # zero in the padding
     out = seg.unpad(soft)
     tape = _tape_of(a)
     if tape is None:
@@ -661,20 +674,22 @@ def segment_attention(
     if qs.sizes.size != cs.sizes.size:
         raise ShapeError(f"segment_attention: {qs.sizes.size} query segments, {cs.sizes.size} key segments")
     inv = 1.0 / math.sqrt(d // heads)
+    _tape_of(q, k)  # raises for operands on different tapes
+    tape = _tape_of(v, q if q.tape is not None else k)
+    if qs.sizes.size == 1 and heads == 1 and tape is None:
+        weights = _softmax((q.data.T @ k.data) * inv, 1)  # one untaped segment: 2-D products
+        if sink is not None:
+            sink.append(weights)
+        return _wrap(v.data @ weights.T)
     qb, kb, vb = qs.blocks(q.data, heads), cs.blocks(k.data, heads), cs.blocks(v.data, heads)
-    weights = qb @ kb.swapaxes(2, 3)  # (B, heads, m, n) scores, then their softmax
-    weights *= inv
+    scores = (qb @ kb.swapaxes(2, 3)) * inv  # (B, heads, m, n)
     if cs.valid is not None:
-        np.copyto(weights, -np.inf, where=~cs.valid[:, None, None, :])
-    weights -= weights.max(axis=3, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=3, keepdims=True)
+        np.copyto(scores, -np.inf, where=~cs.valid[:, None, None, :])
+    weights = _softmax(scores, 3)
     out = qs.unblock(weights @ vb)
     if sink is not None:
         for h in range(heads):
             sink.extend(weights[b, h, :m, :n] for b, (m, n) in enumerate(zip(qs.sizes, cs.sizes)))
-    _tape_of(q, k)  # raises for operands on different tapes
-    tape = _tape_of(v, q if q.tape is not None else k)
     if tape is None:
         return _wrap(out)
 

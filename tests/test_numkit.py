@@ -439,21 +439,25 @@ def test_segment_attention_property(layout, seed):
     m=st.integers(1, 33), n=st.integers(1, 33), heads=st.sampled_from([1, 2]), seed=st.integers(0, 2**31 - 1)
 )
 def test_one_segment_is_the_unsegmented_formula(m, n, heads, seed):
+    # untaped operands take the 2-D route, taped ones the padded-block route: both must match
     rng = np.random.default_rng(seed)
     d = 4
     x, row = nk.Tensor(rng.uniform(-3, 3, (d, n))), nk.Tensor(rng.uniform(-3, 3, (1, n)))
-    alpha = nk.softmax_rows(row)
-    np.testing.assert_allclose(nk.segment_softmax(row, [0, n]).data, alpha.data, rtol=0, atol=1e-12)
-    pooled = nk.matmul(x, nk.transpose(alpha))
-    np.testing.assert_allclose(nk.segment_sum(x, [0, n], alpha).data, pooled.data, rtol=0, atol=1e-12)
     q, k, v = (nk.Tensor(rng.uniform(-2, 2, (d, c))) for c in (m, n, n))
+    alpha = nk.softmax_rows(row)
+    pooled = nk.matmul(x, nk.transpose(alpha))
     d_k = d // heads
     heads_out = []
     for qi, ki, vi in zip(*(nk.split(t, [d_k] * heads, "rows") for t in (q, k, v))):
         weights = nk.softmax_rows(nk.scale(nk.matmul(nk.transpose(qi), ki), 1 / np.sqrt(d_k)))
         heads_out.append(nk.matmul(vi, nk.transpose(weights)).data)
-    out = nk.segment_attention(q, k, v, [0, m], [0, n], heads)
-    np.testing.assert_allclose(out.data, np.vstack(heads_out), rtol=0, atol=1e-12)
+    tape = nk.Tape()
+    for t in (x, row, q, k, v), tuple(tape.leaf(t.data) for t in (x, row, q, k, v)):
+        tx, trow, tq, tk, tv = t
+        np.testing.assert_allclose(nk.segment_softmax(trow, [0, n]).data, alpha.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(nk.segment_sum(tx, [0, n], alpha).data, pooled.data, rtol=0, atol=1e-12)
+        out = nk.segment_attention(tq, tk, tv, [0, m], [0, n], heads)
+        np.testing.assert_allclose(out.data, np.vstack(heads_out), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("offsets", [[0, 2, 2, 5], [1, 5], [0, 4], [0.0, 5.0], [[0, 5]], [0], []])
