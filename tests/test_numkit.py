@@ -397,16 +397,15 @@ def test_segment_softmax_property(sizes, seed):
 def test_segment_sum_property(sizes, rows, weighted, seed):
     rng = np.random.default_rng(seed)
     off = offsets_of(sizes)
-    params = {"x": rng.uniform(-2, 2, (rows, off[-1]))}
-    if weighted:
-        params["w"] = rng.uniform(-2, 2, (1, off[-1]))
-    x, w = params["x"], params.get("w", np.ones((1, off[-1])))
-    out = nk.segment_sum(nk.Tensor(x), off, nk.Tensor(w) if weighted else None).data
+    x = rng.uniform(-2, 2, (rows, off[-1]))
+    w = rng.uniform(-2, 2, (1, off[-1])) if weighted else np.ones((1, off[-1]))
+    params = {"x": x, "w": w}
+    out = nk.segment_sum(nk.Tensor(x), off, nk.Tensor(w)).data
     loop = np.column_stack([(x[:, s] * w[:, s]).sum(axis=1) for s in segments(off)])
     np.testing.assert_allclose(out, loop, rtol=0, atol=1e-12)
     c = rng.uniform(0.5, 1.5, (rows, len(sizes)))
     err, name = gradient_error(
-        lambda t: nk.sum_all(nk.mul(nk.segment_sum(t["x"], off, t.get("w")), nk.Tensor(c))), params
+        lambda t: nk.sum_all(nk.mul(nk.segment_sum(t["x"], off, t["w"]), nk.Tensor(c))), params
     )
     assert err < GRAD_TOL, f"{name}: {err}"
 
@@ -463,7 +462,7 @@ def test_one_segment_is_the_unsegmented_formula(m, n, heads, seed):
 @pytest.mark.parametrize("offsets", [[0, 2, 2, 5], [1, 5], [0, 4], [0.0, 5.0], [[0, 5]], [0], []])
 def test_bad_offsets_rejected(offsets):
     with pytest.raises(nk.ShapeError, match="offsets"):
-        nk.segment_sum(nk.Tensor(np.ones((2, 5))), offsets)
+        nk.segment_sum(nk.Tensor(np.ones((2, 5))), offsets, nk.Tensor(np.ones((1, 5))))
 
 
 def test_segment_sum_weights_are_one_row():
