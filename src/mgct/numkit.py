@@ -715,10 +715,29 @@ _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 
+def _keyed_draws(words: Sequence[int], shape: tuple[int, ...], keep: float) -> np.ndarray:
+    """Keep-mask of shape (len(words),) + shape; block i is the C-order draw of
+    ``Generator(Philox(key=words[i])).random(shape) < keep``.
+
+    One bit generator is re-keyed per word: a fresh Philox's state (zero
+    counter, empty buffer) with the word's key gives exactly the stream of
+    ``Philox(key=word)``, without building a generator per word.
+    """
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    state = bits.state
+    key = state["state"]["key"]
+    draws = np.empty((len(words), *shape))
+    for i, word in enumerate(words):
+        key[:] = (word & _MASK64, word >> 64)
+        bits.state = state
+        gen.random(out=draws[i])
+    return (draws < keep).astype(np.float64)
+
+
 @lru_cache(maxsize=256)
 def _cached_mask(word: int, shape: tuple[int, int], keep: float) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=word))
-    mask = (rng.random(shape) < keep).astype(np.float64)
+    mask = _keyed_draws((word,), shape, keep)[0]
     mask.setflags(write=False)
     return mask
 
@@ -730,17 +749,19 @@ def dropout_mask(key: tuple, shape: tuple[int, int], keep: float) -> np.ndarray:
     the (rows, 1) mask of ``(seed, layer, step[i])``, so a batch of samples
     stacked as columns draws what each sample would draw alone.
 
-    Masks are memoized; repeated evaluation at the same key (e.g. during a
-    finite-difference sweep) reuses the same draw.
+    Each call draws from one Philox bit generator, re-keyed per step. Only
+    integer-step masks are memoized, so repeated evaluation at the same key
+    (e.g. during a finite-difference sweep) reuses the same draw; a window of
+    steps is drawn afresh, since its masks never repeat in training.
     """
     seed, layer, step = key
-    if not isinstance(step, (int, np.integer)):
-        steps = list(step)
-        if len(steps) != shape[1]:
-            raise ShapeError(f"dropout_mask: {len(steps)} steps for {shape[1]} columns")
-        return np.hstack([dropout_mask((seed, layer, s), (shape[0], 1), keep) for s in steps])
-    word = ((seed & _MASK64) << 64) | ((layer & _MASK32) << 32) | (step & _MASK32)
-    return _cached_mask(word, shape, keep)
+    prefix = ((seed & _MASK64) << 64) | ((layer & _MASK32) << 32)
+    if isinstance(step, (int, np.integer)):
+        return _cached_mask(prefix | (operator.index(step) & _MASK32), shape, keep)
+    words = [prefix | (operator.index(s) & _MASK32) for s in step]
+    if len(words) != shape[1]:
+        raise ShapeError(f"dropout_mask: {len(words)} steps for {shape[1]} columns")
+    return _keyed_draws(words, (shape[0],), keep).T
 
 
 def alpha_dropout(a: Tensor, p: float, key: tuple) -> Tensor:

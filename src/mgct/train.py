@@ -41,12 +41,12 @@ log = logging.getLogger(__name__)
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
-# Patch columns that may share one tape. A tape holds every sample's fusion
-# activations until its backward, and those grow with the patch count, so a
-# window of large bags (or a long window) is cut into consecutive runs of
-# samples with at most this many patches between them (a larger bag has a
-# tape to itself). 1024 columns keep a 32-sample window of bags of up to 32
-# patches on one tape, and a tape no larger than a 1024-patch bag's.
+# Padded patch columns that may share one tape. A tape holds every sample's
+# fusion activations until its backward, padded to the run's largest bag, so
+# a window is cut into consecutive runs of samples whose count times their
+# largest bag stays within this bound (a larger bag has a tape to itself).
+# 1024 columns keep a 32-sample window of bags of up to 32 patches on one
+# tape, and a tape no larger than a 1024-patch bag's.
 TAPE_PATCHES = 1024
 
 
@@ -87,7 +87,10 @@ def adam_step(
 ) -> dict[str, np.ndarray]:
     """One Adam update with L2 decay folded into the gradient (lambda * theta).
 
-    Returns fresh parameter arrays; moments live in ``state``. A non-finite
+    Returns fresh parameter arrays and leaves ``params`` and ``grads`` as they
+    were. The moments in ``state`` are updated in place after the first step,
+    through two scratch buffers sized to the largest block; each element's
+    arithmetic is that of the plain expressions in the comments. A non-finite
     gradient skips the whole step (logged), leaving params and state untouched.
     """
     for name, g in grads.items():
@@ -98,18 +101,29 @@ def adam_step(
     b1, b2 = ADAM_BETAS
     state.step_count += 1
     t = state.step_count
+    size = max((theta.size for theta in params.values()), default=0)
+    g_buf, s_buf = np.empty(size), np.empty(size)
     out: dict[str, np.ndarray] = {}
     for name, theta in params.items():
-        g = grads[name] + weight_decay * theta
+        g = g_buf[: theta.size].reshape(theta.shape)
+        s = s_buf[: theta.size].reshape(theta.shape)
+        np.add(grads[name], np.multiply(weight_decay, theta, out=s), out=g)  # g = grad + wd * theta
         m = state.m.get(name)
         v = state.v.get(name)
-        m = (1 - b1) * g if m is None else b1 * m + (1 - b1) * g
-        v = (1 - b2) * g * g if v is None else b2 * v + (1 - b2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
-        out[name] = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if m is None:
+            state.m[name] = m = (1 - b1) * g
+            state.v[name] = v = (1 - b2) * g * g
+        else:  # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+            m *= b1
+            m += np.multiply(1 - b1, g, out=s)
+            v *= b2
+            np.multiply(1 - b2, g, out=s)
+            v += np.multiply(s, g, out=s)
+        np.sqrt(np.divide(v, 1 - b2**t, out=s), out=s)  # s = sqrt(v_hat) + eps
+        s += ADAM_EPS
+        np.multiply(lr, np.divide(m, 1 - b1**t, out=g), out=g)  # g = lr * m_hat / s
+        g /= s
+        out[name] = theta - g
     return out
 
 
@@ -158,18 +172,19 @@ def sample_loss(
 
 
 def tape_spans(bag_sizes: list[int], max_patches: int) -> list[tuple[int, int]]:
-    """Cut a window into consecutive (start, stop) runs of at most ``max_patches`` patches.
+    """Cut a window into consecutive (start, stop) runs of at most ``max_patches`` padded columns.
 
-    A run grows while the next bag fits, and a bag larger than the bound is a
-    run by itself.
+    A run pads each of its samples to its largest bag, so it holds samples x
+    widest bag columns. A run grows while the next bag keeps that within the
+    bound, and a bag larger than the bound is a run by itself.
     """
     spans: list[tuple[int, int]] = []
-    start, total = 0, 0
+    start, widest = 0, 0
     for i, n in enumerate(bag_sizes):
-        if i > start and total + n > max_patches:
+        widest = max(widest, n)
+        if i > start and (i - start + 1) * widest > max_patches:
             spans.append((start, i))
-            start, total = i, 0
-        total += n
+            start, widest = i, n
     if bag_sizes:
         spans.append((start, len(bag_sizes)))
     return spans
@@ -188,9 +203,9 @@ def window_loss_and_grads(
 
     Returns each sample's loss and the gradient of their mean, which is the
     mean of the per-sample gradients, per parameter. The samples of each
-    ``tape_spans`` run of at most ``TAPE_PATCHES`` patches share one tape and
-    one backward of their share of the mean loss; the gradients of several
-    runs are summed.
+    ``tape_spans`` run of at most ``TAPE_PATCHES`` padded columns share one
+    tape and one backward of their share of the mean loss; the gradients of
+    several runs are summed.
     """
     losses: list[float] = []
     grads: dict[str, np.ndarray] | None = None

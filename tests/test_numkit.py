@@ -264,6 +264,27 @@ class TestAlphaDropout:
         with pytest.raises(nk.ShapeError, match="2 steps for 4 columns"):
             nk.dropout_mask((3, 2, (1, 2)), (40, 4), 0.75)
 
+    def test_masks_match_keyed_philox(self):
+        # oracle: a key draws what a fresh Philox keyed by (seed, layer, step) draws,
+        # with layer and step taken mod 2**32
+        def oracle(seed, layer, step, shape, keep):
+            word = (seed << 64) | ((layer % 2**32) << 32) | (step % 2**32)
+            return (np.random.Generator(np.random.Philox(key=word)).random(shape) < keep).astype(np.float64)
+
+        seed, layer, keep = 2**64 - 3, 2**32 + 7, 0.6
+        step = 2**33 + 5
+        mask = nk.dropout_mask((seed, layer, step), (6, 9), keep)
+        np.testing.assert_array_equal(mask, oracle(seed, layer, step, (6, 9), keep))
+
+        cached = nk._cached_mask.cache_info().currsize
+        steps = (4, 2**40 + 1, 0)
+        window = nk.dropout_mask((seed, layer, steps), (50, 3), keep)
+        np.testing.assert_array_equal(window, np.hstack([oracle(seed, layer, s, (50, 1), keep) for s in steps]))
+        one = nk.dropout_mask((seed, layer, [9]), (50, 1), keep)
+        assert one.shape == (50, 1)
+        np.testing.assert_array_equal(one, oracle(seed, layer, 9, (50, 1), keep))
+        assert nk._cached_mask.cache_info().currsize == cached  # window draws are not memoized
+
     def test_gradient_through_mask(self):
         x = rand(4, 5, seed=31)
         check_unary(lambda t: nk.alpha_dropout(t, 0.4, (9, 9, 9)), x)

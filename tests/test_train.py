@@ -84,7 +84,67 @@ def train_fold_failing_fold_1(dataset, split, config, ablation):
     return train_fold(dataset, split, config, ablation)
 
 
+def reference_adam_step(params, grads, state, lr, weight_decay=0.0):
+    """The allocating update that ``adam_step`` computes in place: a fresh array per term."""
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            state.skipped += 1
+            return params
+    b1, b2 = train.ADAM_BETAS
+    state.step_count += 1
+    t = state.step_count
+    out = {}
+    for name, theta in params.items():
+        g = grads[name] + weight_decay * theta
+        m = state.m.get(name)
+        v = state.v.get(name)
+        m = (1 - b1) * g if m is None else b1 * m + (1 - b1) * g
+        v = (1 - b2) * g * g if v is None else b2 * v + (1 - b2) * g * g
+        state.m[name] = m
+        state.v[name] = v
+        m_hat = m / (1 - b1**t)
+        v_hat = v / (1 - b2**t)
+        out[name] = theta - lr * m_hat / (np.sqrt(v_hat) + train.ADAM_EPS)
+    return out
+
+
+def assert_bitwise(a: dict, b: dict):
+    # tobytes tells -0.0 from +0.0, which assert_array_equal does not
+    assert a.keys() == b.keys()
+    for name in a:
+        assert a[name].shape == b[name].shape and a[name].tobytes() == b[name].tobytes(), name
+
+
 class TestAdamStep:
+    def test_matches_allocating_reference(self):
+        rng = np.random.default_rng(8)
+        shapes = {"a": (1, 1), "b": (3, 5), "c": (256, 256)}
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        params["b"][0, 0] = -0.0  # with a -0.0 gradient its first moment starts at -0.0
+        expected = dict(params)
+        state, ref_state = AdamState(), AdamState()
+        for step in range(3):
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            grads["b"][0, 0] = -0.0
+            before = [{k: a.copy() for k, a in d.items()} for d in (params, grads)]
+            new = adam_step(params, grads, state, lr=1e-2, weight_decay=1e-3)
+            assert_bitwise(params, before[0])
+            assert_bitwise(grads, before[1])
+            params = new
+            expected = reference_adam_step(expected, grads, ref_state, lr=1e-2, weight_decay=1e-3)
+            assert_bitwise(params, expected)
+            assert_bitwise(state.m, ref_state.m)
+            assert_bitwise(state.v, ref_state.v)
+            assert state.step_count == ref_state.step_count == step + 1
+            assert np.signbit(state.m["b"][0, 0]) == (step == 0)  # a zero-initialised moment gives +0.0
+
+        moments = [{k: a.copy() for k, a in d.items()} for d in (state.m, state.v)]
+        grads["c"][7, 7] = np.inf
+        assert adam_step(params, grads, state, lr=1e-2, weight_decay=1e-3) is params
+        assert (state.step_count, state.skipped) == (3, 1)
+        assert_bitwise(state.m, moments[0])
+        assert_bitwise(state.v, moments[1])
+
     def test_zero_gradients_leave_params_unchanged(self):
         params = {"w": np.ones((2, 3))}
         out = adam_step(params, {"w": np.zeros((2, 3))}, AdamState(), lr=0.1)
@@ -277,8 +337,14 @@ class TestWindowEquivalence:
 
 class TestTapeSpans:
     def test_runs_fill_up_to_the_bound(self):
-        assert train.tape_spans([10, 20, 30, 5, 25], 30) == [(0, 2), (2, 3), (3, 5)]
+        # a run's padded width is its sample count times its largest bag
+        assert train.tape_spans([10, 20, 30, 5, 25], 30) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+        assert train.tape_spans([10, 10, 10, 5, 5], 30) == [(0, 3), (3, 5)]
         assert train.tape_spans([], 30) == []
+
+    def test_large_bag_does_not_pad_small_ones(self):
+        # 1,020 real columns, but one run would pad all five bags to 1,000
+        assert train.tape_spans([8, 1000, 4, 4, 4], 1024) == [(0, 1), (1, 2), (2, 5)]
 
     def test_larger_bag_has_a_tape_to_itself(self):
         assert train.tape_spans([5, 50, 5, 5], 20) == [(0, 1), (1, 2), (2, 4)]
