@@ -7,7 +7,12 @@ Layout (all integers little-endian):
     per block: u16 name_len | name (utf-8) | u32 rows | u32 cols
                | rows*cols little-endian float64
 
-Writes are atomic (temp file + rename) and round-trip bitwise.
+Writes are atomic (temp file + rename) and round-trip bitwise. Reads stream
+the open file and put each block's bytes straight into its own fresh array,
+so a load holds no second copy of the file. No length field makes a read
+allocate more than the file holds: the meta read stops at the end of the
+file, and a block's shape is checked against the file size before its array
+is allocated.
 """
 
 from __future__ import annotations
@@ -56,38 +61,30 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(path)
-    raw = path.read_bytes()
-    view = memoryview(raw)
-    if raw[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {raw[:4]!r}")
-    version, meta_len = struct.unpack_from("<II", view, 4)
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    off = 12
-    try:
-        meta = json.loads(bytes(view[off : off + meta_len]).decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or JSON, as in a file cut inside its meta
-        raise CheckpointError(f"{path}: unreadable meta: {exc}") from None
-    if not isinstance(meta, dict):
-        raise CheckpointError(f"{path}: meta is not a JSON object")
-    off += meta_len
-    (n_blocks,) = struct.unpack_from("<I", view, off)
-    off += 4
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(n_blocks):
-        (name_len,) = struct.unpack_from("<H", view, off)
-        off += 2
-        name = bytes(view[off : off + name_len]).decode("utf-8")
-        off += name_len
-        rows, cols = struct.unpack_from("<II", view, off)
-        off += 8
-        size = rows * cols * 8
-        if off + size > len(raw):
-            raise CheckpointError(f"{path}: truncated block {name!r}")
-        arrays[name] = (
-            np.frombuffer(view[off : off + size], dtype="<f8").reshape(rows, cols).copy()
-        )
-        off += size
-    if off != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes")
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size  # writes replace a file, never edit it in place
+        magic = fh.read(4)
+        if magic != MAGIC:
+            raise CheckpointError(f"{path}: bad magic {magic!r}")
+        version, meta_len = struct.unpack("<II", fh.read(8))
+        if version != VERSION:
+            raise CheckpointError(f"{path}: unsupported version {version}")
+        try:
+            meta = json.loads(fh.read(min(meta_len, size)).decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or JSON, as in a file cut inside its meta
+            raise CheckpointError(f"{path}: unreadable meta: {exc}") from None
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{path}: meta is not a JSON object")
+        (n_blocks,) = struct.unpack("<I", fh.read(4))
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(n_blocks):
+            (name_len,) = struct.unpack("<H", fh.read(2))
+            name = fh.read(name_len).decode("utf-8")
+            rows, cols = struct.unpack("<II", fh.read(8))
+            if fh.tell() + rows * cols * 8 > size:  # a corrupt header may claim any shape
+                raise CheckpointError(f"{path}: truncated block {name!r}")
+            arrays[name] = np.empty((rows, cols), dtype="<f8")
+            fh.readinto(arrays[name])
+        if fh.tell() != size:
+            raise CheckpointError(f"{path}: {size - fh.tell()} trailing bytes")
     return arrays, meta

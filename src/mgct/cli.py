@@ -28,7 +28,8 @@ from .train import (
     CvConfig,
     TrainConfig,
     cross_validate,
-    predict,
+    evaluate,
+    predict,  # unused here; perfbench wraps it at ("cli", "predict")
     run_ablation_matrix,
     write_ablation_csv,
     write_metrics_csv,
@@ -241,6 +242,11 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """Score a checkpoint on a manifest's cohort; print C-index and AUC, write KM curves and a log-rank report.
+
+    The cohort is scored as validation is, by ``train.evaluate`` in
+    ``tape_spans`` runs, so memory stays bounded by ``train.TAPE_PATCHES``.
+    """
     arrays, meta = ckpt.load_checkpoint(args.checkpoint)
     horizon = meta.get("auc_horizon")
     if "model" not in meta or type(horizon) not in (int, float):
@@ -263,10 +269,8 @@ def cmd_eval(args) -> int:
             f"do not match checkpoint d_in={spec.d_in} and lengths {list(spec.gene_lengths)}"
         )
 
-    risks = [predict(s, arrays, spec).risk for s in dataset.samples]
+    risks, ci, auc = evaluate(dataset.samples, arrays, spec, horizon)
     labels = [survival.SurvivalLabel(s.t, s.event) for s in dataset.samples]
-    ci = survival.concordance_index(risks, labels)
-    auc = survival.binary_auc(risks, labels, horizon)
     print(f"samples: {len(labels)}")
     print(f"c-index: {ci if ci is not None else 'undefined'}")
     print(f"auc(horizon={horizon:.4g} months): {auc if auc is not None else 'undefined'}")

@@ -289,11 +289,11 @@ def evaluate(
     spec: ModelSpec,
     horizon: float,
 ) -> tuple[list[float], float | None, float | None]:
-    """Risks plus C-index and fixed-horizon AUC for a sample list.
+    """Risks plus C-index and fixed-horizon AUC for a sample list: validation and ``mgct eval``.
 
     Scores the samples untaped, in the ``tape_spans`` runs that training
-    would put on one tape; each risk is ``predict``'s for its sample, up to
-    round-off.
+    would put on one tape, binding the model once per run; each risk is
+    ``predict``'s for its sample, up to round-off.
     """
     risks: list[float] = []
     for start, stop in tape_spans([s.patches.shape[1] for s in samples], TAPE_PATCHES):

@@ -3,13 +3,14 @@
 import csv
 import json
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mgct import checkpoint, numkit as nk
+from mgct import checkpoint, cli, dataio, survival, train, numkit as nk
 from mgct.cli import SECTIONS, main, validate_config, ConfigError
-from mgct.mgct_core import AblationSpec
+from mgct.mgct_core import AblationSpec, FusionConfig, ModelSpec, init_model_arrays
 from mgct.train import TrainConfig
 
 TINY = {
@@ -342,6 +343,45 @@ class TestEvalCommand:
         assert eval_edited_checkpoint(tmp_path, dataset_dir, capsys, lambda arrays, meta: edit(arrays)) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "km").exists()  # no KM or log-rank file written
+
+    def test_windowed_eval_matches_the_per_sample_pass(self, tmp_path, monkeypatch, capsys):
+        # a cohort over several tape runs, one of them a single bag wider than the bound
+        ds = dataio.synthesize(40, d_in=5, seed=5)
+        ds.samples[17].patches = np.random.default_rng(5).standard_normal((5, train.TAPE_PATCHES + 76))
+        manifest = dataio.write_dataset(ds, tmp_path / "cohort")
+        spans = train.tape_spans([s.patches.shape[1] for s in ds.samples], train.TAPE_PATCHES)
+        assert len(spans) >= 3 and (17, 18) in spans
+        spec = ModelSpec(
+            d_in=5, gene_lengths=tuple(ds.gene_lengths), snn_hidden=8, fusion=FusionConfig(**TINY["model"])
+        )
+        arrays = init_model_arrays(spec, seed=5, head_init="xavier")
+        labels = [survival.SurvivalLabel(s.t, s.event) for s in ds.samples]
+        fold = SimpleNamespace(
+            spec=spec, bin_edges=survival.time_bin_edges(labels, spec.fusion.bins), auc_horizon=24.0, fold=0
+        )
+        ckpt = tmp_path / "model.ckpt"
+        checkpoint.save_checkpoint(ckpt, arrays, cli.checkpoint_meta(fold, ds))
+        scored = []
+
+        def recording_evaluate(*args):
+            scored.append(train.evaluate(*args))
+            return scored[-1]
+
+        monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+
+        def run(name):
+            km = tmp_path / name / "km"
+            assert main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest), "--km-out", str(km)]) == 0
+            parts = ("low.csv", "high.csv", "logrank.json")
+            return capsys.readouterr().out, [(km.parent / f"km_{part}").read_bytes() for part in parts]
+
+        windowed = run("windowed")
+        monkeypatch.setattr(train, "TAPE_PATCHES", 1)  # every sample a run of its own
+        assert run("per_sample") == windowed
+        loaded = cli.load_dataset(cli.DatasetConfig(str(manifest)))
+        expected = [train.predict(s, arrays, spec).risk for s in loaded.samples]
+        np.testing.assert_allclose(scored[0][0], expected, rtol=0, atol=1e-12)
+        assert scored[1][0] == expected
 
 
 class TestVerifyCommand:

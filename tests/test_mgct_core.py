@@ -1,6 +1,10 @@
 """Fusion architecture tests: attention, pooling, layers, the two-stage
 pipeline, the classifier head, ablation wiring, and checkpoints."""
 
+import os
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -426,6 +430,48 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+    def test_every_truncated_prefix_raises(self, tmp_path):
+        spec = tiny_spec()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_model_arrays(spec, seed=9, head_init="xavier"), {"model": spec.to_dict()})
+        for cut in reversed(range(path.stat().st_size)):
+            os.truncate(path, cut)
+            try:  # any other exception fails the test
+                load_checkpoint(path)
+            except (CheckpointError, struct.error):
+                continue
+            pytest.fail(f"a {cut}-byte prefix loaded")
+
+    def test_huge_block_header_is_truncated_not_allocated(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, {"w": np.ones((2, 2))}, {})
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-40] + struct.pack("<II", 2**31, 2**31) + raw[-32:])  # rows, cols of "w"
+        with pytest.raises(CheckpointError, match="truncated block 'w'"):
+            load_checkpoint(path)
+
+    def test_trailing_byte(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, {"w": np.ones((2, 2))}, {})
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="1 trailing bytes"):
+            load_checkpoint(path)
+
+    def test_load_holds_no_copy_of_the_file(self, tmp_path):
+        rng = np.random.default_rng(4)
+        arrays = {f"b{i}": rng.standard_normal((rows, 96)) for i, rows in enumerate((512, 1, 64, 256, 3))}
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, arrays, {"note": 1})
+        tracemalloc.start()
+        try:
+            loaded, _ = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        total = sum(a.nbytes for a in loaded.values())
+        assert total == sum(a.nbytes for a in arrays.values())
+        assert peak < 1.2 * total
 
 
 class TestWindowLayout:
