@@ -16,6 +16,7 @@ in memory.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import struct
@@ -186,6 +187,15 @@ def write_manifest(path, descriptors: list[SampleDescriptor]) -> None:
             writer.writerow([d.sample_id, str(d.bag_path), repr(d.t), d.event, str(d.genomic_path)])
 
 
+def _utf8_text(path: Path, what: str) -> io.StringIO:
+    """The text of ``path``, read as UTF-8 into an in-memory file; other bytes raise ``IngestError``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return io.StringIO(fh.read(), newline="")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: {what} is not UTF-8: {exc}") from None
+
+
 def read_manifest(path) -> list[SampleDescriptor]:
     """Parse a manifest into descriptors; paths resolve relative to the manifest."""
     path = Path(path)
@@ -194,7 +204,7 @@ def read_manifest(path) -> list[SampleDescriptor]:
     base = path.parent
     out: list[SampleDescriptor] = []
     seen: set[str] = set()
-    with open(path, newline="") as fh:
+    with _utf8_text(path, "manifest") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -242,7 +252,7 @@ def read_genomic_csv(path) -> dict[str, float]:
     if not path.is_file():
         raise IngestError(f"genomic file not found: {path}")
     out: dict[str, float] = {}
-    with open(path, newline="") as fh:
+    with _utf8_text(path, "genomic table") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["gene", "value"]:

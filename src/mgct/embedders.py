@@ -10,6 +10,7 @@ run on a batch of samples at once, their vectors stacked as columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,10 +25,9 @@ def xavier_uniform(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def _leaves(arrays: dict, prefix: str, *names: str) -> list[nk.Tensor]:
-    """``arrays["prefix.name"]`` for each name: tape leaves pass through, raw arrays stay untaped."""
-    found = [arrays[f"{prefix}.{n}"] for n in names]
-    return [a if isinstance(a, nk.Tensor) else nk.Tensor(a) for a in found]
+def _leaves(arrays: dict, names) -> list[nk.Tensor]:
+    """``arrays[name]`` for each name: tape leaves pass through, raw arrays stay untaped."""
+    return [a if isinstance(a, nk.Tensor) else nk.Tensor(a) for a in map(arrays.__getitem__, names)]
 
 
 def affine(w: nk.Tensor, x: nk.Tensor, b: nk.Tensor) -> nk.Tensor:
@@ -75,9 +75,14 @@ def init_arrays(layout, rng: np.random.Generator) -> dict[str, np.ndarray]:
     return {name: xavier_uniform(*shape, rng) if drawn else np.zeros(shape) for name, shape, drawn in layout}
 
 
-def bind_snn(arrays: dict[str, np.ndarray], n_categories: int) -> SnnParams:
+@lru_cache(maxsize=16)
+def _snn_names(n_categories: int) -> tuple[tuple[str, ...], ...]:
     names = ("w1", "b1", "w2", "b2", "w_out", "b_out")  # in SnnCategoryParams field order
-    return SnnParams([SnnCategoryParams(*_leaves(arrays, f"snn.c{s}", *names)) for s in range(n_categories)])
+    return tuple(tuple(f"snn.c{s}.{n}" for n in names) for s in range(n_categories))
+
+
+def bind_snn(arrays: dict[str, np.ndarray], n_categories: int) -> SnnParams:
+    return SnnParams([SnnCategoryParams(*_leaves(arrays, names)) for names in _snn_names(n_categories)])
 
 
 def patch_proj_layout(d_in: int, d: int):
@@ -87,7 +92,7 @@ def patch_proj_layout(d_in: int, d: int):
 
 
 def bind_patch_proj(arrays: dict[str, np.ndarray]) -> PatchProjParams:
-    return PatchProjParams(*_leaves(arrays, "patch", "w", "b"))
+    return PatchProjParams(*_leaves(arrays, ("patch.w", "patch.b")))
 
 
 def embed_genomics(

@@ -19,14 +19,17 @@ def finite_difference(
 ) -> dict[str, np.ndarray]:
     """Central-difference gradient of ``f`` at ``params``, entry by entry, with step ``STEP``.
 
-    ``f`` must be deterministic (fix any dropout keys before calling).
+    ``f`` must be deterministic (fix any dropout keys before calling). The
+    oracle copies ``params`` once, as float64, and hands ``f`` that same dict
+    of working arrays on every call, moving one entry at a time in place and
+    restoring it before the next; ``params`` itself is never written. So
+    ``f`` may wrap the working arrays once and read them on every call, and
+    nothing ``f`` reaches may cache a result on an array's identity.
     """
-    work = dict(params)
+    work = {name: np.array(arr, dtype=np.float64, order="C") for name, arr in params.items()}
     grads: dict[str, np.ndarray] = {}
-    for name, arr in params.items():
-        pert = np.array(arr, dtype=np.float64, copy=True)
-        work[name] = pert
-        flat = pert.ravel()
+    for name, arr in work.items():
+        flat = arr.reshape(-1)
         g = np.empty_like(flat)
         for i in range(flat.size):
             orig = flat[i]
@@ -36,7 +39,6 @@ def finite_difference(
             down = f(work)
             flat[i] = orig
             g[i] = (up - down) / (2.0 * STEP)
-        work[name] = arr
         grads[name] = g.reshape(arr.shape)
     return grads
 

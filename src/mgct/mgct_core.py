@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -528,17 +529,25 @@ def init_model_arrays(spec: ModelSpec, seed, head_init: str = "zeros") -> dict[s
     return init_arrays(model_layout(spec, head_init), np.random.default_rng(seed))
 
 
-def _bind_layer(
-    arrays: dict[str, np.ndarray], prefix: str, stage_final: bool, spec: ModelSpec
-) -> MgctLayerParams:
-    layer = MgctLayerParams(mgca=None, pool=None, mlp=None)
-    if spec.ablation.mgca:
-        layer.mgca = MgcaParams(*_leaves(arrays, f"{prefix}.attn", "wq", "wk", "wv"), heads=spec.fusion.heads)
-    if stage_final and spec.ablation.gap:
-        layer.pool = GatedPoolParams(*_leaves(arrays, f"{prefix}.pool", "v", "u", "w"))
-    if spec.ablation.feedforward:
-        layer.mlp = MlpParams(*_leaves(arrays, f"{prefix}.mlp", "w_in", "b_in", "w_out", "b_out"))
-    return layer
+@lru_cache(maxsize=16)
+def _bind_plan(spec: ModelSpec):
+    """The fusion and head block names ``bind_model`` reads: (stacks, head names).
+
+    The four stacks come in ``FusionParams`` field order, each a tuple of
+    layers; a layer is its (attn, pool, mlp) name groups, None where the
+    spec has none. A group lists its names in ``model_layout`` order, which
+    is its parameter class's field order. Memoized on the frozen spec, so a
+    bind formats no names.
+    """
+    groups: dict[str, tuple[str, ...]] = {}
+    for name, _, _ in model_layout(spec):
+        group = name.rpartition(".")[0]
+        groups[group] = groups.get(group, ()) + (name,)
+    stacks: dict[str, list] = {"s1.gh": [], "s1.hg": [], "s2.fh": [], "s2.hf": []}
+    for prefix, _ in _layer_names(spec.fusion, spec.ablation):
+        layer = tuple(groups.get(f"{prefix}.{part}") for part in ("attn", "pool", "mlp"))
+        stacks[prefix.rpartition(".")[0]].append(layer)
+    return tuple(map(tuple, stacks.values())), groups["head"]
 
 
 def bind_model(arrays: dict[str, np.ndarray], spec: ModelSpec) -> MgctParams:
@@ -547,25 +556,24 @@ def bind_model(arrays: dict[str, np.ndarray], spec: ModelSpec) -> MgctParams:
     Tape leaves are kept as they are, so a forward pass over the tree is
     taped exactly when ``arrays`` holds tape leaves; raw arrays stay untaped.
     """
-    layers = {
-        prefix: _bind_layer(arrays, prefix, stage_final, spec)
-        for prefix, stage_final in _layer_names(spec.fusion, spec.ablation)
-    }
+    stacks, head = _bind_plan(spec)
+    heads = spec.fusion.heads
 
-    def stack(name: str, depth: int) -> list[MgctLayerParams]:
-        return [layers[f"{name}.{i}"] for i in range(depth)]
+    def layers(stack) -> list[MgctLayerParams]:
+        return [
+            MgctLayerParams(
+                mgca=attn and MgcaParams(*_leaves(arrays, attn), heads=heads),
+                pool=pool and GatedPoolParams(*_leaves(arrays, pool)),
+                mlp=mlp and MlpParams(*_leaves(arrays, mlp)),
+            )
+            for attn, pool, mlp in stack
+        ]
 
-    fusion = FusionParams(
-        stage1_gh=stack("s1.gh", spec.fusion.s1),
-        stage1_hg=stack("s1.hg", spec.fusion.s1),
-        stage2_fh=stack("s2.fh", spec.fusion.s2) if spec.ablation.deep_fusion else [],
-        stage2_hf=stack("s2.hf", spec.fusion.s2) if spec.ablation.deep_fusion else [],
-    )
     return MgctParams(
         snn=bind_snn(arrays, len(spec.gene_lengths)),
         patch=bind_patch_proj(arrays),
-        fusion=fusion,
-        head=HeadParams(*_leaves(arrays, "head", "w", "b")),
+        fusion=FusionParams(*map(layers, stacks)),
+        head=HeadParams(*_leaves(arrays, head)),
     )
 
 

@@ -5,9 +5,12 @@ flat tape of primitive nodes; ``backward`` walks the tape once, in reverse,
 and returns a gradient for every leaf. It spends the tape: each non-leaf
 node is dropped once pulled, freeing the activations its closure holds, and
 a spent tape cannot be walked again. One tape records one loss, such as the
-summed loss of several training samples (one writer). Tensors are treated
-as immutable once constructed. When no operand is on a tape an op just
-computes, recording nothing.
+summed loss of several training samples (one writer). Ops never write to
+their operands and nothing caches on an array's identity, so Tensors are
+immutable once built, with one exception: the finite-difference oracle
+(``gradcheck``) perturbs its own working arrays in place between untaped
+forward calls. When no operand is on a tape an op just computes, recording
+nothing.
 
 Shapes in comments use the convention ``(rows, cols)``.
 """
@@ -211,7 +214,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    out = a.data.dot(b.data)  # same product as ``@``, about 1 us less per call
     tape = _tape_of(a, b)
     if tape is None:
         return _wrap(out)
@@ -350,13 +353,11 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # evaluate on the non-overflowing branch for each sign
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, both from
+    # e = exp(-|x|), which never overflows (``minimum`` keeps a NaN's sign)
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _elu(x: np.ndarray) -> np.ndarray:
@@ -529,9 +530,9 @@ def split(a: Tensor, sizes: Iterable[int], axis: str) -> list[Tensor]:
 # spans columns offsets[b] .. offsets[b + 1] - 1)
 #
 # A single untaped segment (a one-sample forward, such as ``predict``) takes
-# plain 2-D products instead: the padded-block layout costs a few
-# microseconds of reshapes per call, and a one-sample pass makes 14 such
-# calls. The two routes agree to round-off.
+# plain 2-D products instead, one per attention head: the padded-block
+# layout costs a few microseconds of reshapes per call, and a one-sample
+# pass makes 14 such calls. The two routes agree to round-off.
 
 
 class _Segments:
@@ -675,11 +676,12 @@ def segment_attention(
     inv = 1.0 / math.sqrt(d // heads)
     _tape_of(q, k)  # raises for operands on different tapes
     tape = _tape_of(v, q if q.tape is not None else k)
-    if qs.sizes.size == 1 and heads == 1 and tape is None:
-        weights = _softmax((q.data.T @ k.data) * inv, 1)  # one untaped segment: 2-D products
+    if qs.sizes.size == 1 and tape is None:  # one untaped segment: per-head 2-D products
+        qh, kh, vh = (x.data.reshape(heads, d // heads, x.cols) for x in (q, k, v))
+        weights = _softmax((qh.transpose(0, 2, 1) @ kh) * inv, 2)  # (heads, m, n)
         if sink is not None:
-            sink.append(weights)
-        return _wrap(v.data @ weights.T)
+            sink.extend(weights)
+        return _wrap((vh @ weights.transpose(0, 2, 1)).reshape(d, q.cols))
     qb, kb, vb = qs.blocks(q.data, heads), cs.blocks(k.data, heads), cs.blocks(v.data, heads)
     scores = (qb @ kb.swapaxes(2, 3)) * inv  # (B, heads, m, n)
     if cs.valid is not None:

@@ -42,14 +42,22 @@ def gradient_error(build, params) -> tuple[float, str]:
 
     ``build(tensors) -> 1x1 tensor`` runs once on ``params`` registered as tape
     leaves, whose loss is backpropagated, and then on untaped tensors for every
-    finite-difference evaluation. Returns (max relative error, its parameter).
+    finite-difference evaluation. Those tensors wrap the oracle's working
+    arrays, built once per sweep: the oracle perturbs the arrays in place.
+    Returns (max relative error, its parameter).
     """
     tape = nk.Tape()
     leaves = {k: tape.leaf(v) for k, v in params.items()}
     grads = nk.backward(build(leaves), tape)
     analytic = {k: grads[v] for k, v in leaves.items()}
-    numeric = finite_difference(lambda p: build({k: nk.Tensor(v) for k, v in p.items()}).item(), params)
-    return max_relative_error(analytic, numeric)
+    tensors: dict[str, nk.Tensor] = {}
+
+    def loss(work) -> float:
+        if not tensors:  # ``work`` is the same dict of arrays on every call
+            tensors.update((k, nk.Tensor(v)) for k, v in work.items())
+        return build(tensors).item()
+
+    return max_relative_error(analytic, finite_difference(loss, params))
 
 
 def _check_op_gradient(build) -> tuple[bool, str]:

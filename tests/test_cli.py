@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -188,6 +189,12 @@ class TestConfigValidation:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
 
+    def test_non_utf8_config_names_the_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"train": {"epochs": 1}, "dataset": {"manifest": "\xff.csv"}}')
+        with pytest.raises(ConfigError, match=re.escape(f"config {path} is not UTF-8")):
+            cli.load_config(path)
+
     @pytest.mark.parametrize("content", [b"{not json", b'{"Tumor Suppression": ["\xff"]}'])
     def test_malformed_category_map_exits_2_naming_it(self, tmp_path, dataset_dir, capsys, content):
         cmap = dataset_dir / "category_map.json"
@@ -294,6 +301,21 @@ class TestEvalCommand:
             assert all(a >= b for a, b in zip(survs, survs[1:]))
         report = json.loads((km.parent / "curves_logrank.json").read_text())
         assert set(report) >= {"statistic", "p_value", "n_low", "n_high"}
+
+    @pytest.mark.parametrize("target", ["manifest", "genomic table"])
+    def test_non_utf8_input_exits_2_naming_the_file(self, tmp_path, dataset_dir, capsys, target):
+        cfg = write_config(tmp_path, dataset_dir)
+        runs = tmp_path / "runs"
+        assert main(["train", "--config", cfg, "--out", str(runs)]) == 0
+        manifest = dataset_dir / "manifest.csv"
+        path = manifest if target == "manifest" else dataio.read_manifest(manifest)[3].genomic_path
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        capsys.readouterr()
+        km = tmp_path / "km" / "x"
+        argv = ["eval", "--checkpoint", str(run_dirs(runs)[0] / "fold_0.ckpt"), "--manifest", str(manifest)]
+        assert main(argv + ["--km-out", str(km)]) == 2
+        assert f"error: {path}: {target} is not UTF-8" in capsys.readouterr().err
+        assert not km.parent.exists()
 
     def test_shape_mismatch_exits_2(self, tmp_path, dataset_dir, capsys):
         cfg = write_config(tmp_path, dataset_dir)

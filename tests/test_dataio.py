@@ -1,5 +1,7 @@
 """Ingest, file formats, synthesis, and split tests."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
@@ -117,6 +119,12 @@ class TestManifest:
         with pytest.raises(IngestError, match="bad header"):
             read_manifest(path)
 
+    def test_non_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_bytes(b"sample_id,bag_path,t_months,event,genomic_path\n\xff,a.bag,1.5,1,a.csv\n")
+        with pytest.raises(IngestError, match=re.escape(f"{path}: manifest is not UTF-8")):
+            read_manifest(path)
+
     def test_roundtrip_identity(self, tmp_path):
         descs = [
             SampleDescriptor("a", tmp_path / "bags/a.bag", 3.25, 1, tmp_path / "gen/a.csv"),
@@ -175,6 +183,12 @@ class TestGenomicsGrouping:
         path = tmp_path / "g.csv"
         path.write_text("gene,value\ntp53,1.0\ntp53,2.0\n")
         with pytest.raises(IngestError, match="duplicate gene"):
+            read_genomic_csv(path)
+
+    def test_genomic_csv_non_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_bytes(b"gene,value\ntp53,1.0\n\xffkras,2.0\n")
+        with pytest.raises(IngestError, match=re.escape(f"{path}: genomic table is not UTF-8")):
             read_genomic_csv(path)
 
     def test_category_map_roundtrip(self, tmp_path):

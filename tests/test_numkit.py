@@ -456,12 +456,12 @@ def test_segment_attention_property(layout, seed):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    m=st.integers(1, 33), n=st.integers(1, 33), heads=st.sampled_from([1, 2]), seed=st.integers(0, 2**31 - 1)
+    m=st.integers(1, 33), n=st.integers(1, 33), heads=st.sampled_from([1, 2, 4]), seed=st.integers(0, 2**31 - 1)
 )
 def test_one_segment_is_the_unsegmented_formula(m, n, heads, seed):
-    # untaped operands take the 2-D route, taped ones the padded-block route: both must match
+    # untaped operands take the per-head 2-D route, taped ones the padded-block route: both must match
     rng = np.random.default_rng(seed)
-    d = 4
+    d = 8
     x, row = nk.Tensor(rng.uniform(-3, 3, (d, n))), nk.Tensor(rng.uniform(-3, 3, (1, n)))
     q, k, v = (nk.Tensor(rng.uniform(-2, 2, (d, c))) for c in (m, n, n))
     alpha = nk.softmax_rows(row)
@@ -472,12 +472,34 @@ def test_one_segment_is_the_unsegmented_formula(m, n, heads, seed):
         weights = nk.softmax_rows(nk.scale(nk.matmul(nk.transpose(qi), ki), 1 / np.sqrt(d_k)))
         heads_out.append(nk.matmul(vi, nk.transpose(weights)).data)
     tape = nk.Tape()
+    sinks = []
     for t in (x, row, q, k, v), tuple(tape.leaf(t.data) for t in (x, row, q, k, v)):
         tx, trow, tq, tk, tv = t
         np.testing.assert_allclose(nk.segment_softmax(trow, [0, n]).data, alpha.data, rtol=0, atol=1e-12)
         np.testing.assert_allclose(nk.segment_sum(tx, [0, n], alpha).data, pooled.data, rtol=0, atol=1e-12)
-        out = nk.segment_attention(tq, tk, tv, [0, m], [0, n], heads)
+        sinks.append([])
+        out = nk.segment_attention(tq, tk, tv, [0, m], [0, n], heads, sink=sinks[-1])
         np.testing.assert_allclose(out.data, np.vstack(heads_out), rtol=0, atol=1e-12)
+    untaped, taped = sinks
+    assert len(untaped) == len(taped) == heads
+    for w_untaped, w_taped in zip(untaped, taped):  # head by head
+        assert w_untaped.shape == w_taped.shape == (m, n)
+        np.testing.assert_allclose(w_untaped, w_taped, rtol=0, atol=1e-12)
+
+
+def test_sigmoid_is_bitwise_the_two_branch_formula():
+    def two_branch(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    edges = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan]
+    grid = np.concatenate([edges, np.linspace(-40.0, 40.0, 1000), np.geomspace(1e-20, 750.0, 200)])
+    for x in (grid.reshape(1, -1), grid.reshape(-1, 1), np.concatenate([grid, -grid]).reshape(-1, 8)):
+        assert nk.sigmoid(nk.Tensor(x)).data.tobytes() == two_branch(x).tobytes()
 
 
 @pytest.mark.parametrize("offsets", [[0, 2, 2, 5], [1, 5], [0, 4], [0.0, 5.0], [[0, 5]], [0], []])
