@@ -531,13 +531,11 @@ def init_model_arrays(spec: ModelSpec, seed, head_init: str = "zeros") -> dict[s
 
 @lru_cache(maxsize=16)
 def _bind_plan(spec: ModelSpec):
-    """The fusion and head block names ``bind_model`` reads: (stacks, head names).
+    """(stacks, head names): the fusion and head block names ``bind_model`` reads.
 
-    The four stacks come in ``FusionParams`` field order, each a tuple of
-    layers; a layer is its (attn, pool, mlp) name groups, None where the
-    spec has none. A group lists its names in ``model_layout`` order, which
-    is its parameter class's field order. Memoized on the frozen spec, so a
-    bind formats no names.
+    The stacks come in ``FusionParams`` field order, each a tuple of layers'
+    (attn, pool, mlp) name groups, None where the spec has none; a group keeps
+    ``model_layout`` order, its class's field order. Memoized per frozen spec.
     """
     groups: dict[str, tuple[str, ...]] = {}
     for name, _, _ in model_layout(spec):

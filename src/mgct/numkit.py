@@ -354,10 +354,14 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, both from
-    # e = exp(-|x|), which never overflows (``minimum`` keeps a NaN's sign)
-    e = np.exp(np.minimum(x, -x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    # e = exp(-|x|), which never overflows (``minimum`` keeps a NaN's sign);
+    # in place, since on a large gate fresh temporaries cost more than the math
+    e = np.minimum(x, -x)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
 def _elu(x: np.ndarray) -> np.ndarray:
