@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -251,8 +252,8 @@ def cmd_eval(args) -> int:
     """
     arrays, meta = ckpt.load_checkpoint(args.checkpoint)
     horizon = meta.get("auc_horizon")
-    if "model" not in meta or type(horizon) not in (int, float):
-        raise ckpt.CheckpointError(f"{args.checkpoint}: meta needs a model and a numeric auc_horizon")
+    if "model" not in meta or type(horizon) not in (int, float) or not 0 < horizon < math.inf:
+        raise ckpt.CheckpointError(f"{args.checkpoint}: meta needs a model and a finite positive auc_horizon")
     spec = ModelSpec.from_dict(meta["model"])
     shapes = {name: shape for name, shape, _ in model_layout(spec)}  # draws nothing
     problems = [f"missing block {name!r}" for name in shapes if name not in arrays]
@@ -265,6 +266,8 @@ def cmd_eval(args) -> int:
     if problems:
         raise ckpt.CheckpointError(f"{args.checkpoint}: " + "; ".join(problems))
     dataset = load_dataset(DatasetConfig(args.manifest, args.category_map or ""))
+    if len(dataset.samples) < 2:
+        raise dataio.IngestError(f"{args.manifest}: eval needs at least 2 samples to split into risk groups, got 1")
     if (dataset.d_in, tuple(dataset.gene_lengths)) != (spec.d_in, spec.gene_lengths):
         raise ckpt.CheckpointError(
             f"manifest bag width d_in={dataset.d_in} and genomic category lengths {dataset.gene_lengths} "
@@ -286,23 +289,29 @@ def cmd_eval(args) -> int:
         path = out_prefix.parent / f"{out_prefix.name}_{name}.csv"
         with open(path, "w", newline="") as fh:
             fh.write("time,survival\n")
-            for t, s in survival.kaplan_meier(group):
+            for t, s in survival.kaplan_meier(group) if group else ():  # an empty group: header only
                 fh.write(f"{t!r},{s!r}\n")
-    result = survival.logrank_test(low, high)
+    if low and high:
+        result = survival.logrank_test(low, high)
+        statistic, p_value = result.statistic, result.p_value
+    else:  # ties at the median go low, so a constant risk leaves the high group empty
+        statistic = p_value = None
     report = {
         "n_low": len(low),
         "n_high": len(high),
-        "statistic": result.statistic,
-        "p_value": result.p_value,
-        "defined": result.defined,
+        "statistic": statistic,
+        "p_value": p_value,
+        "defined": statistic is not None,
     }
     (out_prefix.parent / f"{out_prefix.name}_logrank.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
-    if result.defined:
-        print(f"log-rank: statistic={result.statistic:.6g} p={result.p_value:.6g}")
-    else:
+    if statistic is not None:
+        print(f"log-rank: statistic={statistic:.6g} p={p_value:.6g}")
+    elif low and high:
         print("log-rank: undefined (no events)")
+    else:
+        print("log-rank: undefined (one risk group is empty)")
     return EXIT_OK
 
 

@@ -158,6 +158,8 @@ def write_bag(path, patches: np.ndarray) -> None:
 def read_bag(path) -> np.ndarray:
     """Read a bag file back into a (d_in, n) float64 array."""
     path = Path(path)
+    if not path.is_file():
+        raise IngestError(f"bag file not found: {path}")
     raw = path.read_bytes()
     if len(raw) < _BAG_HEADER.size:
         raise FormatError(f"{path}: truncated header")

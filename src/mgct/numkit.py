@@ -9,8 +9,8 @@ summed loss of several training samples (one writer). Ops never write to
 their operands and nothing caches on an array's identity, so Tensors are
 immutable once built, with one exception: the finite-difference oracle
 (``gradcheck``) perturbs its own working arrays in place between untaped
-forward calls. When no operand is on a tape an op just computes, recording
-nothing.
+forward calls (each process of a split sweep its own copy of them). When
+no operand is on a tape an op just computes, recording nothing.
 
 Shapes in comments use the convention ``(rows, cols)``.
 """

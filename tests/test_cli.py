@@ -2,14 +2,19 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+import time
 from dataclasses import asdict
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mgct import checkpoint, cli, dataio, survival, train, numkit as nk
+from mgct import checkpoint, cli, dataio, survival, train, verify, numkit as nk
 from mgct.cli import SECTIONS, main, validate_config, ConfigError
 from mgct.mgct_core import AblationSpec, FusionConfig, ModelSpec, init_model_arrays
 from mgct.train import TrainConfig
@@ -366,6 +371,58 @@ class TestEvalCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "km").exists()  # no KM or log-rank file written
 
+    @pytest.mark.parametrize("horizon", [0, -1, float("nan"), float("inf"), -float("inf")])
+    def test_bad_horizon_exits_2_before_scoring(self, tmp_path, dataset_dir, capsys, horizon):
+        def edit(arrays, meta):
+            meta["auc_horizon"] = horizon
+
+        assert eval_edited_checkpoint(tmp_path, dataset_dir, capsys, edit) == 2
+        captured = capsys.readouterr()
+        assert "finite positive auc_horizon" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "km").exists()
+
+    @pytest.mark.parametrize("defect", ["one sample", "missing bag"])
+    def test_bad_cohort_exits_2_before_scoring(self, tmp_path, dataset_dir, capsys, defect):
+        cfg = write_config(tmp_path, dataset_dir)
+        runs = tmp_path / "runs"
+        assert main(["train", "--config", cfg, "--out", str(runs)]) == 0
+        manifest = dataset_dir / "manifest.csv"
+        if defect == "one sample":
+            manifest.write_text("".join(manifest.read_text().splitlines(keepends=True)[:2]))
+            message = f"{manifest}: eval needs at least 2 samples"
+        else:
+            bag = dataio.read_manifest(manifest)[5].bag_path
+            bag.unlink()
+            message = f"bag file not found: {bag}"
+        capsys.readouterr()
+        km = tmp_path / "km" / "x"
+        argv = ["eval", "--checkpoint", str(run_dirs(runs)[0] / "fold_0.ckpt"), "--manifest", str(manifest)]
+        assert main(argv + ["--km-out", str(km)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
+        assert not km.parent.exists()
+
+    def test_constant_risks_leave_the_log_rank_undefined(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--n", "30", "--seed", "3", "--d-in", "5"]) == 0
+        cfg = write_config(tmp_path, data, train={"epochs": 0})  # the head stays zero: every risk is equal
+        runs = tmp_path / "runs"
+        assert main(["train", "--config", cfg, "--out", str(runs)]) == 0
+        capsys.readouterr()
+        km = tmp_path / "km" / "x"
+        ckpt = run_dirs(runs)[0] / "fold_0.ckpt"
+        argv = ["eval", "--checkpoint", str(ckpt), "--manifest", str(data / "manifest.csv"), "--km-out", str(km)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "samples: 30"
+        assert out[-1] == "log-rank: undefined (one risk group is empty)"
+        assert (km.parent / "x_high.csv").read_text() == "time,survival\n"
+        assert len((km.parent / "x_low.csv").read_text().splitlines()) > 2
+        report = json.loads((km.parent / "x_logrank.json").read_text())
+        assert report == {"n_low": 30, "n_high": 0, "statistic": None, "p_value": None, "defined": False}
+
     def test_windowed_eval_matches_the_per_sample_pass(self, tmp_path, monkeypatch, capsys):
         # a cohort over several tape runs, one of them a single bag wider than the bound
         ds = dataio.synthesize(40, d_in=5, seed=5)
@@ -407,14 +464,26 @@ class TestEvalCommand:
 
 
 class TestVerifyCommand:
-    def test_clean_build_passes_quickly(self, capsys):
-        import time
-
+    def test_clean_build_passes_quickly(self):
+        # a child process with piped stdout, its sweep cut in three shares even on a one-CPU host:
+        # the line left unflushed before the sweep must not be written again by a forked share
+        script = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "from mgct.cli import main\n"
+            "print('before the sweep')\n"
+            "sys.exit(main(['verify']))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         start = time.monotonic()
-        assert main(["verify"]) == 0
+        proc = subprocess.run([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env, timeout=120)
         assert time.monotonic() - start < 60.0
-        out = capsys.readouterr().out
-        assert "all" in out and "passed" in out
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "before the sweep" and lines.count("before the sweep") == 1
+        assert [line.split()[:2] for line in lines[1:-1]] == [["PASS", name] for name, _ in verify.ALL_CHECKS]
+        assert lines[-1] == f"all {len(verify.ALL_CHECKS)} checks passed"
 
     def test_injected_tanh_fault_detected(self, capsys, monkeypatch):
         fwd, deriv = nk.ELEMENTWISE_KINDS["tanh"]

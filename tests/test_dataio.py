@@ -1,9 +1,12 @@
 """Ingest, file formats, synthesis, and split tests."""
 
+import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from mgct import dataio
@@ -67,6 +70,10 @@ class TestBagFormat:
         write_bag(path, arr)
         with pytest.raises(FormatError, match="non-finite"):
             read_bag(path)
+
+    def test_missing_file_names_it(self, tmp_path):
+        with pytest.raises(IngestError, match=re.escape(f"bag file not found: {tmp_path / 'x.bag'}")):
+            read_bag(tmp_path / "x.bag")
 
     def test_patch_major_layout(self, tmp_path):
         # column j must be contiguous in the payload
@@ -331,3 +338,53 @@ class TestMonteCarloSplits:
     def test_bad_ratio(self):
         with pytest.raises(ValueError, match="ratio"):
             monte_carlo_splits(["a", "b", "c"], 1, ratio=1.5, seed=0)
+
+
+# arbitrary bytes, CSV text after a valid header (so that the rows are parsed too) and JSON documents
+CSV_FIELD = st.text(st.sampled_from('ab01.-+einf"\r \x00\u00e9'), max_size=4)
+CSV_TEXT = (
+    st.text(st.sampled_from('ab01.-+einf,"\n\r \x00\u00e9'), max_size=120)
+    | st.lists(st.lists(CSV_FIELD, min_size=1, max_size=6).map(",".join), max_size=4).map("\n".join)
+).map(str.encode)
+NAMES = st.text(st.sampled_from("ab\u00e9"), max_size=2)  # short names, so that genes repeat
+CATEGORY_DOCS = st.dictionaries(
+    NAMES, st.lists(NAMES, max_size=3) | st.lists(st.integers(), max_size=2) | st.none(), max_size=4
+) | st.lists(NAMES, max_size=2) | st.integers()
+READER_INPUTS = {
+    "bag": (
+        read_bag,
+        FormatError,
+        st.binary(max_size=64)
+        | st.builds(
+            lambda d_in, n, payload: dataio._BAG_HEADER.pack(dataio.BAG_MAGIC, d_in, n, 0) + payload,
+            st.integers(0, 4), st.integers(0, 4), st.binary(max_size=80),
+        ),
+    ),
+    "manifest": (
+        read_manifest,
+        IngestError,
+        st.binary(max_size=120) | CSV_TEXT.map(lambda b: b"sample_id,bag_path,t_months,event,genomic_path\n" + b),
+    ),
+    "genomic": (read_genomic_csv, IngestError, st.binary(max_size=120) | CSV_TEXT.map(lambda b: b"gene,value\n" + b)),
+    "category map": (
+        read_category_map,
+        IngestError,
+        st.binary(max_size=120) | CATEGORY_DOCS.map(lambda v: json.dumps(v).encode()),
+    ),
+}
+
+
+class TestReadersOnArbitraryBytes:
+    """Whatever a file holds, each reader loads it or raises its module's named error."""
+
+    @pytest.mark.parametrize("kind", list(READER_INPUTS))
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_loads_or_raises_its_named_error(self, tmp_path, kind, data):
+        reader, error, contents = READER_INPUTS[kind]
+        path = tmp_path / "input"
+        path.write_bytes(data.draw(contents))
+        try:
+            reader(path)
+        except error:
+            pass
