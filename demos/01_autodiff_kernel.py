@@ -15,7 +15,8 @@ rng = np.random.default_rng(0)
 x = nk.Tensor(rng.standard_normal((3, 4)))
 w = nk.Tensor(rng.standard_normal((4, 2)))
 print("x @ w ->", nk.matmul(x, w).shape)
-print("softmax rows sum to:", nk.softmax_rows(x).data.sum(axis=1))
+soft = nk.segment_softmax(x, [0, 1, 4])  # softmax over column 0, and over columns 1-3, of each row
+print("segment softmax sums, per row:", soft.data[:, :1].sum(axis=1), soft.data[:, 1:].sum(axis=1))
 
 # --- the same expression, recorded -------------------------------------------
 tape = nk.Tape()

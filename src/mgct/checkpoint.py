@@ -71,7 +71,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise CheckpointError(f"{path}: unsupported version {version}")
         try:
             meta = json.loads(fh.read(min(meta_len, size)).decode("utf-8"))
-        except ValueError as exc:  # bad UTF-8 or JSON, as in a file cut inside its meta
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON (a cut file), or nested too deeply
             raise CheckpointError(f"{path}: unreadable meta: {exc}") from None
         if not isinstance(meta, dict):
             raise CheckpointError(f"{path}: meta is not a JSON object")

@@ -90,7 +90,7 @@ def load_config(path) -> tuple[dict, set[str]]:
         raise ConfigError(f"config file not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply to decode
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return validate_config(doc)
 

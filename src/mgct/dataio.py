@@ -25,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .mgct_core import Config, ranged
+
 BAG_MAGIC = b"MGCB"
 _BAG_HEADER = struct.Struct("<4sIII")
 
@@ -64,10 +66,10 @@ class BagSample:
     event: int  # 1 = death observed, 0 = censored
 
     def __post_init__(self):
-        if self.patches.ndim != 2 or self.patches.shape[1] < 1:
-            raise IngestError(f"{self.sample_id}: bag must be (d_in, n>=1)")
-        if self.t <= 0:
-            raise IngestError(f"{self.sample_id}: survival time must be positive")
+        if self.patches.ndim != 2 or min(self.patches.shape) < 1:
+            raise IngestError(f"{self.sample_id}: bag must be (d_in>=1, n>=1), got {self.patches.shape}")
+        if not 0 < self.t < math.inf:
+            raise IngestError(f"{self.sample_id}: survival time must be positive and finite, got {self.t}")
         if self.event not in (0, 1):
             raise IngestError(f"{self.sample_id}: event must be 0 or 1")
 
@@ -166,6 +168,8 @@ def read_bag(path) -> np.ndarray:
     magic, d_in, n, _reserved = _BAG_HEADER.unpack_from(raw)
     if magic != BAG_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
+    if d_in == 0:
+        raise FormatError(f"{path}: zero-width bag (header declares d_in = 0)")
     expect = _BAG_HEADER.size + 4 * d_in * n
     if len(raw) != expect:
         raise FormatError(f"{path}: payload is {len(raw)} bytes, expected {expect}")
@@ -286,7 +290,7 @@ def read_category_map(path) -> CategoryMap:
         raise IngestError(f"category map not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply to decode
         raise IngestError(f"{path}: category map is not UTF-8 JSON: {exc}") from None
     if not isinstance(doc, dict) or not doc:
         raise IngestError(f"{path}: category map must be a non-empty JSON object")
@@ -352,7 +356,7 @@ def load_samples(manifest_path, cmap: CategoryMap) -> Dataset:
 
 
 @dataclass(frozen=True)
-class RiskModel:
+class RiskModel(Config):
     """How the latent risk score is wired into a synthetic dataset.
 
     Risk is ``w_hist * u + w_gen * v + w_inter * u * v`` for latent factors
@@ -362,38 +366,28 @@ class RiskModel:
     independent coin per sample.
     """
 
-    w_hist: float = 4.2
-    w_gen: float = 4.2
-    w_inter: float = 6.0
-    signal_amplitude: float = 3.0  # scale of the latent factors inside the raw features
-    patch_noise: float = 0.1
-    gene_noise: float = 0.1
-    background_patch_scale: float = 0.3  # spread of the non-signal patches
-    off_category_scale: float = 0.25  # spread of the non-signal genomic categories
-    signal_fraction: float = 0.8
-    genes_per_category: int = 8
-    patches_min: int = 12
-    patches_max: int = 32
-    censor_rate: float = 0.15
-    median_months: float = 24.0
+    w_hist: float = ranged(4.2, "(-inf, inf)")
+    w_gen: float = ranged(4.2, "(-inf, inf)")
+    w_inter: float = ranged(6.0, "(-inf, inf)")
+    signal_amplitude: float = ranged(3.0, "(0, inf)")  # scale of the latent factors inside the raw features
+    patch_noise: float = ranged(0.1, "[0, inf)")
+    gene_noise: float = ranged(0.1, "[0, inf)")
+    background_patch_scale: float = ranged(0.3, "[0, inf)")  # spread of the non-signal patches
+    off_category_scale: float = ranged(0.25, "[0, inf)")  # spread of the non-signal genomic categories
+    signal_fraction: float = ranged(0.8, "(0, 1]")
+    genes_per_category: int = ranged(8, "[1, inf)")
+    patches_min: int = ranged(12, "[1, inf)")
+    patches_max: int = ranged(32, "[1, inf)")
+    censor_rate: float = ranged(0.15, "[0, 1)")
+    median_months: float = ranged(24.0, "(0, inf)")
 
-    def validate(self) -> None:
+    def rules(self) -> list[str]:
+        out = []
         if self.w_hist == 0 and self.w_gen == 0 and self.w_inter == 0:
-            raise ValueError("risk model is degenerate: all weights zero")
-        if min(self.patch_noise, self.gene_noise, self.background_patch_scale, self.off_category_scale) < 0:
-            raise ValueError("noise levels must be nonnegative")
-        if self.signal_amplitude <= 0:
-            raise ValueError("signal_amplitude must be positive")
-        if not 0 < self.signal_fraction <= 1:
-            raise ValueError("signal_fraction must lie in (0, 1]")
-        if self.genes_per_category < 1:
-            raise ValueError("genes_per_category must be >= 1")
-        if not 1 <= self.patches_min <= self.patches_max:
-            raise ValueError("need 1 <= patches_min <= patches_max")
-        if not 0 <= self.censor_rate < 1:
-            raise ValueError("censor_rate must lie in [0, 1)")
-        if self.median_months <= 0:
-            raise ValueError("median_months must be positive")
+            out.append("w_hist, w_gen, w_inter: risk model is degenerate: all weights zero")
+        if self.patches_min > self.patches_max:
+            out.append(f"patches_min: {self.patches_min} exceeds patches_max {self.patches_max}")
+        return out
 
 
 def default_category_map(s_categories: int, genes_per_category: int) -> CategoryMap:

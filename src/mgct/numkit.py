@@ -1,6 +1,7 @@
 """Dense 2-D float64 tensors with reverse-mode automatic differentiation.
 
-Every value is a row-major (rows, cols) float64 matrix. Operations build a
+Every value is a (rows, cols) float64 matrix, in C or Fortran memory order
+(bags load Fortran-ordered; no op depends on the order). Operations build a
 flat tape of primitive nodes; ``backward`` walks the tape once, in reverse,
 and returns a gradient for every leaf. It spends the tape: each non-leaf
 node is dropped once pulled, freeing the activations its closure holds, and
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,11 +35,9 @@ __all__ = [
     "sub",
     "mul",
     "scale",
-    "transpose",
     "sum_all",
     "log",
     "clamp",
-    "softmax_rows",
     "segment_softmax",
     "segment_sum",
     "segment_attention",
@@ -48,8 +47,6 @@ __all__ = [
     "relu",
     "elu",
     "concat",
-    "split",
-    "slice_rows",
     "gather_cols",
     "alpha_dropout",
     "backward",
@@ -288,19 +285,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return tape._emit(out, (a,), pull)
 
 
-def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = a.data.T.copy()
-    tape = _tape_of(a)
-    if tape is None:
-        return _wrap(out)
-
-    def pull(g):
-        return (g.T,)
-
-    return tape._emit(out, (a,), pull)
-
-
 def sum_all(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out = np.array([[a.data.sum()]])
@@ -422,21 +406,6 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax, stabilized by subtracting each row's max."""
-    a = _as_tensor(a)
-    out = _softmax(a.data, 1)
-    tape = _tape_of(a)
-    if tape is None:
-        return _wrap(out)
-
-    def pull(g):
-        gy = g * out
-        return (gy - out * gy.sum(axis=1, keepdims=True),)
-
-    return tape._emit(out, (a,), pull)
-
-
 # ---------------------------------------------------------------------------
 # layout primitives
 
@@ -470,24 +439,6 @@ def concat(a: Tensor, b: Tensor, axis: str) -> Tensor:
     return tape._emit(out, (a, b), pull)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    if not 0 <= start < stop <= a.rows:
-        raise ShapeError(f"slice_rows [{start}:{stop}] out of range for {a.shape}")
-    out = a.data[start:stop, :]
-    tape = _tape_of(a)
-    if tape is None:
-        return _wrap(out)
-    shape = a.shape
-
-    def pull(g):
-        full = np.zeros(shape)
-        full[start:stop, :] = g
-        return (full,)
-
-    return tape._emit(out, (a,), pull)
-
-
 def gather_cols(a: Tensor, cols: Sequence[int]) -> Tensor:
     """Columns ``cols`` of ``a``, in that order; the indices must be distinct."""
     a = _as_tensor(a)
@@ -506,26 +457,6 @@ def gather_cols(a: Tensor, cols: Sequence[int]) -> Tensor:
         return (full,)
 
     return tape._emit(out, (a,), pull)
-
-
-def split(a: Tensor, sizes: Iterable[int], axis: str) -> list[Tensor]:
-    """Inverse of repeated ``concat``: cut into consecutive blocks of ``sizes``."""
-    a = _as_tensor(a)
-    sizes = list(sizes)
-    if axis not in ("rows", "cols"):
-        raise ValueError(f"split axis must be 'rows' or 'cols', got {axis!r}")
-    total = a.rows if axis == "rows" else a.cols
-    if sum(sizes) != total or any(s <= 0 for s in sizes):
-        raise ShapeError(f"split sizes {sizes} do not partition {total} {axis}")
-    parts = []
-    offset = 0
-    for s in sizes:
-        if axis == "rows":
-            parts.append(slice_rows(a, offset, offset + s))
-        else:
-            parts.append(gather_cols(a, range(offset, offset + s)))
-        offset += s
-    return parts
 
 
 # ---------------------------------------------------------------------------

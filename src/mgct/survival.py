@@ -26,8 +26,8 @@ class SurvivalLabel:
     bin: int | None = None  # discrete-time bin, assigned from training-fold quantiles
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError(f"survival time must be positive, got {self.t}")
+        if not 0 < self.t < math.inf:
+            raise ValueError(f"survival time must be positive and finite, got {self.t}")
         if self.event not in (0, 1):
             raise ValueError(f"event must be 0 or 1, got {self.event}")
 

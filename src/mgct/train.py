@@ -158,19 +158,6 @@ def window_losses(
     return survival.nll_loss(nk.sigmoid(logits), labels, alpha=loss_alpha)
 
 
-def sample_loss(
-    sample: BagSample,
-    arrays: dict,
-    spec: ModelSpec,
-    label: survival.SurvivalLabel,
-    dropout: float = 0.0,
-    dropout_key: tuple[int, int] | None = None,
-    loss_alpha: float = 0.0,
-) -> nk.Tensor:
-    """``window_losses`` of a one-sample window: that sample's 1x1 training NLL."""
-    return window_losses([sample], arrays, spec, [label], dropout, dropout_key, loss_alpha)
-
-
 def tape_spans(bag_sizes: list[int], max_patches: int) -> list[tuple[int, int]]:
     """Cut a window into consecutive (start, stop) runs of at most ``max_patches`` padded columns.
 
@@ -233,7 +220,7 @@ def sample_loss_and_grads(
     *args,
     **kwargs,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """``window_loss_and_grads`` of a one-sample window (``sample_loss``'s arguments)."""
+    """``window_loss_and_grads`` of a one-sample window: one sample and one label."""
     losses, grads = window_loss_and_grads([sample], arrays, spec, [label], *args, **kwargs)
     return losses[0], grads
 

@@ -1,12 +1,14 @@
 """Named numerical invariant checks, runnable as a suite.
 
 Each check returns (passed, detail). The suite backs the ``verify`` CLI
-command: gradient agreement against central finite differences, simplex
-invariants of attention and pooling weights, permutation invariance of the
-fusion pipeline, and layout round-trips. Sizes are kept small so the whole
-suite runs in seconds. The gradient harness (``gradient_error``) and the
-permutation harness (``patch_permutation_deviation``) are shared with the
-test suite, which runs them at its own sizes and tolerances.
+command: gradient agreement against central finite differences (matmul, a
+ragged segment softmax, the elementwise nonlinearities, the loss and the
+whole model), simplex invariants of attention and pooling weights,
+permutation invariance of the fusion pipeline, and the concat/gather_cols
+round-trip. Sizes are kept small so the whole suite runs in seconds. The
+gradient harness (``gradient_error``) and the permutation harness
+(``patch_permutation_deviation``) are shared with the test suite, which
+runs them at its own sizes and tolerances.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .mgct_core import (
     gated_attention_pool,
     init_model_arrays,
 )
-from .train import sample_loss
+from .train import window_losses
 
 GRAD_TOL = 1e-4
 SIMPLEX_TOL = 1e-12
@@ -61,20 +63,23 @@ def gradient_error(build, params) -> tuple[float, str]:
 
 
 def _check_op_gradient(build) -> tuple[bool, str]:
-    """``build(tensors) -> scalar tensor`` checked against finite differences."""
+    """``build(tensors) -> scalar tensor`` checked against finite differences at x (3, 4), y (4, 3)."""
     rng = np.random.default_rng(11)
-    params = {"x": rng.uniform(-2.0, 2.0, (3, 4)), "y": rng.uniform(-2.0, 2.0, (3, 4))}
+    params = {"x": rng.uniform(-2.0, 2.0, (3, 4)), "y": rng.uniform(-2.0, 2.0, (4, 3))}
     err, name = gradient_error(build, params)
     return err < GRAD_TOL, f"max rel err {err:.3g} ({name})"
 
 
 def check_matmul_gradient() -> tuple[bool, str]:
-    return _check_op_gradient(lambda t: nk.sum_all(nk.matmul(t["x"], nk.transpose(t["y"]))))
+    return _check_op_gradient(lambda t: nk.sum_all(nk.matmul(t["x"], t["y"])))
 
 
 def check_softmax_gradient() -> tuple[bool, str]:
+    # ragged segments of 1 and 3 columns: the padded route that training takes
     w = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
-    return _check_op_gradient(lambda t: nk.sum_all(nk.mul(nk.softmax_rows(t["x"]), nk.Tensor(w))))
+    return _check_op_gradient(
+        lambda t: nk.sum_all(nk.mul(nk.segment_softmax(t["x"], (0, 1, 4)), nk.Tensor(w)))
+    )
 
 
 def _elementwise_check(kind: str) -> Callable[[], tuple[bool, str]]:
@@ -123,7 +128,7 @@ def check_model_gradient() -> tuple[bool, str]:
     sample = BagSample("verify", patches, genomic, t=8.0, event=1)
     label = survival.SurvivalLabel(t=8.0, event=1, bin=1)
     err, name = gradient_error(
-        lambda t: sample_loss(sample, t, spec, label, dropout=0.25, dropout_key=(3, 0)), arrays
+        lambda t: window_losses([sample], t, spec, [label], dropout=0.25, dropout_key=(3, 0)), arrays
     )
     return err < GRAD_TOL, f"max rel err {err:.3g} ({name})"
 
@@ -201,7 +206,7 @@ def check_concat_split_roundtrip() -> tuple[bool, str]:
     a = rng.uniform(-2, 2, (4, 3))
     b = rng.uniform(-2, 2, (4, 5))
     joined = nk.concat(nk.Tensor(a), nk.Tensor(b), "cols")
-    ra, rb = nk.split(joined, [3, 5], "cols")
+    ra, rb = nk.gather_cols(joined, range(3)), nk.gather_cols(joined, range(3, 8))
     ok = np.array_equal(ra.data, a) and np.array_equal(rb.data, b)
     return ok, "bitwise" if ok else "mismatch"
 

@@ -31,10 +31,10 @@ from mgct.train import (
     adam_step,
     cross_validate,
     predict,
-    sample_loss,
     sample_loss_and_grads,
     train_fold,
     window_loss_and_grads,
+    window_losses,
     write_metrics_csv,
 )
 from mgct.verify import gradient_error, patch_permutation_deviation
@@ -99,7 +99,7 @@ def test_criterion_1_gradient_correctness():
 
     start = time.monotonic()
     err, worst = gradient_error(
-        lambda t: sample_loss(sample, t, spec, label, dropout=0.25, dropout_key=(5, 0)), arrays
+        lambda t: window_losses([sample], t, spec, [label], dropout=0.25, dropout_key=(5, 0)), arrays
     )
     elapsed = time.monotonic() - start
     n_params = sum(a.size for a in arrays.values())

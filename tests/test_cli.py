@@ -7,12 +7,14 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from mgct import checkpoint, cli, dataio, survival, train, verify, numkit as nk
 from mgct.cli import SECTIONS, main, validate_config, ConfigError
@@ -45,6 +47,26 @@ def write_config(tmp_path, dataset_dir, **extra) -> str:
 
 def run_dirs(base):
     return sorted(p for p in base.iterdir() if p.is_dir())
+
+
+def run_python(args, **kwargs) -> subprocess.CompletedProcess:
+    """``python <args>`` in a child process that imports this checkout's ``mgct``; text output."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], text=True, env=env, timeout=120, **kwargs)
+
+
+def run_mgct(argv) -> subprocess.CompletedProcess:
+    """``mgct <argv>`` in a child process, where an uncaught exception would print its traceback."""
+    return run_python(["-m", "mgct.cli", *argv], capture_output=True)
+
+
+def empty_every_bag(dataset_dir) -> Path:
+    """Rewrite each bag of a dataset as a bare header declaring d_in = 0; returns the first bag's path."""
+    bags = [d.bag_path for d in dataio.read_manifest(dataset_dir / "manifest.csv")]
+    for bag in bags:
+        dataio.write_bag(bag, np.zeros((0, 4)))
+    return bags[0]
 
 
 def eval_edited_checkpoint(tmp_path, dataset_dir, capsys, edit) -> int:
@@ -209,6 +231,39 @@ class TestConfigValidation:
         assert f"{cmap}: category map is not UTF-8 JSON" in capsys.readouterr().err
 
 
+# JSON documents whose keys are mostly section and field names, so that the values reach the decoders
+CONFIG_KEYS = st.sampled_from(sorted({*SECTIONS, *(f.name for cls in SECTIONS.values() for f in fields(cls)), "x"}))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(CONFIG_KEYS, children, max_size=4),
+    max_leaves=12,
+)
+CONFIG_DOCS = st.dictionaries(CONFIG_KEYS, JSON_VALUES, max_size=5) | JSON_VALUES
+
+
+class TestConfigReaderFuzz:
+    """Whatever a config holds, the reader decodes it or raises ``ConfigError``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=CONFIG_DOCS)
+    def test_any_document_decodes_or_raises_config_error(self, doc):
+        try:
+            validate_config(doc)
+        except ConfigError:
+            pass
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=st.binary(max_size=120) | CONFIG_DOCS.map(lambda doc: json.dumps(doc).encode()))
+    @example(raw=b"[" * 100_000)  # nested deeper than the JSON decoder recurses
+    def test_any_bytes_load_or_raise_config_error(self, tmp_path, raw):
+        path = tmp_path / "config.json"
+        path.write_bytes(raw)
+        try:
+            cli.load_config(path)
+        except ConfigError:
+            pass
+
+
 class TestTrainCommand:
     def test_artifacts_and_config_echo(self, tmp_path, dataset_dir, capsys):
         cfg = write_config(tmp_path, dataset_dir)
@@ -244,6 +299,14 @@ class TestTrainCommand:
         (d1,), (d2,) = run_dirs(r1), run_dirs(r2)
         assert (d1 / "metrics.csv").read_bytes() == (d2 / "metrics.csv").read_bytes()
         assert (d1 / "fold_0.ckpt").read_bytes() == (d2 / "fold_0.ckpt").read_bytes()
+
+    def test_zero_width_bags_exit_2_before_run_dir(self, tmp_path, dataset_dir):
+        bag = empty_every_bag(dataset_dir)
+        runs = tmp_path / "runs"
+        proc = run_mgct(["train", "--config", write_config(tmp_path, dataset_dir), "--out", str(runs)])
+        assert proc.returncode == 2
+        assert f"error: {bag}: zero-width bag" in proc.stderr and "Traceback" not in proc.stderr
+        assert not runs.exists()
 
     def test_run_dirs_never_collide(self, tmp_path, dataset_dir):
         cfg = write_config(tmp_path, dataset_dir)
@@ -404,6 +467,18 @@ class TestEvalCommand:
         assert captured.out == ""
         assert not km.parent.exists()
 
+    def test_zero_width_bags_exit_2_before_scoring(self, tmp_path, dataset_dir):
+        cfg = write_config(tmp_path, dataset_dir)
+        runs = tmp_path / "runs"
+        assert main(["train", "--config", cfg, "--out", str(runs)]) == 0
+        bag = empty_every_bag(dataset_dir)
+        km = tmp_path / "km" / "x"
+        argv = ["eval", "--checkpoint", str(run_dirs(runs)[0] / "fold_0.ckpt")]
+        proc = run_mgct(argv + ["--manifest", str(dataset_dir / "manifest.csv"), "--km-out", str(km)])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert f"error: {bag}: zero-width bag" in proc.stderr and "Traceback" not in proc.stderr
+        assert not km.parent.exists()
+
     def test_constant_risks_leave_the_log_rank_undefined(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert main(["synth", "--out", str(data), "--n", "30", "--seed", "3", "--d-in", "5"]) == 0
@@ -474,10 +549,8 @@ class TestVerifyCommand:
             "print('before the sweep')\n"
             "sys.exit(main(['verify']))\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         start = time.monotonic()
-        proc = subprocess.run([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env, timeout=120)
+        proc = run_python(["-c", script], stdout=subprocess.PIPE)
         assert time.monotonic() - start < 60.0
         assert proc.returncode == 0
         lines = proc.stdout.splitlines()
@@ -491,3 +564,28 @@ class TestVerifyCommand:
         assert main(["verify"]) == 1
         captured = capsys.readouterr()
         assert "tanh_gradient" in captured.err or "tanh_gradient" in captured.out
+
+    def run_alone(self, monkeypatch, capsys, name) -> tuple[int, str]:
+        """Exit code of ``mgct verify`` with check ``name`` its only check, and the line it prints for it."""
+        monkeypatch.setattr(verify, "ALL_CHECKS", [check for check in verify.ALL_CHECKS if check[0] == name])
+        code = main(["verify"])
+        return code, capsys.readouterr().out.splitlines()[0]
+
+    def test_wrong_segment_softmax_pull_detected(self, capsys, monkeypatch):
+        real = nk.segment_softmax
+
+        def identity_pull(a, offsets):  # the right values, a wrong gradient
+            out = real(nk.Tensor(a.data), offsets)
+            return out if a.tape is None else a.tape._emit(out.data, (a,), lambda g: (g,))
+
+        assert self.run_alone(monkeypatch, capsys, "softmax_gradient")[0] == 0
+        monkeypatch.setattr(nk, "segment_softmax", identity_pull)
+        code, line = self.run_alone(monkeypatch, capsys, "softmax_gradient")
+        assert code == 1 and line.startswith("FAIL  softmax_gradient ")
+
+    def test_reordering_gather_cols_detected(self, capsys, monkeypatch):
+        real = nk.gather_cols
+        assert self.run_alone(monkeypatch, capsys, "concat_split_roundtrip")[0] == 0
+        monkeypatch.setattr(nk, "gather_cols", lambda a, cols: real(a, list(cols)[::-1]))
+        code, line = self.run_alone(monkeypatch, capsys, "concat_split_roundtrip")
+        assert code == 1 and line.split() == ["FAIL", "concat_split_roundtrip", "mismatch"]

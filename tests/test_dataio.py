@@ -1,7 +1,9 @@
 """Ingest, file formats, synthesis, and split tests."""
 
 import json
+import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from mgct import dataio
+from mgct.mgct_core import ConfigError
 from mgct.dataio import (
     BagSample,
     CategoryMap,
@@ -69,6 +72,13 @@ class TestBagFormat:
         arr[0, 0] = np.inf
         write_bag(path, arr)
         with pytest.raises(FormatError, match="non-finite"):
+            read_bag(path)
+
+    def test_zero_width_bag_rejected(self, tmp_path):
+        path = tmp_path / "x.bag"
+        write_bag(path, np.zeros((0, 5)))  # a bare header declaring d_in = 0
+        assert path.stat().st_size == 16
+        with pytest.raises(FormatError, match=re.escape(f"{path}: zero-width bag")):
             read_bag(path)
 
     def test_missing_file_names_it(self, tmp_path):
@@ -253,6 +263,16 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="degenerate"):
             synthesize(10, risk_model=RiskModel(w_hist=0, w_gen=0, w_inter=0))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", [f.name for f in fields(RiskModel)])
+    def test_nonfinite_risk_model_field_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=rf"^{name}: value {value!r} out of range"):
+            synthesize(6, risk_model=RiskModel(**{name: value}))
+
+    def test_patch_count_range_rejected(self):
+        with pytest.raises(ConfigError, match="patches_min: 9 exceeds patches_max 8"):
+            synthesize(6, risk_model=RiskModel(patches_min=9, patches_max=8))
+
     def test_sample_invariants(self):
         ds = synthesize(25, seed=9)
         for s in ds.samples:
@@ -308,6 +328,15 @@ class TestBagSampleInvariants:
     def test_rejects_empty_bag(self):
         with pytest.raises(IngestError, match="n>=1"):
             BagSample("x", np.ones((2, 0)), [np.ones(2)], 1.0, 1)
+
+    def test_rejects_zero_width_bag(self):
+        with pytest.raises(IngestError, match=re.escape("(d_in>=1, n>=1), got (0, 2)")):
+            BagSample("x", np.ones((0, 2)), [np.ones(2)], 1.0, 1)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_nonfinite_time(self, t):
+        with pytest.raises(IngestError, match="positive and finite"):
+            BagSample("x", np.ones((2, 2)), [np.ones(2)], t, 1)
 
 
 class TestMonteCarloSplits:
@@ -388,3 +417,9 @@ class TestReadersOnArbitraryBytes:
             reader(path)
         except error:
             pass
+
+    def test_json_nested_too_deeply_raises_its_named_error(self, tmp_path):
+        path = tmp_path / "input"
+        path.write_bytes(b"[" * 100_000)
+        with pytest.raises(IngestError, match="category map is not UTF-8 JSON"):
+            read_category_map(path)

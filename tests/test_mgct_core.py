@@ -424,6 +424,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="not a JSON object"):
             load_checkpoint(path)
 
+    def test_meta_nested_too_deeply(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, {}, {})
+        raw = path.read_bytes()
+        deep = b"[" * 100_000
+        path.write_bytes(raw[:8] + struct.pack("<I", len(deep)) + deep + raw[-4:])  # the 0-block count
+        with pytest.raises(CheckpointError, match="unreadable meta"):
+            load_checkpoint(path)
+
     def test_truncated_block(self, tmp_path):
         path = tmp_path / "x.ckpt"
         save_checkpoint(path, {"w": np.ones((4, 4))}, {})

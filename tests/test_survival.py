@@ -134,6 +134,12 @@ class TestNllLoss:
             sv.nll_loss(h, [lab(1.0, 1, None)])
 
 
+@pytest.mark.parametrize("t", [0.0, -1.0, float("nan"), float("inf")])
+def test_label_time_must_be_positive_and_finite(t):
+    with pytest.raises(ValueError, match="positive and finite"):
+        lab(t, 1)
+
+
 class TestSurvivalPrediction:
     def test_survival_curve_and_risk(self):
         pred = sv.SurvivalPrediction.from_hazards([0.1, 0.2, 0.3, 0.4])
