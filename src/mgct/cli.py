@@ -90,7 +90,7 @@ def load_config(path) -> tuple[dict, set[str]]:
         raise ConfigError(f"config file not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8: {exc}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply to decode
+    except (ValueError, RecursionError) as exc:  # not JSON, an integer over Python's digit limit, or too deep
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return validate_config(doc)
 
@@ -165,7 +165,8 @@ def cmd_synth(args) -> int:
 
 def _prepare_run(args):
     """Load the config, apply ``--seed``, ``--jobs`` and ``--model`` to its
-    sections and check them; then load the dataset and make the run directory.
+    sections and check them; then load the dataset, check that ``cv.ratio``
+    leaves samples on both sides of a split, and make the run directory.
 
     ``config.json`` in the run directory echoes the config file, flags
     unapplied; ``effective_config.json`` is the config the run used, flags
@@ -184,6 +185,10 @@ def _prepare_run(args):
     if problems:
         raise ConfigError("; ".join(problems))
     dataset = load_dataset(cfg["dataset"])
+    try:
+        dataio.holdout_count(len(dataset.samples), cfg["cv"].ratio)
+    except ValueError as exc:
+        raise ConfigError(f"cv.ratio: {exc}") from None
     run_dir = make_run_dir(args.out, seed)
     (run_dir / "config.json").write_text(echo)
     (run_dir / "effective_config.json").write_text(_config_echo(cfg))

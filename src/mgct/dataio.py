@@ -22,6 +22,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -94,10 +95,6 @@ class CategoryMap:
                 if g in seen:
                     raise IngestError(f"gene {g!r} assigned to both {seen[g]!r} and {cat!r}")
                 seen[g] = cat
-
-    @property
-    def n_categories(self) -> int:
-        return len(self.categories)
 
 
 @dataclass(frozen=True)
@@ -193,13 +190,18 @@ def write_manifest(path, descriptors: list[SampleDescriptor]) -> None:
             writer.writerow([d.sample_id, str(d.bag_path), repr(d.t), d.event, str(d.genomic_path)])
 
 
-def _utf8_text(path: Path, what: str) -> io.StringIO:
-    """The text of ``path``, read as UTF-8 into an in-memory file; other bytes raise ``IngestError``."""
+def _csv_rows(path: Path, what: str) -> Iterator[list[str]]:
+    """The rows of the UTF-8 CSV file ``path``; other bytes, or text the CSV reader
+    rejects (such as a field over ``csv.field_size_limit()``), raise ``IngestError``."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return io.StringIO(fh.read(), newline="")
+            reader = csv.reader(io.StringIO(fh.read(), newline=""))
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: {what} is not UTF-8: {exc}") from None
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise IngestError(f"{path}:{reader.line_num}: {what} is not readable CSV: {exc}") from None
 
 
 def read_manifest(path) -> list[SampleDescriptor]:
@@ -210,38 +212,36 @@ def read_manifest(path) -> list[SampleDescriptor]:
     base = path.parent
     out: list[SampleDescriptor] = []
     seen: set[str] = set()
-    with _utf8_text(path, "manifest") as fh:
-        reader = csv.reader(fh)
+    rows = _csv_rows(path, "manifest")
+    header = next(rows, None)
+    if header is None:
+        raise IngestError(f"{path}: empty manifest")
+    if header != MANIFEST_COLUMNS:
+        raise IngestError(f"{path}: bad header {header!r}, expected {MANIFEST_COLUMNS!r}")
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(MANIFEST_COLUMNS):
+            raise IngestError(f"{path}:{lineno}: expected {len(MANIFEST_COLUMNS)} fields, got {len(row)}")
+        sample_id, bag_path, t_raw, event_raw, genomic_path = row
+        if sample_id in seen:
+            raise IngestError(f"{path}:{lineno}: duplicate sample_id {sample_id!r}")
+        seen.add(sample_id)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty manifest") from None
-        if header != MANIFEST_COLUMNS:
-            raise IngestError(f"{path}: bad header {header!r}, expected {MANIFEST_COLUMNS!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(MANIFEST_COLUMNS):
-                raise IngestError(f"{path}:{lineno}: expected {len(MANIFEST_COLUMNS)} fields, got {len(row)}")
-            sample_id, bag_path, t_raw, event_raw, genomic_path = row
-            if sample_id in seen:
-                raise IngestError(f"{path}:{lineno}: duplicate sample_id {sample_id!r}")
-            seen.add(sample_id)
-            try:
-                t = float(t_raw)
-            except ValueError:
-                raise IngestError(f"{path}:{lineno}: t_months {t_raw!r} is not a number") from None
-            if not math.isfinite(t) or t <= 0:
-                raise IngestError(f"{path}:{lineno}: t_months must be finite and > 0, got {t_raw}")
-            if event_raw not in ("0", "1"):
-                raise IngestError(f"{path}:{lineno}: event must be 0 or 1, got {event_raw!r}")
-            out.append(
-                SampleDescriptor(
-                    sample_id=sample_id,
-                    bag_path=(base / bag_path),
-                    t=t,
-                    event=int(event_raw),
-                    genomic_path=(base / genomic_path),
-                )
+            t = float(t_raw)
+        except ValueError:
+            raise IngestError(f"{path}:{lineno}: t_months {t_raw!r} is not a number") from None
+        if not math.isfinite(t) or t <= 0:
+            raise IngestError(f"{path}:{lineno}: t_months must be finite and > 0, got {t_raw}")
+        if event_raw not in ("0", "1"):
+            raise IngestError(f"{path}:{lineno}: event must be 0 or 1, got {event_raw!r}")
+        out.append(
+            SampleDescriptor(
+                sample_id=sample_id,
+                bag_path=(base / bag_path),
+                t=t,
+                event=int(event_raw),
+                genomic_path=(base / genomic_path),
             )
+        )
     return out
 
 
@@ -258,24 +258,23 @@ def read_genomic_csv(path) -> dict[str, float]:
     if not path.is_file():
         raise IngestError(f"genomic file not found: {path}")
     out: dict[str, float] = {}
-    with _utf8_text(path, "genomic table") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["gene", "value"]:
-            raise IngestError(f"{path}: bad header {header!r}, expected ['gene', 'value']")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise IngestError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            gene, raw = row
-            if gene in out:
-                raise IngestError(f"{path}:{lineno}: duplicate gene {gene!r}")
-            try:
-                value = float(raw)
-            except ValueError:
-                raise IngestError(f"{path}:{lineno}: value {raw!r} is not a number") from None
-            if not math.isfinite(value):
-                raise IngestError(f"{path}:{lineno}: value must be finite")
-            out[gene] = value
+    rows = _csv_rows(path, "genomic table")
+    header = next(rows, None)
+    if header != ["gene", "value"]:
+        raise IngestError(f"{path}: bad header {header!r}, expected ['gene', 'value']")
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != 2:
+            raise IngestError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+        gene, raw = row
+        if gene in out:
+            raise IngestError(f"{path}:{lineno}: duplicate gene {gene!r}")
+        try:
+            value = float(raw)
+        except ValueError:
+            raise IngestError(f"{path}:{lineno}: value {raw!r} is not a number") from None
+        if not math.isfinite(value):
+            raise IngestError(f"{path}:{lineno}: value must be finite")
+        out[gene] = value
     return out
 
 
@@ -503,6 +502,14 @@ def write_dataset(dataset: Dataset, out_dir) -> Path:
 # cross-validation splits
 
 
+def holdout_count(n: int, ratio: float) -> int:
+    """How many of n ids a fold holds out, floor(ratio * n); ``ValueError`` unless each side gets one."""
+    n_val = int(n * ratio)
+    if n_val < 1 or n_val >= n:
+        raise ValueError(f"cannot hold out {n_val} of {n} samples at ratio {ratio}")
+    return n_val
+
+
 def monte_carlo_splits(ids, k: int, ratio: float, seed: int) -> list[FoldSplit]:
     """k independent random train/validation partitions (resampled, not disjoint).
 
@@ -514,11 +521,7 @@ def monte_carlo_splits(ids, k: int, ratio: float, seed: int) -> list[FoldSplit]:
         raise ValueError("need k >= 1 folds")
     if not 0 < ratio < 1:
         raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
-    n_val = int(len(ids) * ratio)
-    if n_val < 1 or n_val >= len(ids):
-        raise ValueError(
-            f"cannot hold out {n_val} of {len(ids)} samples at ratio {ratio}"
-        )
+    n_val = holdout_count(len(ids), ratio)
     rng = np.random.default_rng(seed)
     splits = []
     for fold in range(k):

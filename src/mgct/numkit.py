@@ -1,7 +1,10 @@
 """Dense 2-D float64 tensors with reverse-mode automatic differentiation.
 
 Every value is a (rows, cols) float64 matrix, in C or Fortran memory order
-(bags load Fortran-ordered; no op depends on the order). Operations build a
+(bags load Fortran-ordered; no op depends on the order), and every operand
+of an op is a ``Tensor``: ops convert nothing. The one broadcast is an
+(m, 1) column against an (m, n) operand in ``add``, ``sub`` and ``mul``,
+as in a bias add or ``1 - h``. Operations build a
 flat tape of primitive nodes; ``backward`` walks the tape once, in reverse,
 and returns a gradient for every leaf. It spends the tape: each non-leaf
 node is dropped once pulled, freeing the activations its closure holds, and
@@ -57,24 +60,15 @@ class ShapeError(ValueError):
     """Raised when operand shapes violate an operation's contract."""
 
 
-def _coerce(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    elif arr.ndim != 2:
-        raise ShapeError(f"tensors are 2-D; got array of ndim {arr.ndim}")
-    return arr
-
-
 class Tensor:
     """A (rows, cols) float64 matrix, optionally recorded on a tape."""
 
     __slots__ = ("data", "tape", "node_id")
 
     def __init__(self, values, tape: "Tape | None" = None, node_id: int | None = None):
-        self.data = _coerce(values)
+        self.data = np.asarray(values, dtype=np.float64)
+        if self.data.ndim != 2:
+            raise ShapeError(f"tensors are 2-D; got array of ndim {self.data.ndim}")
         self.tape = tape
         self.node_id = node_id
 
@@ -157,10 +151,6 @@ class Grads:
         return g
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _wrap(out: np.ndarray, tape: "Tape | None" = None, node_id: int | None = None) -> Tensor:
     # internal fast path: ``out`` is already a fresh 2-D float64 array
     t = Tensor.__new__(Tensor)
@@ -183,23 +173,13 @@ def _tape_of(a: Tensor, b: Tensor | None = None) -> "Tape | None":
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Collapse a broadcast gradient back to the operand's shape."""
-    if g.shape == shape:
-        return g
-    r, c = shape
-    if r == 1 and c == 1:
-        return g.sum().reshape(1, 1)
-    if r == 1:
-        return g.sum(axis=0, keepdims=True)
-    if c == 1:
-        return g.sum(axis=1, keepdims=True)
-    raise ShapeError(f"cannot reduce gradient {g.shape} to {shape}")
+    """Collapse a broadcast gradient back to the operand's shape: an (m, 1) column gets each row's sum."""
+    return g if g.shape == shape else g.sum(axis=1, keepdims=True)
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    ar, ac = a.data.shape
-    br, bc = b.data.shape
-    if (ar != br and ar != 1 and br != 1) or (ac != bc and ac != 1 and bc != 1):
+    (ar, ac), (br, bc) = a.data.shape, b.data.shape
+    if ar != br or (ac != bc and ac != 1 and bc != 1):
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not align")
 
 
@@ -208,7 +188,6 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
     out = a.data.dot(b.data)  # same product as ``@``, about 1 us less per call
@@ -224,8 +203,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; a row (1, n), column (m, 1) or scalar operand broadcasts."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    """Elementwise sum; the operands' rows match, and an (m, 1) column broadcasts across (m, n)."""
     _check_broadcast(a, b, "add")
     out = a.data + b.data
     tape = _tape_of(a, b)
@@ -240,7 +218,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "sub")
     out = a.data - b.data
     tape = _tape_of(a, b)
@@ -255,8 +232,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Hadamard product with the same broadcasting rules as ``add``."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    """Hadamard product with the same broadcast rule as ``add``."""
     _check_broadcast(a, b, "mul")
     out = a.data * b.data
     tape = _tape_of(a, b)
@@ -272,7 +248,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    a = _as_tensor(a)
     c = float(c)
     out = a.data * c
     tape = _tape_of(a)
@@ -286,7 +261,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     out = np.array([[a.data.sum()]])
     tape = _tape_of(a)
     if tape is None:
@@ -300,7 +274,6 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     if np.any(a.data <= 0.0):
         raise ValueError("log: input must be strictly positive")
     out = np.log(a.data)
@@ -317,7 +290,6 @@ def log(a: Tensor) -> Tensor:
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip entries into [lo, hi]; gradient passes only where the input lies inside."""
-    a = _as_tensor(a)
     if not lo < hi:
         raise ValueError(f"clamp: need lo < hi, got [{lo}, {hi}]")
     out = np.clip(a.data, lo, hi)
@@ -364,7 +336,6 @@ ELEMENTWISE_KINDS: dict[str, tuple[Callable, Callable]] = {
 
 
 def elementwise(a: Tensor, kind: str) -> Tensor:
-    a = _as_tensor(a)
     try:
         fwd = ELEMENTWISE_KINDS[kind][0]
     except KeyError:
@@ -412,7 +383,6 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
 
 def concat(a: Tensor, b: Tensor, axis: str) -> Tensor:
     """Stack two tensors along ``"rows"`` or ``"cols"``."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if axis == "rows":
         if a.cols != b.cols:
             raise ShapeError(f"concat rows: column counts differ, {a.shape} vs {b.shape}")
@@ -441,7 +411,6 @@ def concat(a: Tensor, b: Tensor, axis: str) -> Tensor:
 
 def gather_cols(a: Tensor, cols: Sequence[int]) -> Tensor:
     """Columns ``cols`` of ``a``, in that order; the indices must be distinct."""
-    a = _as_tensor(a)
     cols = list(cols)
     if not cols or len(set(cols)) != len(cols) or not all(0 <= c < a.cols for c in cols):
         raise ShapeError(f"gather_cols {cols} must be distinct columns of {a.shape}")
@@ -542,16 +511,15 @@ def segment_sum(a: Tensor, offsets, weights: Tensor) -> Tensor:
     ``weights``, a (1, N) row, scales each column before the sum, so a
     weighted pooling is one node.
     """
-    a, w = _as_tensor(a), _as_tensor(weights)
     seg = _segments(offsets, a.cols, "segment_sum")
-    if w.shape != (1, a.cols):
-        raise ShapeError(f"segment_sum: weights {w.shape} for {a.cols} columns")
-    if seg.sizes.size == 1 and _tape_of(a, w) is None:
-        return _wrap(a.data @ w.data.T)  # one untaped segment: 2-D products
+    if weights.shape != (1, a.cols):
+        raise ShapeError(f"segment_sum: weights {weights.shape} for {a.cols} columns")
+    if seg.sizes.size == 1 and _tape_of(a, weights) is None:
+        return _wrap(a.data @ weights.data.T)  # one untaped segment: 2-D products
     x = seg.pad(a.data).transpose(1, 0, 2)  # (B, d, width)
-    c = seg.pad(w.data)[0][:, :, None]  # (B, width, 1), zero in the padding
+    c = seg.pad(weights.data)[0][:, :, None]  # (B, width, 1), zero in the padding
     out = (x @ c)[:, :, 0].T
-    tape = _tape_of(a, w)
+    tape = _tape_of(a, weights)
     if tape is None:
         return _wrap(out)
 
@@ -559,12 +527,11 @@ def segment_sum(a: Tensor, offsets, weights: Tensor) -> Tensor:
         gw = seg.unpad((g.T[:, None, :] @ x).transpose(1, 0, 2))
         return seg.unpad(g[:, :, None] * c[:, :, 0]), gw
 
-    return tape._emit(out, (a, w), pull)
+    return tape._emit(out, (a, weights), pull)
 
 
 def segment_softmax(a: Tensor, offsets) -> Tensor:
     """Softmax over each column segment of every row, stabilized by the segment's max."""
-    a = _as_tensor(a)
     seg = _segments(offsets, a.cols, "segment_softmax")
     if seg.sizes.size == 1 and a.tape is None:
         return _wrap(_softmax(a.data, 1))  # one untaped segment: 2-D products
@@ -596,7 +563,6 @@ def segment_attention(
     ``sink`` receives each segment's (m_b, n_b) weights, head by head and,
     within a head, segment by segment.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     d = q.rows
     if k.rows != d or v.shape != k.shape:
         raise ShapeError(
@@ -708,7 +674,6 @@ def alpha_dropout(a: Tensor, p: float, key: tuple) -> Tensor:
     ``key`` is the ``dropout_mask`` key (seed, layer, step or one step per
     column).
     """
-    a = _as_tensor(a)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"alpha_dropout: p must lie in [0, 1), got {p}")
     if p == 0.0:

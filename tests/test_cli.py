@@ -255,6 +255,7 @@ class TestConfigReaderFuzz:
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(raw=st.binary(max_size=120) | CONFIG_DOCS.map(lambda doc: json.dumps(doc).encode()))
     @example(raw=b"[" * 100_000)  # nested deeper than the JSON decoder recurses
+    @example(raw=b'{"train": {"epochs": ' + b"9" * 5_000 + b"}}")  # over Python's int-string digit limit
     def test_any_bytes_load_or_raise_config_error(self, tmp_path, raw):
         path = tmp_path / "config.json"
         path.write_bytes(raw)
@@ -306,6 +307,28 @@ class TestTrainCommand:
         proc = run_mgct(["train", "--config", write_config(tmp_path, dataset_dir), "--out", str(runs)])
         assert proc.returncode == 2
         assert f"error: {bag}: zero-width bag" in proc.stderr and "Traceback" not in proc.stderr
+        assert not runs.exists()
+
+    @pytest.mark.parametrize("target", ["manifest", "genomic table"])
+    def test_oversized_csv_field_exits_2_before_run_dir(self, tmp_path, dataset_dir, target):
+        manifest = dataset_dir / "manifest.csv"
+        path = manifest if target == "manifest" else dataio.read_manifest(manifest)[3].genomic_path
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + "x" * 200_000 + lines[1] + "".join(lines[2:]))  # over csv.field_size_limit()
+        runs = tmp_path / "runs"
+        proc = run_mgct(["train", "--config", write_config(tmp_path, dataset_dir), "--out", str(runs)])
+        assert proc.returncode == 2
+        assert f"error: {path}:2: {target} is not readable CSV" in proc.stderr and "Traceback" not in proc.stderr
+        assert not runs.exists()
+
+    @pytest.mark.parametrize("command", ["train", "cv", "ablate"])
+    def test_cohort_too_small_for_ratio_exits_2_before_run_dir(self, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--n", "4", "--seed", "3", "--d-in", "5"]) == 0
+        cfg = write_config(tmp_path, data, cv={"ratio": 0.2})
+        runs = tmp_path / "runs"
+        assert main([command, "--config", cfg, "--out", str(runs)]) == 2
+        assert "cv.ratio: cannot hold out 0 of 4 samples" in capsys.readouterr().err
         assert not runs.exists()
 
     def test_run_dirs_never_collide(self, tmp_path, dataset_dir):

@@ -27,6 +27,12 @@ def test_every_public_name_resolves():
     assert [name for name in nk.__all__ if not hasattr(nk, name)] == []
 
 
+@pytest.mark.parametrize("values", [2.0, [1.0, 2.0, 3.0]], ids=["0-D", "1-D"])
+def test_tensor_needs_a_2d_array(values):
+    with pytest.raises(nk.ShapeError, match="2-D"):
+        nk.Tensor(np.array(values))
+
+
 class TestMatmul:
     def test_identity(self):
         a = rand(3, 3, seed=1)
@@ -227,6 +233,14 @@ class TestBroadcastAdd:
     def test_misaligned_shapes_rejected(self):
         with pytest.raises(nk.ShapeError):
             nk.add(nk.Tensor(np.zeros((3, 4))), nk.Tensor(np.zeros((2, 4))))
+
+    @pytest.mark.parametrize("op", [nk.add, nk.sub, nk.mul])
+    @pytest.mark.parametrize("shape", [(1, 4), (1, 1)], ids=["row", "scalar"])
+    def test_only_a_column_broadcasts(self, op, shape):
+        x, small = nk.Tensor(np.zeros((3, 4))), nk.Tensor(np.zeros(shape))
+        for a, b in ((x, small), (small, x)):
+            with pytest.raises(nk.ShapeError, match="do not align"):
+                op(a, b)
 
 
 class TestAlphaDropout:
