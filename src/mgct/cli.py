@@ -388,6 +388,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:  # such as numpy's "Unable to allocate ..." for an oversized model
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

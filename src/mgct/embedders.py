@@ -30,11 +30,6 @@ def _leaves(arrays: dict, names) -> list[nk.Tensor]:
     return [a if isinstance(a, nk.Tensor) else nk.Tensor(a) for a in map(arrays.__getitem__, names)]
 
 
-def affine(w: nk.Tensor, x: nk.Tensor, b: nk.Tensor) -> nk.Tensor:
-    """w @ x + b with the bias column broadcast across x's columns."""
-    return nk.add(nk.matmul(w, x), b)
-
-
 @dataclass
 class SnnCategoryParams:
     w1: nk.Tensor  # (hidden, len_s)
@@ -129,11 +124,11 @@ def embed_genomics(
             )
         if columns is not None and x.cols * s != columns.cols:
             raise nk.ShapeError(f"category {s}: {x.cols} samples, category 0 has {columns.cols // s}")
-        a = nk.elu(affine(p.w1, x, p.b1))
+        a = nk.elu(nk.affine(p.w1, x, p.b1))
         a = nk.alpha_dropout(a, dropout_p, (seed, 2 * s, step))
-        a = nk.elu(affine(p.w2, a, p.b2))
+        a = nk.elu(nk.affine(p.w2, a, p.b2))
         a = nk.alpha_dropout(a, dropout_p, (seed, 2 * s + 1, step))
-        col = affine(p.w_out, a, p.b_out)
+        col = nk.affine(p.w_out, a, p.b_out)
         columns = col if columns is None else nk.concat(columns, col, "cols")
     return columns
 
@@ -145,4 +140,4 @@ def embed_patches(patches: np.ndarray, params: PatchProjParams) -> nk.Tensor:
         raise nk.ShapeError(
             f"bag width {x.rows} does not match projection input width {params.weight.cols}"
         )
-    return affine(params.weight, x, params.bias)
+    return nk.affine(params.weight, x, params.bias)

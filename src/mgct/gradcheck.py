@@ -11,7 +11,6 @@ state as in a one-process sweep, so the gradients are bitwise the same.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import Callable, Mapping
 
@@ -100,6 +99,8 @@ def _send_share(f, work, start: int, stop: int, conn) -> None:
 
 def _forked_sweep(f, work: dict[str, np.ndarray], bounds: list[int]) -> np.ndarray:
     """Sweep share 0 here and every later share in a forked child; join the values in entry order."""
+    import multiprocessing  # here, not at the top: an import of mgct should not load it
+
     ctx = multiprocessing.get_context("fork")
     children = []
     try:

@@ -41,7 +41,6 @@ from .embedders import (
     PatchProjParams,
     SNN_HIDDEN_DEFAULT,
     SnnParams,
-    affine,
     bind_patch_proj,
     bind_snn,
     embed_genomics,
@@ -374,8 +373,8 @@ def mgct_layer(
             offsets = _one_segment(alpha, query_offsets)
             alpha_sink.extend(alpha.data[:, a:b] for a, b in zip(offsets[:-1], offsets[1:]))
     if ablation.feedforward:
-        hidden = nk.relu(affine(params.mlp.w_in, r, params.mlp.b_in))
-        out = affine(params.mlp.w_out, hidden, params.mlp.b_out)
+        hidden = nk.relu(nk.affine(params.mlp.w_in, r, params.mlp.b_in))
+        out = nk.affine(params.mlp.w_out, hidden, params.mlp.b_out)
         if residual:
             out = nk.add(out, r)
         return out
@@ -470,7 +469,7 @@ def classify(r_final: nk.Tensor, head: HeadParams) -> nk.Tensor:
     """Affine map from the fused (2d, B) embeddings to (bins, B) hazard logits, one column per sample."""
     if r_final.rows != head.w.cols:
         raise nk.ShapeError(f"classifier expects ({head.w.cols}, B) input, got {r_final.shape}")
-    return affine(head.w, r_final, head.b)
+    return nk.affine(head.w, r_final, head.b)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +577,7 @@ def bind_model(arrays: dict[str, np.ndarray], spec: ModelSpec) -> MgctParams:
 def window_logits(
     bags: list,
     genomics: list[list[np.ndarray]],
-    arrays: dict[str, np.ndarray],
+    arrays: dict[str, np.ndarray] | MgctParams,
     spec: ModelSpec,
     dropout_p: float = 0.0,
     dropout_key: tuple | None = None,
@@ -594,9 +593,10 @@ def window_logits(
     one sample or (seed, steps) with one step per sample; dropout is on when
     ``dropout_p > 0``. One sample records no gather. Returns the (bins, B)
     hazard logits, taped when ``arrays`` holds tape leaves (see
-    ``bind_model``).
+    ``bind_model``). A tree ``bind_model`` made for ``spec`` is used as it
+    is, so many passes over the same tensors bind them only once.
     """
-    params = bind_model(arrays, spec)
+    params = arrays if isinstance(arrays, MgctParams) else bind_model(arrays, spec)
     n = len(bags)
     raw = genomics[0] if n == 1 else [np.column_stack(cat) for cat in zip(*genomics)]
     g = embed_genomics(raw, params.snn, dropout_p=dropout_p, dropout_key=dropout_key)
@@ -616,7 +616,7 @@ def window_logits(
 def forward_logits(
     patches: np.ndarray,
     genomic: list[np.ndarray],
-    arrays: dict[str, np.ndarray],
+    arrays: dict[str, np.ndarray] | MgctParams,
     spec: ModelSpec,
     dropout_p: float = 0.0,
     dropout_key: tuple[int, int] | None = None,

@@ -4,7 +4,7 @@ Every value is a (rows, cols) float64 matrix, in C or Fortran memory order
 (bags load Fortran-ordered; no op depends on the order), and every operand
 of an op is a ``Tensor``: ops convert nothing. The one broadcast is an
 (m, 1) column against an (m, n) operand in ``add``, ``sub`` and ``mul``,
-as in a bias add or ``1 - h``. Operations build a
+as in ``1 - h``, and the bias column of ``affine``. Operations build a
 flat tape of primitive nodes; ``backward`` walks the tape once, in reverse,
 and returns a gradient for every leaf. It spends the tape: each non-leaf
 node is dropped once pulled, freeing the activations its closure holds, and
@@ -14,7 +14,8 @@ their operands and nothing caches on an array's identity, so Tensors are
 immutable once built, with one exception: the finite-difference oracle
 (``gradcheck``) perturbs its own working arrays in place between untaped
 forward calls (each process of a split sweep its own copy of them). When
-no operand is on a tape an op just computes, recording nothing.
+no operand is on a tape an op just computes and returns: it records
+nothing and does no tape bookkeeping.
 
 Shapes in comments use the convention ``(rows, cols)``.
 """
@@ -34,6 +35,7 @@ __all__ = [
     "Tape",
     "Grads",
     "matmul",
+    "affine",
     "add",
     "sub",
     "mul",
@@ -160,16 +162,14 @@ def _wrap(out: np.ndarray, tape: "Tape | None" = None, node_id: int | None = Non
     return t
 
 
-def _tape_of(a: Tensor, b: Tensor | None = None) -> "Tape | None":
-    ta = a.tape
-    if b is None:
-        return ta
-    tb = b.tape
-    if ta is None:
-        return tb
-    if tb is not None and tb is not ta:
-        raise ValueError("operands were recorded on different tapes")
-    return ta
+def _tape_of(*operands: Tensor) -> "Tape | None":
+    tape = None
+    for t in operands:
+        if t.tape is not None and t.tape is not tape:
+            if tape is not None:
+                raise ValueError("operands were recorded on different tapes")
+            tape = t.tape
+    return tape
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -191,52 +191,68 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
     out = a.data.dot(b.data)  # same product as ``@``, about 1 us less per call
-    tape = _tape_of(a, b)
-    if tape is None:
+    if a.tape is None and b.tape is None:
         return _wrap(out)
     ad, bd = a.data, b.data
 
     def pull(g):
         return (g @ bd.T, ad.T @ g)
 
-    return tape._emit(out, (a, b), pull)
+    return _tape_of(a, b)._emit(out, (a, b), pull)
+
+
+def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
+    """``w @ x + b``, the (m, 1) bias column broadcast across x's columns, as one node:
+    values and gradients are bitwise those of ``add(matmul(w, x), b)``."""
+    if w.data.shape[1] != x.data.shape[0] or b.data.shape != (w.data.shape[0], 1):
+        raise ShapeError(f"affine: {w.shape} @ {x.shape} + {b.shape} do not align")
+    out = w.data.dot(x.data)
+    out += b.data
+    if w.tape is None and x.tape is None and b.tape is None:
+        return _wrap(out)
+    wd, xd = w.data, x.data
+
+    def pull(g):
+        return (g @ xd.T, wd.T @ g, _reduce_to(g, (g.shape[0], 1)))
+
+    return _tape_of(w, x, b)._emit(out, (w, x, b), pull)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; the operands' rows match, and an (m, 1) column broadcasts across (m, n)."""
-    _check_broadcast(a, b, "add")
+    if a.data.shape != b.data.shape:
+        _check_broadcast(a, b, "add")
     out = a.data + b.data
-    tape = _tape_of(a, b)
-    if tape is None:
+    if a.tape is None and b.tape is None:
         return _wrap(out)
     a_shape, b_shape = a.shape, b.shape
 
     def pull(g):
         return (_reduce_to(g, a_shape), _reduce_to(g, b_shape))
 
-    return tape._emit(out, (a, b), pull)
+    return _tape_of(a, b)._emit(out, (a, b), pull)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "sub")
+    if a.data.shape != b.data.shape:
+        _check_broadcast(a, b, "sub")
     out = a.data - b.data
-    tape = _tape_of(a, b)
-    if tape is None:
+    if a.tape is None and b.tape is None:
         return _wrap(out)
     a_shape, b_shape = a.shape, b.shape
 
     def pull(g):
         return (_reduce_to(g, a_shape), -_reduce_to(g, b_shape))
 
-    return tape._emit(out, (a, b), pull)
+    return _tape_of(a, b)._emit(out, (a, b), pull)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product with the same broadcast rule as ``add``."""
-    _check_broadcast(a, b, "mul")
+    if a.data.shape != b.data.shape:
+        _check_broadcast(a, b, "mul")
     out = a.data * b.data
-    tape = _tape_of(a, b)
-    if tape is None:
+    if a.tape is None and b.tape is None:
         return _wrap(out)
     ad, bd = a.data, b.data
     a_shape, b_shape = a.shape, b.shape
@@ -244,48 +260,45 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def pull(g):
         return (_reduce_to(g * bd, a_shape), _reduce_to(g * ad, b_shape))
 
-    return tape._emit(out, (a, b), pull)
+    return _tape_of(a, b)._emit(out, (a, b), pull)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = a.data * c
-    tape = _tape_of(a)
-    if tape is None:
+    if a.tape is None:
         return _wrap(out)
 
     def pull(g):
         return (g * c,)
 
-    return tape._emit(out, (a,), pull)
+    return a.tape._emit(out, (a,), pull)
 
 
 def sum_all(a: Tensor) -> Tensor:
     out = np.array([[a.data.sum()]])
-    tape = _tape_of(a)
-    if tape is None:
+    if a.tape is None:
         return _wrap(out)
     shape = a.shape
 
     def pull(g):
         return (np.full(shape, g[0, 0]),)
 
-    return tape._emit(out, (a,), pull)
+    return a.tape._emit(out, (a,), pull)
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise ValueError("log: input must be strictly positive")
     out = np.log(a.data)
-    tape = _tape_of(a)
-    if tape is None:
+    if a.tape is None:
         return _wrap(out)
     ad = a.data
 
     def pull(g):
         return (g / ad,)
 
-    return tape._emit(out, (a,), pull)
+    return a.tape._emit(out, (a,), pull)
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -293,15 +306,14 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     if not lo < hi:
         raise ValueError(f"clamp: need lo < hi, got [{lo}, {hi}]")
     out = np.clip(a.data, lo, hi)
-    tape = _tape_of(a)
-    if tape is None:
+    if a.tape is None:
         return _wrap(out)
     mask = ((a.data >= lo) & (a.data <= hi)).astype(np.float64)
 
     def pull(g):
         return (g * mask,)
 
-    return tape._emit(out, (a,), pull)
+    return a.tape._emit(out, (a,), pull)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +353,7 @@ def elementwise(a: Tensor, kind: str) -> Tensor:
     except KeyError:
         raise ValueError(f"unknown elementwise kind {kind!r}") from None
     out = fwd(a.data)
-    tape = _tape_of(a)
-    if tape is None:
+    if a.tape is None:
         return _wrap(out)
     ad = a.data
 
@@ -350,7 +361,7 @@ def elementwise(a: Tensor, kind: str) -> Tensor:
         deriv = ELEMENTWISE_KINDS[kind][1]
         return (g * deriv(ad, out),)
 
-    return tape._emit(out, (a,), pull)
+    return a.tape._emit(out, (a,), pull)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -403,10 +414,9 @@ def concat(a: Tensor, b: Tensor, axis: str) -> Tensor:
 
     else:
         raise ValueError(f"concat axis must be 'rows' or 'cols', got {axis!r}")
-    tape = _tape_of(a, b)
-    if tape is None:
+    if a.tape is None and b.tape is None:
         return _wrap(out)
-    return tape._emit(out, (a, b), pull)
+    return _tape_of(a, b)._emit(out, (a, b), pull)
 
 
 def gather_cols(a: Tensor, cols: Sequence[int]) -> Tensor:
@@ -415,8 +425,7 @@ def gather_cols(a: Tensor, cols: Sequence[int]) -> Tensor:
     if not cols or len(set(cols)) != len(cols) or not all(0 <= c < a.cols for c in cols):
         raise ShapeError(f"gather_cols {cols} must be distinct columns of {a.shape}")
     out = a.data[:, cols]
-    tape = _tape_of(a)
-    if tape is None:
+    if a.tape is None:
         return _wrap(out)
     shape = a.shape
 
@@ -425,7 +434,7 @@ def gather_cols(a: Tensor, cols: Sequence[int]) -> Tensor:
         full[:, cols] = g
         return (full,)
 
-    return tape._emit(out, (a,), pull)
+    return a.tape._emit(out, (a,), pull)
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +523,12 @@ def segment_sum(a: Tensor, offsets, weights: Tensor) -> Tensor:
     seg = _segments(offsets, a.cols, "segment_sum")
     if weights.shape != (1, a.cols):
         raise ShapeError(f"segment_sum: weights {weights.shape} for {a.cols} columns")
-    if seg.sizes.size == 1 and _tape_of(a, weights) is None:
+    tape = _tape_of(a, weights)
+    if seg.sizes.size == 1 and tape is None:
         return _wrap(a.data @ weights.data.T)  # one untaped segment: 2-D products
     x = seg.pad(a.data).transpose(1, 0, 2)  # (B, d, width)
     c = seg.pad(weights.data)[0][:, :, None]  # (B, width, 1), zero in the padding
     out = (x @ c)[:, :, 0].T
-    tape = _tape_of(a, weights)
     if tape is None:
         return _wrap(out)
 
@@ -537,15 +546,14 @@ def segment_softmax(a: Tensor, offsets) -> Tensor:
         return _wrap(_softmax(a.data, 1))  # one untaped segment: 2-D products
     soft = _softmax(seg.pad(a.data, -np.inf), 2)  # zero in the padding
     out = seg.unpad(soft)
-    tape = _tape_of(a)
-    if tape is None:
+    if a.tape is None:
         return _wrap(out)
 
     def pull(g):
         g = seg.pad(g)
         return (seg.unpad(soft * (g - (g * soft).sum(axis=2, keepdims=True))),)
 
-    return tape._emit(out, (a,), pull)
+    return a.tape._emit(out, (a,), pull)
 
 
 def segment_attention(
@@ -575,8 +583,7 @@ def segment_attention(
     if qs.sizes.size != cs.sizes.size:
         raise ShapeError(f"segment_attention: {qs.sizes.size} query segments, {cs.sizes.size} key segments")
     inv = 1.0 / math.sqrt(d // heads)
-    _tape_of(q, k)  # raises for operands on different tapes
-    tape = _tape_of(v, q if q.tape is not None else k)
+    tape = _tape_of(q, k, v)
     if qs.sizes.size == 1 and tape is None:  # one untaped segment: per-head 2-D products
         qh, kh, vh = (x.data.reshape(heads, d // heads, x.cols) for x in (q, k, v))
         weights = _softmax((qh.transpose(0, 2, 1) @ kh) * inv, 2)  # (heads, m, n)
@@ -639,10 +646,25 @@ def _keyed_draws(words: Sequence[int], shape: tuple[int, ...], keep: float) -> n
 
 
 @lru_cache(maxsize=256)
-def _cached_mask(word: int, shape: tuple[int, int], keep: float) -> np.ndarray:
+def _cached_mask(word: int, shape: tuple[int, int], keep: float) -> tuple[np.ndarray, np.ndarray]:
     mask = _keyed_draws((word,), shape, keep)[0]
-    mask.setflags(write=False)
-    return mask
+    pair = (mask, _DROP_VALUE * (1.0 - mask))
+    for arr in pair:  # shared by every call with this key
+        arr.setflags(write=False)
+    return pair
+
+
+def _mask_and_drop(key: tuple, shape: tuple[int, int], keep: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``dropout_mask`` of ``key`` and the value its dropped entries take, ``_DROP_VALUE * (1 - mask)``."""
+    seed, layer, step = key
+    prefix = ((seed & _MASK64) << 64) | ((layer & _MASK32) << 32)
+    if isinstance(step, (int, np.integer)):
+        return _cached_mask(prefix | (operator.index(step) & _MASK32), shape, keep)
+    words = [prefix | (operator.index(s) & _MASK32) for s in step]
+    if len(words) != shape[1]:
+        raise ShapeError(f"dropout_mask: {len(words)} steps for {shape[1]} columns")
+    mask = _keyed_draws(words, (shape[0],), keep).T
+    return mask, _DROP_VALUE * (1.0 - mask)
 
 
 def dropout_mask(key: tuple, shape: tuple[int, int], keep: float) -> np.ndarray:
@@ -653,18 +675,19 @@ def dropout_mask(key: tuple, shape: tuple[int, int], keep: float) -> np.ndarray:
     stacked as columns draws what each sample would draw alone.
 
     Each call draws from one Philox bit generator, re-keyed per step. Only
-    integer-step masks are memoized, so repeated evaluation at the same key
-    (e.g. during a finite-difference sweep) reuses the same draw; a window of
-    steps is drawn afresh, since its masks never repeat in training.
+    integer-step masks are memoized (read-only), so repeated evaluation at
+    the same key (e.g. during a finite-difference sweep) reuses the same
+    draw; a window of steps is drawn afresh, since its masks never repeat.
     """
-    seed, layer, step = key
-    prefix = ((seed & _MASK64) << 64) | ((layer & _MASK32) << 32)
-    if isinstance(step, (int, np.integer)):
-        return _cached_mask(prefix | (operator.index(step) & _MASK32), shape, keep)
-    words = [prefix | (operator.index(s) & _MASK32) for s in step]
-    if len(words) != shape[1]:
-        raise ShapeError(f"dropout_mask: {len(words)} steps for {shape[1]} columns")
-    return _keyed_draws(words, (shape[0],), keep).T
+    return _mask_and_drop(key, shape, keep)[0]
+
+
+@lru_cache(maxsize=16)
+def _dropout_constants(p: float) -> tuple[float, float, float]:
+    """(keep, gain, shift) of self-normalizing dropout at rate ``p``."""
+    keep = 1.0 - p
+    gain = (keep + _DROP_VALUE**2 * keep * p) ** -0.5
+    return keep, gain, -gain * _DROP_VALUE * p
 
 
 def alpha_dropout(a: Tensor, p: float, key: tuple) -> Tensor:
@@ -678,19 +701,19 @@ def alpha_dropout(a: Tensor, p: float, key: tuple) -> Tensor:
         raise ValueError(f"alpha_dropout: p must lie in [0, 1), got {p}")
     if p == 0.0:
         return a
-    keep = 1.0 - p
-    mask = dropout_mask(key, a.shape, keep)
-    gain = (keep + _DROP_VALUE**2 * keep * p) ** -0.5
-    shift = -gain * _DROP_VALUE * p
-    out = gain * (a.data * mask + _DROP_VALUE * (1.0 - mask)) + shift
-    tape = _tape_of(a)
-    if tape is None:
+    keep, gain, shift = _dropout_constants(p)
+    mask, drop = _mask_and_drop(key, a.shape, keep)
+    out = a.data * mask  # gain * (a * mask + drop) + shift, in place
+    out += drop
+    out *= gain
+    out += shift
+    if a.tape is None:
         return _wrap(out)
 
     def pull(g):
         return (g * gain * mask,)
 
-    return tape._emit(out, (a,), pull)
+    return a.tape._emit(out, (a,), pull)
 
 
 # ---------------------------------------------------------------------------

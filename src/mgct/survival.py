@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -98,10 +99,19 @@ def nll_loss(hazards: nk.Tensor, labels: Sequence[SurvivalLabel], alpha: float =
         else:
             keep[: b + 1, j] = 1.0 - alpha  # -log S(b)
 
+    ones, minus_ones = _loss_constants(bins)
     h = nk.clamp(hazards, HAZARD_EPS, 1.0 - HAZARD_EPS)
-    log_keep = nk.log(nk.sub(nk.Tensor(np.ones((bins, 1))), h))  # log(1 - h), per bin
+    log_keep = nk.log(nk.sub(ones, h))  # log(1 - h), per bin
     terms = nk.add(nk.mul(nk.Tensor(death), nk.log(h)), nk.mul(nk.Tensor(keep), log_keep))
-    return nk.matmul(nk.Tensor(np.full((1, bins), -1.0)), terms)  # minus each column's sum
+    return nk.matmul(minus_ones, terms)  # minus each column's sum
+
+
+@lru_cache(maxsize=16)
+def _loss_constants(bins: int) -> tuple[nk.Tensor, nk.Tensor]:
+    """The read-only (bins, 1) ones and (1, bins) minus ones of ``nll_loss``."""
+    ones, minus_ones = np.ones((bins, 1)), np.full((1, bins), -1.0)
+    ones.flags.writeable = minus_ones.flags.writeable = False
+    return nk.Tensor(ones), nk.Tensor(minus_ones)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -30,7 +29,9 @@ from .mgct_core import (
     AblationSpec,
     Config,
     FusionConfig,
+    MgctParams,
     ModelSpec,
+    bind_model,
     forward_logits,
     init_model_arrays,
     ranged,
@@ -56,7 +57,7 @@ class TrainConfig(Config):
     learning_rate: float = ranged(2e-4, "(0, inf)")
     weight_decay: float = ranged(1e-5, "[0, inf)")
     accumulation: int = ranged(32, "[1, inf)")
-    seed: int = ranged(0, "[0, inf)")
+    seed: int = ranged(0, "[0, 18446744073709551616)")  # [0, 2**64): the dropout key keeps 64 bits
     fusion: FusionConfig = field(default_factory=FusionConfig)
     snn_hidden: int = ranged(SNN_HIDDEN_DEFAULT, "[1, inf)")
     dropout: float = ranged(DROPOUT_DEFAULT, "[0, 1)")
@@ -133,7 +134,7 @@ def adam_step(
 
 def window_losses(
     samples: list[BagSample],
-    arrays: dict,
+    arrays: dict | MgctParams,
     spec: ModelSpec,
     labels: list[survival.SurvivalLabel],
     dropout: float = 0.0,
@@ -144,8 +145,8 @@ def window_losses(
 
     One forward pass covers the window (see ``window_logits``); ``dropout_key``
     is (seed, step) for one sample or (seed, steps) with one step per sample.
-    Taped when ``arrays`` holds tape leaves, untaped for raw arrays or untaped
-    tensors. With ``dropout=0`` each loss equals the evaluation-mode loss.
+    Taped when ``arrays`` holds tape leaves (or their ``bind_model`` tree),
+    untaped otherwise. With ``dropout=0`` each loss equals the evaluation-mode loss.
     """
     logits = window_logits(
         [s.patches for s in samples],
@@ -279,13 +280,14 @@ def evaluate(
     """Risks plus C-index and fixed-horizon AUC for a sample list: validation and ``mgct eval``.
 
     Scores the samples untaped, in the ``tape_spans`` runs that training
-    would put on one tape, binding the model once per run; each risk is
+    would put on one tape, binding the model once per call; each risk is
     ``predict``'s for its sample, up to round-off.
     """
+    params = bind_model(arrays, spec)
     risks: list[float] = []
     for start, stop in tape_spans([s.patches.shape[1] for s in samples], TAPE_PATCHES):
         run = samples[start:stop]
-        logits = window_logits([s.patches for s in run], [s.genomic for s in run], arrays, spec)
+        logits = window_logits([s.patches for s in run], [s.genomic for s in run], params, spec)
         risks += [survival.SurvivalPrediction.from_hazards(h).risk for h in nk.sigmoid(logits).data.T]
     labels = [survival.SurvivalLabel(s.t, s.event) for s in samples]
     return risks, survival.concordance_index(risks, labels), survival.binary_auc(risks, labels, horizon)
@@ -391,6 +393,12 @@ def _aggregate(values: list[float | None]) -> tuple[float | None, float | None]:
     if not defined:
         return None, None
     return float(np.mean(defined)), float(np.std(defined))  # population std
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """``concurrent.futures.ProcessPoolExecutor``, imported on first use, since it imports multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def cross_validate(

@@ -39,25 +39,26 @@ SIMPLEX_TOL = 1e-12
 PERMUTATION_TOL = 1e-9
 
 
-def gradient_error(build, params) -> tuple[float, str]:
+def gradient_error(build, params, bind=dict) -> tuple[float, str]:
     """Tape gradient of ``build`` against central finite differences at ``params``.
 
-    ``build(tensors) -> 1x1 tensor`` runs once on ``params`` registered as tape
-    leaves, whose loss is backpropagated, and then on untaped tensors for every
-    finite-difference evaluation. Those tensors wrap the oracle's working
-    arrays, built once per sweep: the oracle perturbs the arrays in place.
+    ``build(bind(tensors)) -> 1x1 tensor`` runs once on ``params`` registered
+    as tape leaves, whose loss is backpropagated, and then on untaped tensors
+    for every finite-difference evaluation. Those tensors wrap the oracle's
+    working arrays, which it perturbs in place, so ``bind`` (a dict by
+    default; ``bind_model`` for the model) runs once per sweep.
     Returns (max relative error, its parameter).
     """
     tape = nk.Tape()
     leaves = {k: tape.leaf(v) for k, v in params.items()}
-    grads = nk.backward(build(leaves), tape)
+    grads = nk.backward(build(bind(leaves)), tape)
     analytic = {k: grads[v] for k, v in leaves.items()}
-    tensors: dict[str, nk.Tensor] = {}
+    bound = []
 
     def loss(work) -> float:
-        if not tensors:  # ``work`` is the same dict of arrays on every call
-            tensors.update((k, nk.Tensor(v)) for k, v in work.items())
-        return build(tensors).item()
+        if not bound:  # ``work`` is the same dict of arrays on every call
+            bound.append(bind({k: nk.Tensor(v) for k, v in work.items()}))
+        return build(bound[0]).item()
 
     return max_relative_error(analytic, finite_difference(loss, params))
 
@@ -128,7 +129,9 @@ def check_model_gradient() -> tuple[bool, str]:
     sample = BagSample("verify", patches, genomic, t=8.0, event=1)
     label = survival.SurvivalLabel(t=8.0, event=1, bin=1)
     err, name = gradient_error(
-        lambda t: window_losses([sample], t, spec, [label], dropout=0.25, dropout_key=(3, 0)), arrays
+        lambda params: window_losses([sample], params, spec, [label], dropout=0.25, dropout_key=(3, 0)),
+        arrays,
+        bind=lambda t: bind_model(t, spec),
     )
     return err < GRAD_TOL, f"max rel err {err:.3g} ({name})"
 
@@ -136,7 +139,7 @@ def check_model_gradient() -> tuple[bool, str]:
 def check_attention_simplex() -> tuple[bool, str]:
     rng = np.random.default_rng(21)
     spec = _tiny_spec()
-    arrays = init_model_arrays(spec, seed=4, head_init="xavier")
+    params = bind_model(init_model_arrays(spec, seed=4, head_init="xavier"), spec)
     worst = 0.0
     for _ in range(50):
         n = int(rng.integers(1, 16))
@@ -144,7 +147,7 @@ def check_attention_simplex() -> tuple[bool, str]:
         genomic = [rng.uniform(-2.0, 2.0, ln) for ln in spec.gene_lengths]
         attn: list[np.ndarray] = []
         alphas: list[np.ndarray] = []
-        forward_logits(patches, genomic, arrays, spec, attn_sink=attn, alpha_sink=alphas)
+        forward_logits(patches, genomic, params, spec, attn_sink=attn, alpha_sink=alphas)
         for w in attn + alphas:
             worst = max(worst, float(np.abs(w.sum(axis=1) - 1.0).max()))
             if w.min() < 0:

@@ -4,8 +4,10 @@ import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -13,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from mgct import checkpoint, cli, dataio, survival, train, verify, numkit as nk
@@ -100,6 +102,7 @@ BAD_VALUES = [
     ("cv", {"folds": 0}),
     ("cv", {"ratio": 1.0}),
     ("cv", {"jobs": 0}),
+    ("train", {"seed": 2**64}),  # the dropout key keeps 64 bits of the seed
 ]
 
 
@@ -190,7 +193,12 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "model,flags,message",
-        [({"d": 10, "heads": 3}, [], "model.heads"), ({}, ["--seed", "-1"], "seed"), ({}, ["--model", "Z"], "preset")],
+        [
+            ({"d": 10, "heads": 3}, [], "model.heads"),
+            ({}, ["--seed", "-1"], "seed"),
+            ({}, ["--model", "Z"], "preset"),
+            ({}, ["--seed", str(2**64)], "train.seed"),
+        ],
     )
     def test_bad_value_exits_2_before_run_dir(self, tmp_path, dataset_dir, capsys, model, flags, message):
         cfg = write_config(tmp_path, dataset_dir, model=model)
@@ -198,6 +206,22 @@ class TestConfigValidation:
         assert main(["train", "--config", cfg, "--out", str(runs)] + flags) == 2
         assert message in capsys.readouterr().err
         assert not runs.exists()
+
+    @pytest.mark.parametrize("seed", [2**64, 10**300])
+    @pytest.mark.parametrize("source", ["config", "flag", "MGCT_SEED"])
+    def test_seed_of_2_64_or_more_exits_2_before_run_dir(self, tmp_path, dataset_dir, capsys, monkeypatch, source, seed):
+        # 10**300 in a run directory's name was too long for mkdir, which exited 1
+        cfg = write_config(tmp_path, dataset_dir, train={"seed": seed} if source == "config" else {})
+        flags = ["--seed", str(seed)] if source == "flag" else []
+        if source == "MGCT_SEED":
+            monkeypatch.setenv("MGCT_SEED", str(seed))
+        runs = tmp_path / "runs"
+        assert main(["train", "--config", cfg, "--out", str(runs)] + flags) == 2
+        assert "train.seed: value" in capsys.readouterr().err
+        assert not runs.exists()
+
+    def test_largest_seed_accepted(self):
+        assert TrainConfig(seed=2**64 - 1).problems() == []
 
     @pytest.mark.parametrize("command,jobs", [("cv", "0"), ("ablate", "-3")])
     def test_bad_jobs_exits_2_before_run_dir(self, tmp_path, dataset_dir, capsys, command, jobs):
@@ -265,6 +289,69 @@ class TestConfigReaderFuzz:
             pass
 
 
+GENOMIC_TABLE = "genomic/synth-0000.csv"
+FUZZ_TOKENS = [b"", b",", b"\n", b'"', b"0", b"-1", b"nan", b"inf", b"1e400", b"\xff", b"[]", b"{}", b"null"]
+
+
+@st.composite
+def mutations(draw, valid: bytes) -> bytes:
+    """Arbitrary bytes, a prefix of ``valid``, or ``valid`` with a short slice replaced."""
+    kind = draw(st.sampled_from(["bytes", "prefix", "splice"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=200))
+    i = draw(st.integers(0, len(valid)))
+    if kind == "prefix":
+        return valid[:i]
+    j = draw(st.integers(i, min(len(valid), i + 12)))
+    return valid[:i] + draw(st.sampled_from(FUZZ_TOKENS) | st.binary(max_size=6)) + valid[j:]
+
+
+@pytest.fixture(scope="module")
+def fuzz_cohort(tmp_path_factory):
+    """An 8-sample cohort and a checkpoint trained on it."""
+    base = tmp_path_factory.mktemp("fuzz")
+    data = base / "data"
+    assert main(["synth", "--out", str(data), "--n", "8", "--seed", "3", "--d-in", "3", "--categories", "2"]) == 0
+    assert (data / GENOMIC_TABLE).is_file()
+    assert main(["train", "--config", write_config(base, data), "--out", str(base / "runs")]) == 0
+    return data, run_dirs(base / "runs")[0] / "fold_0.ckpt"
+
+
+class TestCommandFuzz:
+    """``mgct train`` (0 or 1 epochs) and ``mgct eval`` on a fuzzed manifest, genomic table,
+    category map or config exit 0 or 2, without a traceback."""
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_train_and_eval_exit_0_or_2(self, fuzz_cohort, capsys, data):
+        source, checkpoint_path = fuzz_cohort
+        target = data.draw(st.sampled_from(["manifest.csv", GENOMIC_TABLE, "category_map.json", "config.json"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cohort = tmp / "data"
+            shutil.copytree(source, cohort)
+            config = write_config(tmp, cohort, train={"epochs": data.draw(st.sampled_from([0, 1]))})
+            path = tmp / "config.json" if target == "config.json" else cohort / target
+            path.write_bytes(data.draw(mutations(path.read_bytes()), label=target))
+            if target == "config.json":  # never allocate or train for real at a fuzzed size
+                try:
+                    cfg = cli.load_config(path)[0]["train"]
+                except ConfigError:
+                    cfg = None
+                assume(cfg is None or (cfg.epochs <= 1 and max(cfg.snn_hidden, *asdict(cfg.fusion).values()) <= 16))
+            runs = [["train", "--config", config, "--out", str(tmp / "runs")]]
+            if target != "config.json":
+                manifest = str(cohort / "manifest.csv")
+                km = str(tmp / "km" / "x")
+                runs.append(["eval", "--checkpoint", str(checkpoint_path), "--manifest", manifest, "--km-out", km])
+            for argv in runs:
+                capsys.readouterr()
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (0, 2), f"mgct {argv[0]} exited {code}: {err}"
+                assert "Traceback" not in err
+
+
 class TestTrainCommand:
     def test_artifacts_and_config_echo(self, tmp_path, dataset_dir, capsys):
         cfg = write_config(tmp_path, dataset_dir)
@@ -330,6 +417,17 @@ class TestTrainCommand:
         assert main([command, "--config", cfg, "--out", str(runs)]) == 2
         assert "cv.ratio: cannot hold out 0 of 4 samples" in capsys.readouterr().err
         assert not runs.exists()
+
+    def test_out_of_memory_exits_1_without_traceback(self, tmp_path, dataset_dir, capsys, monkeypatch):
+        # stands in for numpy's failure to allocate an oversized model; a real allocation
+        # could have the process killed instead, on a host that overcommits memory
+        def allocate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 191. GiB for an array with shape (100000000, 256)")
+
+        monkeypatch.setattr(train, "init_model_arrays", allocate)
+        cfg = write_config(tmp_path, dataset_dir)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) == 1
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 191. GiB for an array with shape (100000000, 256)\n"
 
     def test_run_dirs_never_collide(self, tmp_path, dataset_dir):
         cfg = write_config(tmp_path, dataset_dir)
@@ -559,6 +657,14 @@ class TestEvalCommand:
         expected = [train.predict(s, arrays, spec).risk for s in loaded.samples]
         np.testing.assert_allclose(scored[0][0], expected, rtol=0, atol=1e-12)
         assert scored[1][0] == expected
+
+
+def test_import_loads_no_process_pool():
+    # the process pool and multiprocessing are imported where a command first needs them
+    script = "import sys, mgct.cli, mgct.verify; print(sorted({'multiprocessing', 'subprocess'} & set(sys.modules)))"
+    proc = run_python(["-c", script], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestVerifyCommand:

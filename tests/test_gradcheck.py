@@ -8,8 +8,9 @@ import os
 import numpy as np
 import pytest
 
-from mgct import gradcheck
+from mgct import gradcheck, mgct_core, verify
 from mgct.gradcheck import STEP, finite_difference
+from mgct.mgct_core import bind_model
 
 
 def per_call_copy_reference(f, params):
@@ -118,3 +119,19 @@ def test_a_child_that_dies_is_named(three_shares):
 
     with pytest.raises(RuntimeError, match=r"share 1 \(entries 8:16\) ended without a result, exit code 3"):
         finite_difference(f, three_shares)
+
+
+def test_model_check_binds_once_per_sweep(monkeypatch):
+    # one process: the tape's tree and the sweep's tree, not one tree per forward call
+    monkeypatch.setattr(gradcheck, "MIN_SHARE", 10**9)
+    calls = []
+
+    def counted(arrays, spec):
+        calls.append(spec)
+        return bind_model(arrays, spec)
+
+    monkeypatch.setattr(mgct_core, "bind_model", counted)
+    monkeypatch.setattr(verify, "bind_model", counted)
+    ok, detail = verify.check_model_gradient()
+    assert ok, detail
+    assert len(calls) <= 2

@@ -55,6 +55,45 @@ class TestMatmul:
         assert err < 1e-6, f"{name}: {err}"
 
 
+class TestAffine:
+    @pytest.mark.parametrize("cols", [1, 5])
+    @pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
+    def test_bitwise_add_of_matmul(self, taped, cols):
+        # the fused node against the two nodes it replaces: forward and all three gradients
+        w, x, b = rand(4, 3, seed=40), rand(3, cols, seed=41), rand(4, 1, seed=42)
+        g_out = rand(4, cols, seed=43)
+
+        def run(build):
+            tape = nk.Tape() if taped else None
+            leaves = [tape.leaf(v) if taped else nk.Tensor(v) for v in (w, x, b)]
+            out = build(*leaves)
+            if not taped:
+                assert out.tape is None
+                return out.data, []
+            loss = nk.sum_all(nk.mul(out, nk.Tensor(g_out)))
+            grads = nk.backward(loss, tape)
+            return out.data, [grads[leaf] for leaf in leaves]
+
+        fused, fused_grads = run(nk.affine)
+        plain, plain_grads = run(lambda w, x, b: nk.add(nk.matmul(w, x), b))
+        assert fused.tobytes() == plain.tobytes()
+        assert [g.tobytes() for g in fused_grads] == [g.tobytes() for g in plain_grads]
+
+    def test_one_node_per_affine(self):
+        tape = nk.Tape()
+        w, x, b = (tape.leaf(v) for v in (rand(4, 3), rand(3, 2), rand(4, 1)))
+        nk.affine(w, x, b)
+        assert len(tape.nodes) == 4
+
+    @pytest.mark.parametrize(
+        "x_shape,b_shape", [((2, 5), (4, 1)), ((3, 5), (3, 1)), ((3, 5), (4, 5)), ((3, 5), (1, 1))],
+        ids=["inner", "bias-rows", "bias-full", "bias-scalar"],
+    )
+    def test_mismatched_operands_raise_shape_error(self, x_shape, b_shape):
+        with pytest.raises(nk.ShapeError, match="affine"):
+            nk.affine(nk.Tensor(np.zeros((4, 3))), nk.Tensor(np.zeros(x_shape)), nk.Tensor(np.zeros(b_shape)))
+
+
 class TestSegmentSoftmax:
     # one segment takes the untaped 2-D route, several the padded route
     def test_uniform_row(self):
@@ -299,6 +338,25 @@ class TestAlphaDropout:
         assert one.shape == (50, 1)
         np.testing.assert_array_equal(one, oracle(seed, layer, 9, (50, 1), keep))
         assert nk._cached_mask.cache_info().currsize == cached  # window draws are not memoized
+
+    @pytest.mark.parametrize("step", [7, range(3, 8)], ids=["integer step", "window of steps"])
+    def test_bitwise_the_plain_expression(self, step):
+        # oracle: the expression the cached constants and in-place arithmetic stand for
+        p, keep = 0.25, 0.75
+        x = rand(6, 5, seed=32)
+        mask = nk.dropout_mask((4, 1, step), (6, 5), keep)
+        drop = -1.0507009873554805 * 1.6732632423543772
+        gain = (keep + drop**2 * keep * p) ** -0.5
+        expected = gain * (x * mask + drop * (1.0 - mask)) + -gain * drop * p
+        g = rand(6, 5, seed=33)
+        for _ in range(2):  # the second call reuses what the first cached
+            tape = nk.Tape()
+            leaf = tape.leaf(x)
+            out = nk.alpha_dropout(leaf, p, (4, 1, step))
+            assert out.data.tobytes() == expected.tobytes()
+            assert nk.alpha_dropout(nk.Tensor(x), p, (4, 1, step)).data.tobytes() == expected.tobytes()
+            grad = nk.backward(nk.sum_all(nk.mul(out, nk.Tensor(g))), tape)[leaf]
+            assert grad.tobytes() == (g * gain * mask).tobytes()
 
     def test_gradient_through_mask(self):
         x = rand(4, 5, seed=31)
