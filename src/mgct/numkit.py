@@ -333,7 +333,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _elu(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, x, np.expm1(x))  # alpha fixed at 1
+    # alpha fixed at 1; expm1 sees entries above 1 clamped to 1, so a large
+    # positive entry (which the where discards) cannot overflow, while -0.0
+    # and NaN reach it unchanged. A masked expm1 (where=) took 2.7x as long on
+    # a (256, 32) block.
+    return np.where(x > 0, x, np.expm1(np.minimum(x, 1.0)))
 
 
 # kind -> (forward, derivative in terms of input x and output y); the

@@ -1,8 +1,10 @@
 """End-to-end command-line tests (in-process, checking exit codes and files)."""
 
 import csv
+import ctypes
 import json
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import mgct
 from mgct import checkpoint, cli, dataio, survival, train, verify, numkit as nk
 from mgct.cli import SECTIONS, main, validate_config, ConfigError
 from mgct.mgct_core import AblationSpec, FusionConfig, ModelSpec, init_model_arrays
@@ -665,6 +668,73 @@ def test_import_loads_no_process_pool():
     proc = run_python(["-c", script], capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds are glibc's")
+def test_import_keeps_freed_heap_for_reuse():
+    # twenty 512 KiB arrays made and freed twice: without mgct glibc gives the freed heap back
+    # and the second pass faults it in again; with mgct the second pass reuses it
+    script = (
+        "import resource, sys\n"
+        "import numpy as np\n"
+        "if sys.argv[1] == 'mgct':\n"
+        "    import mgct\n"
+        "def churn():\n"
+        "    arrays = [np.ones((64, 1024)) for _ in range(20)]\n"
+        "    del arrays\n"
+        "churn()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "churn()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    faults = {}
+    for mode in ("numpy", "mgct"):
+        proc = run_python(["-c", script, mode], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        faults[mode] = int(proc.stdout)
+    assert faults["numpy"] >= 500 and faults["mgct"] <= 50, faults
+
+
+class FakeMallopt:
+    def __init__(self, result):
+        self.calls = []
+        self.result = result
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.result
+
+
+@pytest.mark.parametrize("result", [1, 0], ids=["accepted", "refused"])
+def test_heap_thresholds_set_through_mallopt(monkeypatch, result):
+    mallopt = FakeMallopt(result)
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    assert mgct._keep_freed_heap() is None
+    # a refused mmap threshold leaves the trim threshold, and glibc's dynamic threshold, alone
+    expected = [(-3, mgct.HEAP_KEEP), (-1, mgct.HEAP_KEEP)] if result else [(-3, mgct.HEAP_KEEP)]
+    assert mallopt.calls == expected
+
+
+def no_confstr_name(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize(
+    "confstr,libc",
+    [(no_confstr_name, None), (lambda name: "musl 1.2", None), (lambda name: None, None),
+     (lambda name: "glibc 2.36", object())],
+    ids=["no-name", "musl", "undefined", "no-mallopt"],
+)
+def test_heap_thresholds_left_alone(monkeypatch, confstr, libc):
+    # off glibc libc is never loaded; a libc without mallopt is left as it is
+    def load(name):
+        assert libc is not None, "libc loaded off glibc"
+        return libc
+
+    monkeypatch.setattr(os, "confstr", confstr)
+    monkeypatch.setattr(ctypes, "CDLL", load)
+    assert mgct._keep_freed_heap() is None
 
 
 class TestVerifyCommand:

@@ -1,6 +1,8 @@
 """Kernel tests: forward semantics, tape gradients vs finite differences,
 layout round-trips, and dropout statistics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,19 @@ class TestElementwise:
     def test_elu_negative_closed_form(self):
         out = nk.elu(nk.Tensor([[-1.0]]))
         assert out.item() == pytest.approx(np.exp(-1.0) - 1.0, abs=1e-15)
+
+    def test_elu_large_input_does_not_overflow(self):
+        # no overflow warning from a large entry; outputs are bitwise those of the where-form
+        x = np.array([[800.0, -1.0, -0.0, np.nan, 0.0, 1e300, -np.inf]])
+        with np.errstate(over="ignore"):
+            expected = np.where(x > 0, x, np.expm1(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = nk.elu(nk.Tensor(x)).data
+        assert out.tobytes() == expected.tobytes()
+        assert np.signbit(out[0, 2]) and np.isnan(out[0, 3])
+        fortran = np.asfortranarray(rand(6, 5, seed=3, lo=-3, hi=3))
+        assert nk.elu(nk.Tensor(fortran)).data.strides == fortran.strides
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown elementwise kind"):
