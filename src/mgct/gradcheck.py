@@ -4,7 +4,7 @@ Used by the test suite and the ``verify`` command to check every tape
 gradient against an independent numerical estimate. The oracle only calls
 the forward function; it never touches the tape.
 
-A large sweep is split across the usable CPUs by forking (see
+A large sweep is dealt round-robin across the usable CPUs by forking (see
 ``finite_difference``); each difference is taken from the same working
 state as in a one-process sweep, so the gradients are bitwise the same.
 """
@@ -20,37 +20,53 @@ STEP = 1e-5
 MIN_SHARE = 256  # entries; a smaller share costs more to fork than it saves
 
 
+class Work(dict):
+    """The oracle's working arrays, by name; ``moved`` names the array that holds the displaced entry."""
+
+    moved: str | None = None
+
+
 def finite_difference(
-    f: Callable[[Mapping[str, np.ndarray]], float], params: Mapping[str, np.ndarray]
+    f: Callable[[Work], float], params: Mapping[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
     """Central-difference gradient of ``f`` at ``params``, entry by entry, with step ``STEP``.
 
     ``f`` must be deterministic (fix any dropout keys before calling). The
-    oracle copies ``params`` once, as float64, and hands ``f`` that same dict
-    of working arrays on every call, moving one entry at a time in place and
-    restoring it before the next; ``params`` itself is never written. So
-    ``f`` may wrap the working arrays once and read them on every call, and
-    nothing ``f`` reaches may cache a result on an array's identity.
+    oracle copies ``params`` once, as float64, and hands ``f`` that same
+    ``Work`` dict of working arrays on every call, moving one entry at a time
+    in place and restoring it before the next; ``params`` itself is never
+    written. ``work.moved`` names the array that holds the moved entry, so
+    every other array holds its value in ``params``: ``f`` may wrap the
+    working arrays once, and may keep across calls what it computed from
+    unmoved arrays alone, but nothing ``f`` reaches may cache a result on an
+    array's identity.
 
-    Entries are taken in dict order, row-major within each array, and cut
-    into contiguous shares: one per usable CPU, each of at least
-    ``MIN_SHARE`` entries. The first share runs here and every other one in
-    a forked child that calls ``f`` on its own copy of the working arrays,
-    in the same order within its share, and sends back only its float64
-    differences; whatever ``f`` changes in a child (a call counter, a
-    cache) stays in that child. A sweep too small for two shares,
-    or a platform without ``fork``, runs in this process alone, and then
-    ``f`` sees every entry move up and then down, in order, one per call.
-    If ``f`` raises, the oracle raises what a one-process sweep would have
-    raised first: an exception from this process's share, else the first
-    failing child share's, with its type and message.
+    Entries are numbered in dict order, row-major within each array, and
+    dealt round-robin to shares, entry i to share i mod P: one share per
+    usable CPU, each of at least ``MIN_SHARE`` entries. Share 0 runs here and
+    every other one in a forked child that calls ``f`` on its own copy of the
+    working arrays, in entry order within its share, and sends back only its
+    float64 differences; whatever ``f`` changes in a child (a call counter, a
+    cache) stays in that child. A sweep too small for two shares, or a
+    platform without ``fork``, runs in this process alone, and then ``f``
+    sees every entry move up and then down, in order, one per call. If ``f``
+    raises, the oracle raises what a one-process sweep would have raised
+    first: the exception of the lowest-numbered failing entry, with its type
+    and message.
     """
-    work = {name: np.array(arr, dtype=np.float64, order="C") for name, arr in params.items()}
-    bounds = _share_bounds(sum(arr.size for arr in work.values()))
-    if len(bounds) > 2 and hasattr(os, "fork"):
-        values = _forked_sweep(f, work, bounds)
+    work = Work((name, np.array(arr, dtype=np.float64, order="C")) for name, arr in params.items())
+    n = sum(arr.size for arr in work.values())
+    shares = _share_count(n)
+    if shares > 1 and hasattr(os, "fork"):
+        parts = _forked_sweep(f, work, shares)
     else:
-        values = _sweep(f, work, bounds[0], bounds[-1])
+        shares, parts = 1, [_sweep(f, work, 0, 1)]
+    failures = [failure for _, failure in parts if failure]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    values = np.empty(n)
+    for k, (part, _) in enumerate(parts):
+        values[k::shares] = part
     grads: dict[str, np.ndarray] = {}
     start = 0
     for name, arr in work.items():
@@ -59,70 +75,72 @@ def finite_difference(
     return grads
 
 
-def _share_bounds(n: int) -> list[int]:
-    """Cut ``n`` entries into contiguous shares, one per usable CPU, none under ``MIN_SHARE``."""
+def _share_count(n: int) -> int:
+    """Shares for ``n`` entries: one per usable CPU, none under ``MIN_SHARE``."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    shares = max(1, min(cpus, n // MIN_SHARE))
-    return [n * k // shares for k in range(shares + 1)]
+    return max(1, min(cpus, n // MIN_SHARE))
 
 
-def _sweep(f, work: dict[str, np.ndarray], start: int, stop: int) -> np.ndarray:
-    """Central differences of entries ``start:stop`` of ``work``, counted across its arrays in order."""
-    out = np.empty(stop - start)
+def _sweep(f, work: Work, share: int, shares: int):
+    """Central differences of entries ``share``, ``share + shares``, ... of ``work``, counted across its arrays.
+
+    Returns (values, failure): failure is None, or (entry, exception) for the
+    first entry whose ``f`` raised, where the sweep stopped.
+    """
+    out = []
     first = 0  # index of the current array's first entry
-    for arr in work.values():
+    for name, arr in work.items():
+        work.moved = name
         flat = arr.reshape(-1)
-        for i in range(max(start - first, 0), min(stop - first, flat.size)):
+        for i in range((share - first) % shares, flat.size, shares):
             orig = flat[i]
-            flat[i] = orig + STEP
-            up = f(work)
-            flat[i] = orig - STEP
-            down = f(work)
-            flat[i] = orig
-            out[first + i - start] = (up - down) / (2.0 * STEP)
+            try:
+                flat[i] = orig + STEP
+                up = f(work)
+                flat[i] = orig - STEP
+                down = f(work)
+            except Exception as exc:  # noqa: BLE001 - the caller decides which failure to raise
+                return np.array(out), (first + i, exc)
+            finally:
+                flat[i] = orig
+            out.append((up - down) / (2.0 * STEP))
         first += flat.size
-    return out
+    work.moved = None
+    return np.array(out), None
 
 
-def _send_share(f, work, start: int, stop: int, conn) -> None:
-    """Child body: sweep one share and send its values, or the exception it raised."""
-    try:
-        result = _sweep(f, work, start, stop)
-    except Exception as exc:  # noqa: BLE001 - sent to the parent, which re-raises it
-        result = exc
-    conn.send(result)
+def _send_share(f, work, share: int, shares: int, conn) -> None:
+    """Child body: sweep one share and send its (values, failure)."""
+    conn.send(_sweep(f, work, share, shares))
     conn.close()
 
 
-def _forked_sweep(f, work: dict[str, np.ndarray], bounds: list[int]) -> np.ndarray:
-    """Sweep share 0 here and every later share in a forked child; join the values in entry order."""
+def _forked_sweep(f, work: Work, shares: int) -> list:
+    """Sweep share 0 here and every later share in a forked child; return every share's (values, failure)."""
     import multiprocessing  # here, not at the top: an import of mgct should not load it
 
     ctx = multiprocessing.get_context("fork")
     children = []
     try:
-        for k in range(1, len(bounds) - 1):
+        for k in range(1, shares):
             recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_send_share, args=(f, work, bounds[k], bounds[k + 1], send))
+            child = ctx.Process(target=_send_share, args=(f, work, k, shares, send))
             child.start()  # flushes sys.stdout and sys.stderr first, so no child writes their buffers again
             send.close()
             children.append((child, recv))
-        parts = [_sweep(f, work, bounds[0], bounds[1])]
+        parts = [_sweep(f, work, 0, shares)]
         for k, (child, recv) in enumerate(children, start=1):
             try:
-                part = recv.recv()
+                parts.append(recv.recv())
             except EOFError:
                 child.join()
                 raise RuntimeError(
-                    f"finite-difference share {k} (entries {bounds[k]}:{bounds[k + 1]}) "
+                    f"finite-difference share {k} (entries {k}::{shares}) "
                     f"ended without a result, exit code {child.exitcode}"
                 ) from None
-            if isinstance(part, BaseException):
-                raise part
-            parts.append(part)
     except BaseException:
         for child, _ in children:  # their values are no longer needed
             child.terminate()
@@ -131,7 +149,7 @@ def _forked_sweep(f, work: dict[str, np.ndarray], bounds: list[int]) -> np.ndarr
         for child, recv in children:
             child.join()
             recv.close()
-    return np.concatenate(parts)
+    return parts
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -143,16 +161,20 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+    with np.errstate(invalid="ignore"):  # an infinite entry gives inf / inf: a nan error
+        return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
 def max_relative_error(
     analytic: Mapping[str, np.ndarray], numeric: Mapping[str, np.ndarray]
 ) -> tuple[float, str]:
-    """Largest per-parameter relative error and the parameter it occurs in."""
+    """Largest per-parameter relative error and the parameter it occurs in.
+
+    A nan error counts as the largest: the first parameter with one is reported.
+    """
     worst, worst_name = 0.0, ""
     for name in analytic:
         err = relative_error(analytic[name], numeric[name])
-        if err >= worst:
+        if err >= worst or (err != err and worst == worst):
             worst, worst_name = err, name
     return worst, worst_name

@@ -418,6 +418,59 @@ def _sample_major(tokens: nk.Tensor, groups: int) -> nk.Tensor:
     return nk.gather_cols(tokens, [g * n + b for b in range(n) for g in range(groups)])
 
 
+def _offsets(patch_tokens: nk.Tensor, tokens: nk.Tensor, patch_offsets):
+    """(patch offsets, offsets of ``tokens``): each sample's columns, an equal share of ``tokens`` per sample."""
+    patch_offsets = _one_segment(patch_tokens, patch_offsets)
+    n = len(patch_offsets) - 1
+    if tokens.cols % n:
+        raise nk.ShapeError(f"{tokens.cols} genomic tokens do not split over {n} samples")
+    return patch_offsets, range(0, tokens.cols + 1, tokens.cols // n)
+
+
+def fuse_stage_one(
+    patch_tokens, genomic_tokens, params: FusionParams, config, ablation, attn_sink, alpha_sink, patch_offsets
+) -> nk.Tensor:
+    """Stage 1 of ``fuse`` (same arguments): the (d, 2B) pair of stage-1 tokens, sample-major.
+
+    Without deep fusion, which has no stage 2, it gives the final (2d, B)
+    embeddings. The sinks receive the weights layer by layer, B blocks at a
+    time.
+    """
+    patch_offsets, genomic_offsets = _offsets(patch_tokens, genomic_tokens, patch_offsets)
+    kw = dict(ablation=ablation, residual=config.residual, attn_sink=attn_sink, alpha_sink=alpha_sink)
+    gh = _run_stack(genomic_tokens, patch_tokens, params.stage1_gh, **kw,
+                    query_offsets=genomic_offsets, context_offsets=patch_offsets)  # (d, B)
+    hg = _run_stack(patch_tokens, genomic_tokens, params.stage1_hg, **kw,
+                    query_offsets=patch_offsets, context_offsets=genomic_offsets)  # (d, B)
+    if not ablation.deep_fusion:
+        return nk.concat(gh, hg, "rows")
+    return _sample_major(nk.concat(gh, hg, "cols"), 2)
+
+
+def fuse_stage_two(
+    patch_tokens, pair, params: FusionParams, config, ablation, attn_sink, alpha_sink, patch_offsets
+) -> nk.Tensor:
+    """Stage 2 of ``fuse``: the stage-1 ``pair`` against the patch tokens, out to (2d, B).
+
+    Without deep fusion ``pair`` already is that, and is returned as it is.
+    """
+    if not ablation.deep_fusion:
+        return pair
+    patch_offsets, pair_offsets = _offsets(patch_tokens, pair, patch_offsets)
+    kw = dict(ablation=ablation, residual=config.residual, attn_sink=attn_sink, alpha_sink=alpha_sink)
+    fh = _run_stack(pair, patch_tokens, params.stage2_fh, **kw,
+                    query_offsets=pair_offsets, context_offsets=patch_offsets)
+    hf = _run_stack(patch_tokens, pair, params.stage2_hf, **kw,
+                    query_offsets=patch_offsets, context_offsets=pair_offsets)
+    return nk.concat(fh, hf, "rows")
+
+
+def _by_sample(blocks: list | None, n: int, sink: list | None) -> None:
+    """Append to ``sink`` the blocks a stage recorded n at a time (one per sample), regrouped by sample."""
+    if blocks:
+        sink.extend(blocks[i] for b in range(n) for i in range(b, len(blocks), n))
+
+
 def fuse(
     patch_tokens: nk.Tensor,
     genomic_tokens: nk.Tensor,
@@ -437,31 +490,13 @@ def fuse(
     sinks receive sample 0's weights, then sample 1's, and so on; each
     sample's in the order a one-sample window records them.
     """
-    patch_offsets = _one_segment(patch_tokens, patch_offsets)
-    n = len(patch_offsets) - 1
-    if genomic_tokens.cols % n:
-        raise nk.ShapeError(f"{genomic_tokens.cols} genomic tokens do not split over {n} samples")
-    genomic_offsets = range(0, genomic_tokens.cols + 1, genomic_tokens.cols // n)
+    n = len(_one_segment(patch_tokens, patch_offsets)) - 1
     # recorded layer by layer, n blocks at a time, then regrouped by sample
     attn, alphas = ([] if sink is not None else None for sink in (attn_sink, alpha_sink))
-    kw = dict(ablation=ablation, residual=config.residual, attn_sink=attn, alpha_sink=alphas)
-    gh = _run_stack(genomic_tokens, patch_tokens, params.stage1_gh, **kw,
-                    query_offsets=genomic_offsets, context_offsets=patch_offsets)  # (d, B)
-    hg = _run_stack(patch_tokens, genomic_tokens, params.stage1_hg, **kw,
-                    query_offsets=patch_offsets, context_offsets=genomic_offsets)  # (d, B)
-    if not ablation.deep_fusion:
-        out = nk.concat(gh, hg, "rows")
-    else:
-        pair = _sample_major(nk.concat(gh, hg, "cols"), 2)  # (d, 2B): each sample's stage-1 token pair
-        pair_offsets = range(0, 2 * n + 1, 2)
-        fh = _run_stack(pair, patch_tokens, params.stage2_fh, **kw,
-                        query_offsets=pair_offsets, context_offsets=patch_offsets)
-        hf = _run_stack(patch_tokens, pair, params.stage2_hf, **kw,
-                        query_offsets=patch_offsets, context_offsets=pair_offsets)
-        out = nk.concat(fh, hf, "rows")
-    for sink, blocks in ((attn_sink, attn), (alpha_sink, alphas)):
-        if blocks:
-            sink.extend(blocks[i] for b in range(n) for i in range(b, len(blocks), n))
+    args = (params, config, ablation, attn, alphas, patch_offsets)
+    out = fuse_stage_two(patch_tokens, fuse_stage_one(patch_tokens, genomic_tokens, *args), *args)
+    _by_sample(attn, n, attn_sink)
+    _by_sample(alphas, n, alpha_sink)
     return out
 
 
@@ -574,6 +609,53 @@ def bind_model(arrays: dict[str, np.ndarray], spec: ModelSpec) -> MgctParams:
     )
 
 
+def window_stages(
+    bags: list,
+    genomics: list[list[np.ndarray]],
+    params: MgctParams,
+    spec: ModelSpec,
+    dropout_p: float = 0.0,
+    dropout_key: tuple | None = None,
+    attn_sink: list | None = None,
+    alpha_sink: list | None = None,
+) -> tuple:
+    """``window_logits`` as its four stages, each a function of the output of the one before.
+
+    In order: embed (argument unused) gives the (patch tokens, genomic
+    tokens); stage one gives the (patch tokens, stage-1 pair); stage two the
+    (2d, B) embeddings; the head the (bins, B) logits. Stage k reads only the
+    arrays of ``STAGE_PREFIXES[k]``, so with those unchanged it gives the
+    same output for the same input, and a pass may resume at a later stage
+    from an earlier pass's output. Sinks, when given, are filled at stage
+    two: a pass that records them runs each stage once, in order.
+    """
+    n = len(bags)
+    raw = genomics[0] if n == 1 else [np.column_stack(cat) for cat in zip(*genomics)]
+    offsets = list(accumulate((bag.shape[1] for bag in bags), initial=0))
+    attn, alphas = ([] if sink is not None else None for sink in (attn_sink, alpha_sink))
+    args = (params.fusion, spec.fusion, spec.ablation, attn, alphas, offsets)
+
+    def embed(_=None):
+        g = embed_genomics(raw, params.snn, dropout_p=dropout_p, dropout_key=dropout_key)
+        return embed_patches(np.hstack(bags), params.patch), _sample_major(g, len(raw))
+
+    def stage_one(tokens):
+        h, g = tokens
+        return h, fuse_stage_one(h, g, *args)
+
+    def stage_two(tokens):
+        out = fuse_stage_two(*tokens, *args)
+        _by_sample(attn, n, attn_sink)
+        _by_sample(alphas, n, alpha_sink)
+        return out
+
+    return embed, stage_one, stage_two, lambda fused: classify(fused, params.head)
+
+
+# the array-name prefixes of the parameters each ``window_stages`` stage reads
+STAGE_PREFIXES = (("snn.", "patch."), ("s1.",), ("s2.",), ("head.",))
+
+
 def window_logits(
     bags: list,
     genomics: list[list[np.ndarray]],
@@ -588,29 +670,20 @@ def window_logits(
 
     The window runs as one pass: the genomic networks run once on its stacked
     category vectors, and one affine map projects its bags side by side;
-    fusion and the head then take every sample's tokens at once, cut into
-    samples by offsets (see ``fuse``). ``dropout_key`` is (seed, step) for
-    one sample or (seed, steps) with one step per sample; dropout is on when
+    fusion (stage one, then stage two) and the head then take every sample's
+    tokens at once, cut into samples by offsets (see ``fuse`` and
+    ``window_stages``). ``dropout_key`` is (seed, step) for one sample or
+    (seed, steps) with one step per sample; dropout is on when
     ``dropout_p > 0``. One sample records no gather. Returns the (bins, B)
     hazard logits, taped when ``arrays`` holds tape leaves (see
     ``bind_model``). A tree ``bind_model`` made for ``spec`` is used as it
     is, so many passes over the same tensors bind them only once.
     """
     params = arrays if isinstance(arrays, MgctParams) else bind_model(arrays, spec)
-    n = len(bags)
-    raw = genomics[0] if n == 1 else [np.column_stack(cat) for cat in zip(*genomics)]
-    g = embed_genomics(raw, params.snn, dropout_p=dropout_p, dropout_key=dropout_key)
-    fused = fuse(
-        embed_patches(np.hstack(bags), params.patch),
-        _sample_major(g, len(raw)),
-        params.fusion,
-        spec.fusion,
-        ablation=spec.ablation,
-        attn_sink=attn_sink,
-        alpha_sink=alpha_sink,
-        patch_offsets=list(accumulate((bag.shape[1] for bag in bags), initial=0)),
-    )
-    return classify(fused, params.head)
+    x = None
+    for stage in window_stages(bags, genomics, params, spec, dropout_p, dropout_key, attn_sink, alpha_sink):
+        x = stage(x)
+    return x
 
 
 def forward_logits(

@@ -91,14 +91,20 @@ def adam_step(
     Returns fresh parameter arrays and leaves ``params`` and ``grads`` as they
     were. The moments in ``state`` are updated in place after the first step,
     through two scratch buffers sized to the largest block; each element's
-    arithmetic is that of the plain expressions in the comments. A non-finite
-    gradient skips the whole step (logged), leaving params and state untouched.
+    arithmetic is that of the plain expressions in the comments. A gradient
+    block with a non-finite entry, or whose sum of squares overflows (so a
+    square could overflow the second moment), skips the whole step (logged),
+    leaving params and state untouched.
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            state.skipped += 1
-            log.warning("skipping update %d: non-finite gradient in %s", state.step_count + 1, name)
-            return params
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the finding, reported below
+        for name, g in grads.items():
+            flat = g.reshape(-1)
+            if not np.isfinite(np.dot(flat, flat)):
+                state.skipped += 1
+                log.warning(
+                    "skipping update %d: non-finite or overflowing gradient in %s", state.step_count + 1, name
+                )
+                return params
     b1, b2 = ADAM_BETAS
     state.step_count += 1
     t = state.step_count

@@ -6,9 +6,10 @@ ragged segment softmax, the elementwise nonlinearities, the loss and the
 whole model), simplex invariants of attention and pooling weights,
 permutation invariance of the fusion pipeline, and the concat/gather_cols
 round-trip. Sizes are kept small so the whole suite runs in seconds. The
-gradient harness (``gradient_error``) and the permutation harness
-(``patch_permutation_deviation``) are shared with the test suite, which
-runs them at its own sizes and tolerances.
+gradient harnesses (``gradient_error``, and ``model_gradient_error`` for the
+whole model) and the permutation harness (``patch_permutation_deviation``)
+are shared with the test suite, which runs them at its own sizes and
+tolerances.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from . import survival
 from .dataio import BagSample
 from .gradcheck import finite_difference, max_relative_error
 from .mgct_core import (
+    STAGE_PREFIXES,
     AblationSpec,
     FusionConfig,
     ModelSpec,
@@ -31,12 +33,21 @@ from .mgct_core import (
     fuse,
     gated_attention_pool,
     init_model_arrays,
+    window_stages,
 )
 from .train import window_losses
 
 GRAD_TOL = 1e-4
 SIMPLEX_TOL = 1e-12
 PERMUTATION_TOL = 1e-9
+
+
+def _tape_gradient(build, params, bind=dict) -> dict[str, np.ndarray]:
+    """Gradient of ``build(bind(tensors))`` at ``params``, registered as tape leaves."""
+    tape = nk.Tape()
+    leaves = {k: tape.leaf(v) for k, v in params.items()}
+    grads = nk.backward(build(bind(leaves)), tape)
+    return {k: grads[v] for k, v in leaves.items()}
 
 
 def gradient_error(build, params, bind=dict) -> tuple[float, str]:
@@ -46,13 +57,9 @@ def gradient_error(build, params, bind=dict) -> tuple[float, str]:
     as tape leaves, whose loss is backpropagated, and then on untaped tensors
     for every finite-difference evaluation. Those tensors wrap the oracle's
     working arrays, which it perturbs in place, so ``bind`` (a dict by
-    default; ``bind_model`` for the model) runs once per sweep.
-    Returns (max relative error, its parameter).
+    default) runs once per sweep. The whole model is checked by
+    ``model_gradient_error``. Returns (max relative error, its parameter).
     """
-    tape = nk.Tape()
-    leaves = {k: tape.leaf(v) for k, v in params.items()}
-    grads = nk.backward(build(bind(leaves)), tape)
-    analytic = {k: grads[v] for k, v in leaves.items()}
     bound = []
 
     def loss(work) -> float:
@@ -60,7 +67,57 @@ def gradient_error(build, params, bind=dict) -> tuple[float, str]:
             bound.append(bind({k: nk.Tensor(v) for k, v in work.items()}))
         return build(bound[0]).item()
 
-    return max_relative_error(analytic, finite_difference(loss, params))
+    return max_relative_error(_tape_gradient(build, params, bind), finite_difference(loss, params))
+
+
+def resume_point(name: str) -> int:
+    """The ``window_stages`` stage that reads the array ``name``: the first a move of it changes."""
+    points = [k for k, prefixes in enumerate(STAGE_PREFIXES) if name.startswith(prefixes)]
+    if len(points) != 1:
+        raise ValueError(f"{name} is read by {len(points)} model stages, not one")
+    return points[0]
+
+
+def model_gradient_error(
+    spec: ModelSpec,
+    arrays: dict[str, np.ndarray],
+    sample: BagSample,
+    label: survival.SurvivalLabel,
+    dropout: float,
+    dropout_key: tuple[int, int],
+) -> tuple[float, str]:
+    """``gradient_error`` of one sample's training loss (``window_losses``) over the whole model.
+
+    Each finite-difference forward resumes at the stage the moved array
+    feeds (``resume_point``), from the outputs of the stages before it at
+    the unmoved arrays. The process keeps those outputs from its own earlier
+    calls: a stage run before the resume point reads no moved array, so its
+    output is that of the unmoved arrays. The differences are bitwise those
+    of whole forwards. Returns (max relative error, its parameter).
+    """
+    stages: list = []
+    kept: list = []  # kept[k]: stage k's output at the unmoved arrays
+
+    def loss(work) -> float:
+        if not stages:  # ``work`` is the same dict of arrays on every call
+            params = bind_model({k: nk.Tensor(v) for k, v in work.items()}, spec)
+            stages.extend(
+                window_stages([sample.patches], [sample.genomic], params, spec, dropout, dropout_key)
+            )
+        start = resume_point(work.moved)
+        for stage in stages[len(kept) : start]:
+            kept.append(stage(kept[-1] if kept else None))
+        x = kept[start - 1] if start else None
+        for stage in stages[start:]:
+            x = stage(x)
+        return survival.nll_loss(nk.sigmoid(x), [label]).item()
+
+    analytic = _tape_gradient(
+        lambda params: window_losses([sample], params, spec, [label], dropout=dropout, dropout_key=dropout_key),
+        arrays,
+        bind=lambda t: bind_model(t, spec),
+    )
+    return max_relative_error(analytic, finite_difference(loss, arrays))
 
 
 def _check_op_gradient(build) -> tuple[bool, str]:
@@ -128,11 +185,7 @@ def check_model_gradient() -> tuple[bool, str]:
     genomic = [rng.uniform(-2.0, 2.0, n) for n in spec.gene_lengths]
     sample = BagSample("verify", patches, genomic, t=8.0, event=1)
     label = survival.SurvivalLabel(t=8.0, event=1, bin=1)
-    err, name = gradient_error(
-        lambda params: window_losses([sample], params, spec, [label], dropout=0.25, dropout_key=(3, 0)),
-        arrays,
-        bind=lambda t: bind_model(t, spec),
-    )
+    err, name = model_gradient_error(spec, arrays, sample, label, dropout=0.25, dropout_key=(3, 0))
     return err < GRAD_TOL, f"max rel err {err:.3g} ({name})"
 
 

@@ -34,10 +34,9 @@ from mgct.train import (
     sample_loss_and_grads,
     train_fold,
     window_loss_and_grads,
-    window_losses,
     write_metrics_csv,
 )
-from mgct.verify import gradient_error, patch_permutation_deviation
+from mgct.verify import model_gradient_error, patch_permutation_deviation
 
 DATASET_SEED = 7
 DATASET_SIZE = 200
@@ -98,9 +97,7 @@ def test_criterion_1_gradient_correctness():
     label = sv.SurvivalLabel(t=10.0, event=1, bin=1)
 
     start = time.monotonic()
-    err, worst = gradient_error(
-        lambda t: window_losses([sample], t, spec, [label], dropout=0.25, dropout_key=(5, 0)), arrays
-    )
+    err, worst = model_gradient_error(spec, arrays, sample, label, dropout=0.25, dropout_key=(5, 0))
     elapsed = time.monotonic() - start
     n_params = sum(a.size for a in arrays.values())
     ok = err < 1e-4 and elapsed < 30.0

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import mgct
 from mgct import checkpoint, cli, dataio, survival, train, verify, numkit as nk
 from mgct.cli import SECTIONS, main, validate_config, ConfigError
-from mgct.mgct_core import AblationSpec, FusionConfig, ModelSpec, init_model_arrays
+from mgct.mgct_core import AblationSpec, FusionConfig, ModelSpec, init_model_arrays, model_layout
 from mgct.train import TrainConfig
 
 TINY = {
@@ -781,6 +781,21 @@ class TestVerifyCommand:
         monkeypatch.setattr(nk, "segment_softmax", identity_pull)
         code, line = self.run_alone(monkeypatch, capsys, "softmax_gradient")
         assert code == 1 and line.startswith("FAIL  softmax_gradient ")
+
+    def test_nan_tanh_pull_detected(self, capsys, monkeypatch):
+        fwd, _ = nk.ELEMENTWISE_KINDS["tanh"]
+        monkeypatch.setitem(nk.ELEMENTWISE_KINDS, "tanh", (fwd, lambda x, y: np.full_like(x, np.nan)))
+        code, line = self.run_alone(monkeypatch, capsys, "tanh_gradient")
+        assert code == 1 and line.split() == ["FAIL", "tanh_gradient", "max", "rel", "err", "nan", "(x)"]
+
+    def test_misstaged_model_array_detected(self, capsys, monkeypatch):
+        # the model check resumes a move of s1.hg.0.mlp.w_in after stage one, as if stage two read it
+        moved = "s1.hg.0.mlp.w_in"
+        snn_patch, _, s2, head = verify.STAGE_PREFIXES
+        s1 = tuple(n for n, _, _ in model_layout(verify._tiny_spec()) if n.startswith("s1.") and n != moved)
+        monkeypatch.setattr(verify, "STAGE_PREFIXES", (snn_patch, s1, s2 + (moved,), head))
+        code, line = self.run_alone(monkeypatch, capsys, "model_gradient")
+        assert code == 1 and line.startswith("FAIL  model_gradient ") and line.endswith(f"({moved})")
 
     def test_reordering_gather_cols_detected(self, capsys, monkeypatch):
         real = nk.gather_cols

@@ -1,6 +1,8 @@
 """The finite-difference oracle: it moves every entry up and down, in order,
-and leaves its caller's parameters alone; split across processes, it gives
-the same gradients and raises what the one-process sweep would."""
+and leaves its caller's parameters alone; dealt round-robin across processes,
+it gives the same gradients and raises what the one-process sweep would. The
+model check resumes each forward at the stage the moved array feeds, with
+bitwise the gradients of whole forwards."""
 
 import multiprocessing
 import os
@@ -9,8 +11,10 @@ import numpy as np
 import pytest
 
 from mgct import gradcheck, mgct_core, verify
+from mgct import numkit as nk
 from mgct.gradcheck import STEP, finite_difference
-from mgct.mgct_core import bind_model
+from mgct.mgct_core import STAGE_PREFIXES, AblationSpec, bind_model
+from mgct.train import window_losses
 
 
 def per_call_copy_reference(f, params):
@@ -46,6 +50,7 @@ def test_every_entry_evaluated_and_params_untouched():
         assert not any(np.shares_memory(p[k], params[k]) for k in params)
         for k in p:
             moves.extend((k, int(i), bool(p[k].flat[i] > params[k].flat[i])) for i in np.flatnonzero(p[k] != params[k]))
+        assert moves[-1][0] == p.moved  # the array named as moved holds the moved entry
         return f(p)
 
     grads = finite_difference(counted, params)
@@ -67,13 +72,13 @@ def smooth(p):
 
 @pytest.fixture()
 def three_shares(monkeypatch):
-    """25 entries cut into shares 0:8 (this process), 8:16 and 16:25 (forked), on any host."""
+    """25 entries dealt to three shares, on any host: 0, 3, ... (this process), 1, 4, ... and 2, 5, ... (forked)."""
     monkeypatch.setattr(gradcheck, "MIN_SHARE", 4)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     rng = np.random.default_rng(4)
     params = {"a": rng.uniform(-1, 1, (3, 4)), "b": rng.uniform(-1, 1, (2, 3)), "c": rng.uniform(-1, 1, (1, 1))}
     params["d"] = np.asfortranarray(rng.uniform(-1, 1, (2, 3)))
-    assert gradcheck._share_bounds(25) == [0, 8, 16, 25]
+    assert gradcheck._share_count(25) == 3
     yield params
     assert multiprocessing.active_children() == []  # every child joined
 
@@ -96,8 +101,9 @@ def test_split_sweep_is_bitwise_the_serial_one(three_shares):
     "failing,raised",
     [
         ({20: "child"}, "entry 20 in child"),  # the last share's
-        ({10: "first", 20: "second"}, "entry 10 in first"),  # the lowest failing share's
-        ({3: "parent", 10: "child"}, "entry 3 in parent"),  # this process's share comes first
+        ({10: "first", 20: "second"}, "entry 10 in first"),  # the lowest failing entry's
+        ({3: "parent", 10: "child"}, "entry 3 in parent"),
+        ({4: "child", 6: "parent"}, "entry 4 in child"),  # a child's entry before this process's
     ],
 )
 def test_split_sweep_raises_what_the_serial_loop_raises_first(three_shares, failing, raised):
@@ -113,11 +119,11 @@ def test_split_sweep_raises_what_the_serial_loop_raises_first(three_shares, fail
 
 def test_a_child_that_dies_is_named(three_shares):
     def f(p):
-        if moved_entry(p, three_shares) == 12:
+        if moved_entry(p, three_shares) == 13:
             os._exit(3)
         return smooth(p)
 
-    with pytest.raises(RuntimeError, match=r"share 1 \(entries 8:16\) ended without a result, exit code 3"):
+    with pytest.raises(RuntimeError, match=r"share 1 \(entries 1::3\) ended without a result, exit code 3"):
         finite_difference(f, three_shares)
 
 
@@ -135,3 +141,76 @@ def test_model_check_binds_once_per_sweep(monkeypatch):
     ok, detail = verify.check_model_gradient()
     assert ok, detail
     assert len(calls) <= 2
+
+
+def test_entries_are_dealt_round_robin(three_shares):
+    # each difference reads back the process that took it: up gives +pid, down -pid
+    def f(p):
+        up = bool(np.any(p[p.moved].reshape(-1) > three_shares[p.moved].reshape(-1)))
+        return float(os.getpid()) if up else -float(os.getpid())
+
+    grads = finite_difference(f, three_shares)
+    pids = np.rint(np.concatenate([g.reshape(-1) for g in grads.values()]) * STEP).astype(int)
+    assert pids[0] == os.getpid() and len(set(pids[:3])) == 3
+    assert [int(pid) for pid in pids] == [int(pids[i % 3]) for i in range(len(pids))]
+
+
+def test_nan_error_is_the_worst():
+    one = np.ones((1, 2))
+    nan = np.array([[1.0, np.nan]])
+    inf = np.array([[np.inf, 1.0]])
+    analytic = {"a": one, "b": nan, "c": one * 2, "d": nan}
+    assert gradcheck.max_relative_error(analytic, dict.fromkeys(analytic, one))[1] == "b"
+    with np.errstate(all="raise"):
+        err, name = gradcheck.max_relative_error({"a": one, "b": inf}, {"a": one, "b": one})
+    assert np.isnan(err) and name == "b"
+
+
+@pytest.mark.parametrize("preset", AblationSpec.preset_names())
+def test_every_model_array_has_one_resume_point(preset):
+    spec = verify._tiny_spec(AblationSpec.preset(preset))
+    used = set()
+    for name, _, _ in mgct_core.model_layout(spec):
+        matches = [k for k, prefixes in enumerate(STAGE_PREFIXES) if name.startswith(prefixes)]
+        assert matches == [verify.resume_point(name)], name
+        used.update(matches)
+    # a layer without attention, pooling and feed-forward owns no arrays, and preset A has no stage two
+    assert used == ({0, 3} if preset in "AB" else {0, 1, 2, 3})
+    assert spec.ablation.deep_fusion == (preset != "A")
+    with pytest.raises(ValueError, match="read by 0 model stages"):
+        verify.resume_point("bogus.w")
+
+
+@pytest.fixture(scope="module")
+def unstaged_model_check():
+    """The model check's gradients from a sweep that runs a whole forward on every call."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:  # the check's arguments, without its sweep
+        mp.setattr(verify, "model_gradient_error", lambda *a, **kw: calls.append((a, kw)) or (0.0, ""))
+        verify.check_model_gradient()
+    ((spec, arrays, sample, label), kw), = calls
+    bound = []
+
+    def whole_forward(work):
+        if not bound:
+            bound.append(bind_model({k: nk.Tensor(v) for k, v in work.items()}, spec))
+        return window_losses([sample], bound[0], spec, [label], **kw).item()
+
+    return finite_difference(whole_forward, arrays)
+
+
+@pytest.mark.parametrize("shares", [1, 2, 3])
+def test_model_check_is_bitwise_the_unstaged_sweep(monkeypatch, unstaged_model_check, shares):
+    assert sum(g.size for g in unstaged_model_check.values()) % 3  # the three shares are unequal
+    monkeypatch.setattr(gradcheck, "MIN_SHARE", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(shares)), raising=False)
+    sweeps = []
+    sweep = verify.finite_difference
+    monkeypatch.setattr(verify, "finite_difference", lambda f, p: sweeps.append(sweep(f, p)) or sweeps[-1])
+    ok, detail = verify.check_model_gradient()
+    assert ok, detail
+    (staged,) = sweeps
+    assert list(staged) == list(unstaged_model_check)
+    for name, grad in unstaged_model_check.items():
+        assert staged[name].tobytes() == grad.tobytes(), name
+    assert multiprocessing.active_children() == []

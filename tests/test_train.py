@@ -181,6 +181,21 @@ class TestAdamStep:
         assert state.skipped == 1
         assert any("non-finite" in rec.message for rec in caplog.records)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_gradient_skips_step(self, caplog):
+        params = {"w": np.ones((2, 2)), "b": np.ones((2, 1))}
+        state = AdamState()
+        params = adam_step(params, {"w": np.ones((2, 2)), "b": np.ones((2, 1))}, state, lr=0.1)
+        before = [{k: a.copy() for k, a in d.items()} for d in (params, state.m, state.v)]
+        huge = {"w": np.array([[1.0, 1e200], [0.0, 0.0]]), "b": np.ones((2, 1))}  # finite; its square is not
+        with caplog.at_level(logging.WARNING):
+            out = adam_step(params, huge, state, lr=0.1)
+        assert out is params
+        assert (state.step_count, state.skipped) == (1, 1)
+        for was, now in zip(before, (params, state.m, state.v)):
+            assert_bitwise(now, was)
+        assert any("overflowing gradient in w" in rec.message for rec in caplog.records)
+
     def test_weight_decay_pulls_toward_zero(self):
         params = {"w": np.full((1, 1), 5.0)}
         state = AdamState()
