@@ -79,7 +79,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         arrays: dict[str, np.ndarray] = {}
         for _ in range(n_blocks):
             (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
+            try:
+                name = fh.read(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: unreadable block name: {exc}") from None
             rows, cols = struct.unpack("<II", fh.read(8))
             if fh.tell() + rows * cols * 8 > size:  # a corrupt header may claim any shape
                 raise CheckpointError(f"{path}: truncated block {name!r}")

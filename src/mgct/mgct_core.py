@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 
 import numpy as np
@@ -381,33 +381,27 @@ def mgct_layer(
     return r
 
 
-def _run_stack(
-    query: nk.Tensor,
-    context: nk.Tensor,
-    layers: list[MgctLayerParams],
-    ablation: AblationSpec,
-    residual: bool,
-    attn_sink: list | None,
-    alpha_sink: list | None,
-    query_offsets=None,
-    context_offsets=None,
-) -> nk.Tensor:
-    x = query
-    last = len(layers) - 1
-    for i, lp in enumerate(layers):
-        x = mgct_layer(
-            x,
-            context,
-            lp,
-            stage_final=(i == last),
-            ablation=ablation,
-            residual=residual,
-            attn_sink=attn_sink,
-            alpha_sink=alpha_sink,
-            query_offsets=query_offsets,
-            context_offsets=context_offsets,
-        )
-    return x
+@dataclass(frozen=True)
+class Node:
+    """One step of a forward pass, in a table of nodes keyed by name (see ``run_nodes``).
+
+    ``run`` maps the outputs of the nodes named ``inputs`` to this node's
+    output, and reads only the arrays whose names start with one of
+    ``reads``. With its inputs and those arrays unchanged, its output is
+    the same.
+    """
+
+    reads: tuple[str, ...]
+    inputs: tuple[str, ...]
+    run: typing.Callable[..., nk.Tensor]
+
+
+def run_nodes(nodes: dict[str, Node], outputs: dict | None = None) -> dict[str, nk.Tensor]:
+    """Run every node in table order on its inputs' outputs, into ``outputs`` (seeded with any given ones)."""
+    outputs = {} if outputs is None else outputs
+    for name, node in nodes.items():
+        outputs[name] = node.run(*(outputs[i] for i in node.inputs))
+    return outputs
 
 
 def _sample_major(tokens: nk.Tensor, groups: int) -> nk.Tensor:
@@ -418,57 +412,60 @@ def _sample_major(tokens: nk.Tensor, groups: int) -> nk.Tensor:
     return nk.gather_cols(tokens, [g * n + b for b in range(n) for g in range(groups)])
 
 
-def _offsets(patch_tokens: nk.Tensor, tokens: nk.Tensor, patch_offsets):
-    """(patch offsets, offsets of ``tokens``): each sample's columns, an equal share of ``tokens`` per sample."""
-    patch_offsets = _one_segment(patch_tokens, patch_offsets)
-    n = len(patch_offsets) - 1
-    if tokens.cols % n:
-        raise nk.ShapeError(f"{tokens.cols} genomic tokens do not split over {n} samples")
-    return patch_offsets, range(0, tokens.cols + 1, tokens.cols // n)
-
-
-def fuse_stage_one(
-    patch_tokens, genomic_tokens, params: FusionParams, config, ablation, attn_sink, alpha_sink, patch_offsets
-) -> nk.Tensor:
-    """Stage 1 of ``fuse`` (same arguments): the (d, 2B) pair of stage-1 tokens, sample-major.
-
-    Without deep fusion, which has no stage 2, it gives the final (2d, B)
-    embeddings. The sinks receive the weights layer by layer, B blocks at a
-    time.
-    """
-    patch_offsets, genomic_offsets = _offsets(patch_tokens, genomic_tokens, patch_offsets)
-    kw = dict(ablation=ablation, residual=config.residual, attn_sink=attn_sink, alpha_sink=alpha_sink)
-    gh = _run_stack(genomic_tokens, patch_tokens, params.stage1_gh, **kw,
-                    query_offsets=genomic_offsets, context_offsets=patch_offsets)  # (d, B)
-    hg = _run_stack(patch_tokens, genomic_tokens, params.stage1_hg, **kw,
-                    query_offsets=patch_offsets, context_offsets=genomic_offsets)  # (d, B)
-    if not ablation.deep_fusion:
-        return nk.concat(gh, hg, "rows")
-    return _sample_major(nk.concat(gh, hg, "cols"), 2)
-
-
-def fuse_stage_two(
-    patch_tokens, pair, params: FusionParams, config, ablation, attn_sink, alpha_sink, patch_offsets
-) -> nk.Tensor:
-    """Stage 2 of ``fuse``: the stage-1 ``pair`` against the patch tokens, out to (2d, B).
-
-    Without deep fusion ``pair`` already is that, and is returned as it is.
-    """
-    if not ablation.deep_fusion:
-        return pair
-    patch_offsets, pair_offsets = _offsets(patch_tokens, pair, patch_offsets)
-    kw = dict(ablation=ablation, residual=config.residual, attn_sink=attn_sink, alpha_sink=alpha_sink)
-    fh = _run_stack(pair, patch_tokens, params.stage2_fh, **kw,
-                    query_offsets=pair_offsets, context_offsets=patch_offsets)
-    hf = _run_stack(patch_tokens, pair, params.stage2_hf, **kw,
-                    query_offsets=patch_offsets, context_offsets=pair_offsets)
-    return nk.concat(fh, hf, "rows")
-
-
 def _by_sample(blocks: list | None, n: int, sink: list | None) -> None:
-    """Append to ``sink`` the blocks a stage recorded n at a time (one per sample), regrouped by sample."""
+    """Append to ``sink`` the blocks the layers recorded n at a time (one per sample), regrouped by sample."""
     if blocks:
         sink.extend(blocks[i] for b in range(n) for i in range(b, len(blocks), n))
+
+
+def fusion_nodes(
+    params: FusionParams,
+    config: FusionConfig,
+    ablation: AblationSpec,
+    patch_offsets,
+    genomic_offsets,
+    attn_sink: list | None = None,
+    alpha_sink: list | None = None,
+) -> dict[str, Node]:
+    """The fusion layers and joins as a node table, from the "genomic" and "patch" tokens to the "fused" embeddings.
+
+    One node per layer, named by its array prefix (``s1.gh.0``, ...) and
+    reading only that prefix's arrays, in the order the layers run: the
+    stage-1 stacks, their "pair" join (the (d, 2B) stage-1 tokens,
+    sample-major), the stage-2 stacks and the "fused" join, which gives the
+    (2d, B) embeddings. Without deep fusion "fused" joins the stage-1 pair
+    feature-wise. The layers record their weights B blocks at a time, and
+    "fused" regroups them by sample into the sinks.
+    """
+    n = len(patch_offsets) - 1
+    attn, alphas = ([] if sink is not None else None for sink in (attn_sink, alpha_sink))
+    kw = dict(ablation=ablation, residual=config.residual, attn_sink=attn, alpha_sink=alphas)
+    nodes: dict[str, Node] = {}
+
+    def stack(name, layers, query, context, query_offsets, context_offsets) -> str:
+        """Add a stack's layers, each taking the one before as its query; returns the last one's name."""
+        for i, lp in enumerate(layers):
+            layer = partial(mgct_layer, params=lp, stage_final=i == len(layers) - 1, **kw,
+                            query_offsets=query_offsets, context_offsets=context_offsets)
+            nodes[f"{name}.{i}"] = Node((f"{name}.{i}.",), (query, context), layer)
+            query = f"{name}.{i}"
+        return query
+
+    a = stack("s1.gh", params.stage1_gh, "genomic", "patch", genomic_offsets, patch_offsets)  # (d, B)
+    b = stack("s1.hg", params.stage1_hg, "patch", "genomic", patch_offsets, genomic_offsets)  # (d, B)
+    if ablation.deep_fusion:
+        nodes["pair"] = Node((), (a, b), lambda gh, hg: _sample_major(nk.concat(gh, hg, "cols"), 2))
+        pair_offsets = range(0, 2 * n + 1, 2)
+        a = stack("s2.fh", params.stage2_fh, "pair", "patch", pair_offsets, patch_offsets)
+        b = stack("s2.hf", params.stage2_hf, "patch", "pair", patch_offsets, pair_offsets)
+
+    def fused(left, right):
+        _by_sample(attn, n, attn_sink)
+        _by_sample(alphas, n, alpha_sink)
+        return nk.concat(left, right, "rows")
+
+    nodes["fused"] = Node((), (a, b), fused)
+    return nodes
 
 
 def fuse(
@@ -482,7 +479,8 @@ def fuse(
     patch_offsets=None,
 ) -> nk.Tensor:
     """Two-stage bidirectional fusion of a window's patch and genomic tokens
-    into its (2d, B) multimodal embeddings, one column per sample.
+    into its (2d, B) multimodal embeddings, one column per sample (the
+    ``fusion_nodes``).
 
     Patch tokens are (d, N), sample b's bag at columns ``patch_offsets[b]`` ..
     ``patch_offsets[b + 1] - 1`` (one sample when left out); genomic tokens
@@ -490,14 +488,13 @@ def fuse(
     sinks receive sample 0's weights, then sample 1's, and so on; each
     sample's in the order a one-sample window records them.
     """
-    n = len(_one_segment(patch_tokens, patch_offsets)) - 1
-    # recorded layer by layer, n blocks at a time, then regrouped by sample
-    attn, alphas = ([] if sink is not None else None for sink in (attn_sink, alpha_sink))
-    args = (params, config, ablation, attn, alphas, patch_offsets)
-    out = fuse_stage_two(patch_tokens, fuse_stage_one(patch_tokens, genomic_tokens, *args), *args)
-    _by_sample(attn, n, attn_sink)
-    _by_sample(alphas, n, alpha_sink)
-    return out
+    patch_offsets = _one_segment(patch_tokens, patch_offsets)
+    n = len(patch_offsets) - 1
+    if genomic_tokens.cols % n:
+        raise nk.ShapeError(f"{genomic_tokens.cols} genomic tokens do not split over {n} samples")
+    genomic_offsets = range(0, genomic_tokens.cols + 1, genomic_tokens.cols // n)
+    nodes = fusion_nodes(params, config, ablation, patch_offsets, genomic_offsets, attn_sink, alpha_sink)
+    return run_nodes(nodes, {"genomic": genomic_tokens, "patch": patch_tokens})["fused"]
 
 
 def classify(r_final: nk.Tensor, head: HeadParams) -> nk.Tensor:
@@ -609,7 +606,7 @@ def bind_model(arrays: dict[str, np.ndarray], spec: ModelSpec) -> MgctParams:
     )
 
 
-def window_stages(
+def window_nodes(
     bags: list,
     genomics: list[list[np.ndarray]],
     params: MgctParams,
@@ -618,42 +615,34 @@ def window_stages(
     dropout_key: tuple | None = None,
     attn_sink: list | None = None,
     alpha_sink: list | None = None,
-) -> tuple:
-    """``window_logits`` as its four stages, each a function of the output of the one before.
+) -> dict[str, Node]:
+    """``window_logits`` as a node table, in the order its nodes run (``run_nodes``).
 
-    In order: embed (argument unused) gives the (patch tokens, genomic
-    tokens); stage one gives the (patch tokens, stage-1 pair); stage two the
-    (2d, B) embeddings; the head the (bins, B) logits. Stage k reads only the
-    arrays of ``STAGE_PREFIXES[k]``, so with those unchanged it gives the
-    same output for the same input, and a pass may resume at a later stage
-    from an earlier pass's output. Sinks, when given, are filled at stage
-    two: a pass that records them runs each stage once, in order.
+    "genomic" reads the ``snn.`` arrays and gives the (d, S * B) genomic
+    tokens, sample-major; "patch" reads ``patch.`` and gives the (d, N)
+    patch tokens; the ``fusion_nodes`` follow, and "head" reads ``head.``
+    and gives the (bins, B) logits. A pass may take the output of a node
+    whose inputs and arrays are unchanged from an earlier pass. Sinks, when
+    given, are filled by the "fused" join: a pass that records them runs
+    every node once, in order.
     """
-    n = len(bags)
-    raw = genomics[0] if n == 1 else [np.column_stack(cat) for cat in zip(*genomics)]
-    offsets = list(accumulate((bag.shape[1] for bag in bags), initial=0))
-    attn, alphas = ([] if sink is not None else None for sink in (attn_sink, alpha_sink))
-    args = (params.fusion, spec.fusion, spec.ablation, attn, alphas, offsets)
+    raw = genomics[0] if len(bags) == 1 else [np.column_stack(cat) for cat in zip(*genomics)]
+    patch_offsets = list(accumulate((bag.shape[1] for bag in bags), initial=0))
+    genomic_offsets = range(0, len(raw) * len(bags) + 1, len(raw))
 
-    def embed(_=None):
+    def genomic():
         g = embed_genomics(raw, params.snn, dropout_p=dropout_p, dropout_key=dropout_key)
-        return embed_patches(np.hstack(bags), params.patch), _sample_major(g, len(raw))
+        return _sample_major(g, len(raw))
 
-    def stage_one(tokens):
-        h, g = tokens
-        return h, fuse_stage_one(h, g, *args)
-
-    def stage_two(tokens):
-        out = fuse_stage_two(*tokens, *args)
-        _by_sample(attn, n, attn_sink)
-        _by_sample(alphas, n, alpha_sink)
-        return out
-
-    return embed, stage_one, stage_two, lambda fused: classify(fused, params.head)
-
-
-# the array-name prefixes of the parameters each ``window_stages`` stage reads
-STAGE_PREFIXES = (("snn.", "patch."), ("s1.",), ("s2.",), ("head.",))
+    nodes = {
+        "genomic": Node(("snn.",), (), genomic),
+        "patch": Node(("patch.",), (), lambda: embed_patches(np.hstack(bags), params.patch)),
+    }
+    nodes |= fusion_nodes(
+        params.fusion, spec.fusion, spec.ablation, patch_offsets, genomic_offsets, attn_sink, alpha_sink
+    )
+    nodes["head"] = Node(("head.",), ("fused",), lambda fused: classify(fused, params.head))
+    return nodes
 
 
 def window_logits(
@@ -668,22 +657,20 @@ def window_logits(
 ) -> nk.Tensor:
     """Full pipeline for a window of B samples: embed both modalities, fuse, classify.
 
-    The window runs as one pass: the genomic networks run once on its stacked
-    category vectors, and one affine map projects its bags side by side;
-    fusion (stage one, then stage two) and the head then take every sample's
-    tokens at once, cut into samples by offsets (see ``fuse`` and
-    ``window_stages``). ``dropout_key`` is (seed, step) for one sample or
-    (seed, steps) with one step per sample; dropout is on when
-    ``dropout_p > 0``. One sample records no gather. Returns the (bins, B)
-    hazard logits, taped when ``arrays`` holds tape leaves (see
-    ``bind_model``). A tree ``bind_model`` made for ``spec`` is used as it
-    is, so many passes over the same tensors bind them only once.
+    The window runs as one pass of its ``window_nodes``: the genomic
+    networks run once on its stacked category vectors, and one affine map
+    projects its bags side by side; each fusion layer and the head then take
+    every sample's tokens at once, cut into samples by offsets (see
+    ``fuse``). ``dropout_key`` is (seed, step) for one sample or (seed,
+    steps) with one step per sample; dropout is on when ``dropout_p > 0``.
+    One sample records no gather. Returns the (bins, B) hazard logits, taped
+    when ``arrays`` holds tape leaves (see ``bind_model``). A tree
+    ``bind_model`` made for ``spec`` is used as it is, so many passes over
+    the same tensors bind them only once.
     """
     params = arrays if isinstance(arrays, MgctParams) else bind_model(arrays, spec)
-    x = None
-    for stage in window_stages(bags, genomics, params, spec, dropout_p, dropout_key, attn_sink, alpha_sink):
-        x = stage(x)
-    return x
+    nodes = window_nodes(bags, genomics, params, spec, dropout_p, dropout_key, attn_sink, alpha_sink)
+    return run_nodes(nodes)["head"]
 
 
 def forward_logits(

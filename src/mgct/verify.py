@@ -24,16 +24,17 @@ from . import survival
 from .dataio import BagSample
 from .gradcheck import finite_difference, max_relative_error
 from .mgct_core import (
-    STAGE_PREFIXES,
     AblationSpec,
     FusionConfig,
     ModelSpec,
+    Node,
     bind_model,
     forward_logits,
     fuse,
     gated_attention_pool,
     init_model_arrays,
-    window_stages,
+    run_nodes,
+    window_nodes,
 )
 from .train import window_losses
 
@@ -70,12 +71,12 @@ def gradient_error(build, params, bind=dict) -> tuple[float, str]:
     return max_relative_error(_tape_gradient(build, params, bind), finite_difference(loss, params))
 
 
-def resume_point(name: str) -> int:
-    """The ``window_stages`` stage that reads the array ``name``: the first a move of it changes."""
-    points = [k for k, prefixes in enumerate(STAGE_PREFIXES) if name.startswith(prefixes)]
-    if len(points) != 1:
-        raise ValueError(f"{name} is read by {len(points)} model stages, not one")
-    return points[0]
+def resume_point(name: str, nodes: dict[str, Node]) -> str:
+    """The node of ``nodes`` that reads the array ``name``: the first a move of it changes."""
+    found = [key for key, node in nodes.items() if name.startswith(node.reads)]
+    if len(found) != 1:
+        raise ValueError(f"{name} is read by {len(found)} model nodes, not one")
+    return found[0]
 
 
 def model_gradient_error(
@@ -88,29 +89,32 @@ def model_gradient_error(
 ) -> tuple[float, str]:
     """``gradient_error`` of one sample's training loss (``window_losses``) over the whole model.
 
-    Each finite-difference forward resumes at the stage the moved array
-    feeds (``resume_point``), from the outputs of the stages before it at
-    the unmoved arrays. The process keeps those outputs from its own earlier
-    calls: a stage run before the resume point reads no moved array, so its
-    output is that of the unmoved arrays. The differences are bitwise those
-    of whole forwards. Returns (max relative error, its parameter).
+    Each finite-difference forward re-runs only the ``window_nodes`` node
+    that reads the moved array (``resume_point``) and the nodes downstream
+    of it. Every other input is that node's output at the unmoved arrays,
+    which the process keeps from its own earlier calls: it is computed only
+    while a move does not reach the node, so it reads no moved array. The
+    differences are bitwise those of whole forwards. Returns (max relative
+    error, its parameter).
     """
-    stages: list = []
-    kept: list = []  # kept[k]: stage k's output at the unmoved arrays
+    nodes: dict[str, Node] = {}
+    kept: dict[str, nk.Tensor] = {}  # node outputs at the unmoved arrays
+    plans: dict[str, dict[str, Node]] = {}  # moved array -> the nodes its move changes, in table order
 
     def loss(work) -> float:
-        if not stages:  # ``work`` is the same dict of arrays on every call
+        if not nodes:  # ``work`` is the same dict of arrays on every call
             params = bind_model({k: nk.Tensor(v) for k, v in work.items()}, spec)
-            stages.extend(
-                window_stages([sample.patches], [sample.genomic], params, spec, dropout, dropout_key)
-            )
-        start = resume_point(work.moved)
-        for stage in stages[len(kept) : start]:
-            kept.append(stage(kept[-1] if kept else None))
-        x = kept[start - 1] if start else None
-        for stage in stages[start:]:
-            x = stage(x)
-        return survival.nll_loss(nk.sigmoid(x), [label]).item()
+            nodes.update(window_nodes([sample.patches], [sample.genomic], params, spec, dropout, dropout_key))
+        if work.moved not in plans:
+            start = resume_point(work.moved, nodes)
+            plan = plans[work.moved] = {}
+            for name, node in nodes.items():
+                if name == start or any(i in plan for i in node.inputs):
+                    plan[name] = node
+                elif name not in kept:  # neither it nor its inputs read the moved array
+                    kept[name] = node.run(*(kept[i] for i in node.inputs))
+        logits = run_nodes(plans[work.moved], dict(kept))["head"]
+        return survival.nll_loss(nk.sigmoid(logits), [label]).item()
 
     analytic = _tape_gradient(
         lambda params: window_losses([sample], params, spec, [label], dropout=dropout, dropout_key=dropout_key),

@@ -7,11 +7,12 @@ import os
 import platform
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -591,6 +592,22 @@ class TestEvalCommand:
         assert captured.out == ""
         assert not km.parent.exists()
 
+    def test_non_utf8_block_name_exits_2_naming_the_file(self, tmp_path, dataset_dir):
+        cfg = write_config(tmp_path, dataset_dir)
+        runs = tmp_path / "runs"
+        assert main(["train", "--config", cfg, "--out", str(runs)]) == 0
+        ckpt = run_dirs(runs)[0] / "fold_0.ckpt"
+        raw = bytearray(ckpt.read_bytes())
+        (meta_len,) = struct.unpack_from("<I", raw, 8)
+        raw[4 + 8 + meta_len + 4 + 2] = 0xFF  # the first byte of the first block's name
+        ckpt.write_bytes(bytes(raw))
+        km = tmp_path / "km" / "x"
+        argv = ["eval", "--checkpoint", str(ckpt), "--manifest", str(dataset_dir / "manifest.csv"), "--km-out", str(km)]
+        proc = run_mgct(argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert f"error: {ckpt}: unreadable block name" in proc.stderr and "Traceback" not in proc.stderr
+        assert not km.parent.exists()
+
     def test_zero_width_bags_exit_2_before_scoring(self, tmp_path, dataset_dir):
         cfg = write_config(tmp_path, dataset_dir)
         runs = tmp_path / "runs"
@@ -789,11 +806,18 @@ class TestVerifyCommand:
         assert code == 1 and line.split() == ["FAIL", "tanh_gradient", "max", "rel", "err", "nan", "(x)"]
 
     def test_misstaged_model_array_detected(self, capsys, monkeypatch):
-        # the model check resumes a move of s1.hg.0.mlp.w_in after stage one, as if stage two read it
+        # the node table credits s1.hg.0.mlp.w_in to a stage-2 node, so its moves skip the node that reads it
         moved = "s1.hg.0.mlp.w_in"
-        snn_patch, _, s2, head = verify.STAGE_PREFIXES
-        s1 = tuple(n for n, _, _ in model_layout(verify._tiny_spec()) if n.startswith("s1.") and n != moved)
-        monkeypatch.setattr(verify, "STAGE_PREFIXES", (snn_patch, s1, s2 + (moved,), head))
+        real = verify.window_nodes
+
+        def misdeclared(*args, **kwargs):
+            nodes = real(*args, **kwargs)
+            own = tuple(n for n, _, _ in model_layout(verify._tiny_spec()) if n.startswith("s1.hg.0.") and n != moved)
+            nodes["s1.hg.0"] = replace(nodes["s1.hg.0"], reads=own)
+            nodes["s2.fh.0"] = replace(nodes["s2.fh.0"], reads=nodes["s2.fh.0"].reads + (moved,))
+            return nodes
+
+        monkeypatch.setattr(verify, "window_nodes", misdeclared)
         code, line = self.run_alone(monkeypatch, capsys, "model_gradient")
         assert code == 1 and line.startswith("FAIL  model_gradient ") and line.endswith(f"({moved})")
 

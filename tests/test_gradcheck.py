@@ -1,8 +1,8 @@
 """The finite-difference oracle: it moves every entry up and down, in order,
 and leaves its caller's parameters alone; dealt round-robin across processes,
 it gives the same gradients and raises what the one-process sweep would. The
-model check resumes each forward at the stage the moved array feeds, with
-bitwise the gradients of whole forwards."""
+model check re-runs each forward from the node that reads the moved array,
+with bitwise the gradients of whole forwards, for every ablation preset."""
 
 import multiprocessing
 import os
@@ -13,7 +13,7 @@ import pytest
 from mgct import gradcheck, mgct_core, verify
 from mgct import numkit as nk
 from mgct.gradcheck import STEP, finite_difference
-from mgct.mgct_core import STAGE_PREFIXES, AblationSpec, bind_model
+from mgct.mgct_core import AblationSpec, bind_model, init_model_arrays, window_nodes
 from mgct.train import window_losses
 
 
@@ -169,48 +169,58 @@ def test_nan_error_is_the_worst():
 @pytest.mark.parametrize("preset", AblationSpec.preset_names())
 def test_every_model_array_has_one_resume_point(preset):
     spec = verify._tiny_spec(AblationSpec.preset(preset))
+    params = bind_model(init_model_arrays(spec, seed=0), spec)
+    nodes = window_nodes([np.ones((spec.d_in, 3))], [[np.ones(n) for n in spec.gene_lengths]], params, spec)
     used = set()
     for name, _, _ in mgct_core.model_layout(spec):
-        matches = [k for k, prefixes in enumerate(STAGE_PREFIXES) if name.startswith(prefixes)]
-        assert matches == [verify.resume_point(name)], name
+        matches = [key for key, node in nodes.items() if name.startswith(node.reads)]
+        assert matches == [verify.resume_point(name, nodes)], name
         used.update(matches)
     # a layer without attention, pooling and feed-forward owns no arrays, and preset A has no stage two
-    assert used == ({0, 3} if preset in "AB" else {0, 1, 2, 3})
-    assert spec.ablation.deep_fusion == (preset != "A")
-    with pytest.raises(ValueError, match="read by 0 model stages"):
-        verify.resume_point("bogus.w")
+    layers = {key for key in nodes if key.startswith(("s1.", "s2."))}
+    assert used == {"genomic", "patch", "head"} | (set() if preset in "AB" else layers)
+    assert any(key.startswith("s2.") for key in nodes) == spec.ablation.deep_fusion == (preset != "A")
+    with pytest.raises(ValueError, match="read by 0 model nodes"):
+        verify.resume_point("bogus.w", nodes)
 
 
 @pytest.fixture(scope="module")
-def unstaged_model_check():
-    """The model check's gradients from a sweep that runs a whole forward on every call."""
-    calls = []
-    with pytest.MonkeyPatch.context() as mp:  # the check's arguments, without its sweep
-        mp.setattr(verify, "model_gradient_error", lambda *a, **kw: calls.append((a, kw)) or (0.0, ""))
-        verify.check_model_gradient()
-    ((spec, arrays, sample, label), kw), = calls
-    bound = []
+def unstaged_model_checks():
+    """Per preset: the model check's arguments, and its gradients from a sweep of whole forwards."""
+    checks = {}
+    for preset in AblationSpec.preset_names():
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:  # the check's arguments, without its sweep
+            mp.setattr(verify, "_tiny_spec", lambda real=verify._tiny_spec: real(AblationSpec.preset(preset)))
+            mp.setattr(verify, "model_gradient_error", lambda *a, **kw: calls.append((a, kw)) or (0.0, ""))
+            verify.check_model_gradient()
+        ((spec, arrays, sample, label), kw), = calls
+        bound = []
 
-    def whole_forward(work):
-        if not bound:
-            bound.append(bind_model({k: nk.Tensor(v) for k, v in work.items()}, spec))
-        return window_losses([sample], bound[0], spec, [label], **kw).item()
+        def whole_forward(work):
+            if not bound:
+                bound.append(bind_model({k: nk.Tensor(v) for k, v in work.items()}, spec))
+            return window_losses([sample], bound[0], spec, [label], **kw).item()
 
-    return finite_difference(whole_forward, arrays)
+        checks[preset] = calls[0], finite_difference(whole_forward, arrays)
+    return checks
 
 
 @pytest.mark.parametrize("shares", [1, 2, 3])
-def test_model_check_is_bitwise_the_unstaged_sweep(monkeypatch, unstaged_model_check, shares):
-    assert sum(g.size for g in unstaged_model_check.values()) % 3  # the three shares are unequal
+def test_model_check_is_bitwise_the_unstaged_sweep(monkeypatch, unstaged_model_checks, shares):
+    # presets A-D take the routes without stage two, attention, gated pooling or feed-forward
     monkeypatch.setattr(gradcheck, "MIN_SHARE", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(shares)), raising=False)
     sweeps = []
     sweep = verify.finite_difference
     monkeypatch.setattr(verify, "finite_difference", lambda f, p: sweeps.append(sweep(f, p)) or sweeps[-1])
-    ok, detail = verify.check_model_gradient()
-    assert ok, detail
-    (staged,) = sweeps
-    assert list(staged) == list(unstaged_model_check)
-    for name, grad in unstaged_model_check.items():
-        assert staged[name].tobytes() == grad.tobytes(), name
+    for preset, ((args, kw), unstaged) in unstaged_model_checks.items():
+        assert sum(g.size for g in unstaged.values()) % 3  # the three shares are unequal
+        sweeps.clear()
+        err, name = verify.model_gradient_error(*args, **kw)
+        assert err < verify.GRAD_TOL, (preset, name)
+        (resumed,) = sweeps
+        assert list(resumed) == list(unstaged)
+        for name, grad in unstaged.items():
+            assert resumed[name].tobytes() == grad.tobytes(), (preset, name)
     assert multiprocessing.active_children() == []

@@ -239,14 +239,14 @@ class TestFuse:
         arrays = init_model_arrays(spec, seed=1, head_init="xavier")
         params = bind_model(arrays, spec)
         rng = np.random.default_rng(16)
-        from mgct.mgct_core import _run_stack
+        from mgct.mgct_core import fusion_nodes, run_nodes
 
         h = rng_tensor(rng, 8, 10)
         g = rng_tensor(rng, 8, 3)
-        gh = _run_stack(g, h, params.fusion.stage1_gh, spec.ablation, False, None, None)
-        hg = _run_stack(h, g, params.fusion.stage1_hg, spec.ablation, False, None, None)
-        assert gh.shape == (8, 1) and hg.shape == (8, 1)
-        assert nk.concat(gh, hg, "cols").shape == (8, 2)
+        nodes = fusion_nodes(params.fusion, spec.fusion, spec.ablation, (0, 10), (0, 3))
+        out = run_nodes(nodes, {"genomic": g, "patch": h})
+        assert out["s1.gh.0"].shape == (8, 1) and out["s1.hg.0"].shape == (8, 1)
+        assert out["pair"].shape == (8, 2)
 
     def test_zero_parameters_give_zero_embedding(self):
         spec = tiny_spec()

@@ -289,6 +289,17 @@ class TestWindowEquivalence:
         spec = reference_spec(reference_cohort[0], ablation, heads=heads, residual=residual)
         self.check_window(monkeypatch, reference_cohort, spec, max_patches, tapes)
 
+    def test_reference_window_tape_keeps_its_nodes(self, monkeypatch, reference_cohort):
+        # a guard on tape drift: 94 leaves, 136 forward and loss ops, then the mean's sum and scale
+        ds, labels = reference_cohort
+        spec = reference_spec(ds)  # preset E
+        sizes = []
+        real = nk.backward
+        monkeypatch.setattr(nk, "backward", lambda loss, tape: sizes.append(len(tape.nodes)) or real(loss, tape))
+        arrays = init_model_arrays(spec, seed=2)
+        window_loss_and_grads(ds.samples[:32], arrays, spec, labels[:32], dropout=0.25, dropout_key=(0, range(32)))
+        assert sizes == [232]
+
     @pytest.mark.parametrize("max_patches", [train.TAPE_PATCHES, 200])
     def test_evaluate_matches_predict(self, monkeypatch, reference_cohort, max_patches):
         ds, _ = reference_cohort
