@@ -29,27 +29,27 @@ spec = ModelSpec(
     fusion=config, ablation=AblationSpec.preset("E"),
 )
 arrays = init_model_arrays(spec, seed=0, head_init="xavier")
-params = bind_model(arrays, spec)
+t = bind_model(arrays)  # the model's tensors, by their layout names
 
-g = emb.embed_genomics(sample.genomic, params.snn)
-h = emb.embed_patches(sample.patches, params.patch)
+g = emb.embed_genomics(sample.genomic, emb.bind_snn(t, len(spec.gene_lengths)))
+h = emb.embed_patches(sample.patches, t["patch.w"], t["patch.b"])
 print(f"genomic tokens G: {g.shape}   patch tokens H: {h.shape}")
 
 attn, alphas = [], []
-fused = fuse(h, g, params.fusion, config, attn_sink=attn, alpha_sink=alphas)
+fused = fuse(h, g, t, config, attn_sink=attn, alpha_sink=alphas)
 print(f"fused embedding: {fused.shape} (two width-{config.d} directions stacked)")
 print(f"attention maps recorded: {len(attn)} (2 heads x 6 layers)")
 print("first attention map shape:", attn[0].shape, "row sums:", attn[0].sum(axis=1)[:3])
 print("pooling weights per stage-final layer:", [a.shape[1] for a in alphas])
 
-logits = classify(fused, params.head)
+logits = classify(fused, t["head.w"], t["head.b"])
 hazards = 1 / (1 + np.exp(-logits.data.ravel()))
 survival = np.cumprod(1 - hazards)
 print(f"\nhazards: {np.round(hazards, 3)}")
 print(f"survival: {np.round(survival, 3)}  risk score: {-survival.sum():.3f}")
 
 perm = np.random.default_rng(5).permutation(sample.n_patches)
-fused_perm = fuse(emb.embed_patches(sample.patches[:, perm], params.patch), g, params.fusion, config)
+fused_perm = fuse(emb.embed_patches(sample.patches[:, perm], t["patch.w"], t["patch.b"]), g, t, config)
 print(f"\npatch order shuffled -> max change {np.abs(fused_perm.data - fused.data).max():.2e}")
 
 print("\nablation presets (cumulative design toggles):")

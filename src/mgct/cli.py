@@ -278,6 +278,12 @@ def cmd_eval(args) -> int:
             f"manifest bag width d_in={dataset.d_in} and genomic category lengths {dataset.gene_lengths} "
             f"do not match checkpoint d_in={spec.d_in} and lengths {list(spec.gene_lengths)}"
         )
+    categories = list(dataset.category_map.categories)  # each feeds its own genomic network
+    if meta.get("categories") != categories:
+        raise ckpt.CheckpointError(
+            f"{args.checkpoint}: checkpoint categories {meta.get('categories')!r} "
+            f"do not match the category map's {categories!r}"
+        )
 
     risks, ci, auc = evaluate(dataset.samples, arrays, spec, horizon)
     labels = [survival.SurvivalLabel(s.t, s.event) for s in dataset.samples]

@@ -25,11 +25,6 @@ def xavier_uniform(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def _leaves(arrays: dict, names) -> list[nk.Tensor]:
-    """``arrays[name]`` for each name: tape leaves pass through, raw arrays stay untaped."""
-    return [a if isinstance(a, nk.Tensor) else nk.Tensor(a) for a in map(arrays.__getitem__, names)]
-
-
 @dataclass
 class SnnCategoryParams:
     w1: nk.Tensor  # (hidden, len_s)
@@ -43,12 +38,6 @@ class SnnCategoryParams:
 @dataclass
 class SnnParams:
     per_category: list[SnnCategoryParams]
-
-
-@dataclass
-class PatchProjParams:
-    weight: nk.Tensor  # (d, d_in)
-    bias: nk.Tensor  # (d, 1)
 
 
 def snn_layout(gene_lengths: list[int], d: int, hidden: int):
@@ -76,18 +65,15 @@ def _snn_names(n_categories: int) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(f"snn.c{s}.{n}" for n in names) for s in range(n_categories))
 
 
-def bind_snn(arrays: dict[str, np.ndarray], n_categories: int) -> SnnParams:
-    return SnnParams([SnnCategoryParams(*_leaves(arrays, names)) for names in _snn_names(n_categories)])
+def bind_snn(t: dict[str, nk.Tensor], n_categories: int) -> SnnParams:
+    """The genomic networks' tensors, read from ``t`` by name."""
+    return SnnParams([SnnCategoryParams(*map(t.__getitem__, names)) for names in _snn_names(n_categories)])
 
 
 def patch_proj_layout(d_in: int, d: int):
     """Yield (name, shape, drawn) for the patch projection's arrays."""
     yield "patch.w", (d, d_in), True
     yield "patch.b", (d, 1), False
-
-
-def bind_patch_proj(arrays: dict[str, np.ndarray]) -> PatchProjParams:
-    return PatchProjParams(*_leaves(arrays, ("patch.w", "patch.b")))
 
 
 def embed_genomics(
@@ -133,11 +119,9 @@ def embed_genomics(
     return columns
 
 
-def embed_patches(patches: np.ndarray, params: PatchProjParams) -> nk.Tensor:
-    """Project a (d_in, N) bag, or several bags side by side, to (d, N), column by column."""
+def embed_patches(patches: np.ndarray, w: nk.Tensor, b: nk.Tensor) -> nk.Tensor:
+    """Project a (d_in, N) bag, or several bags side by side, to (d, N) by ``w x + b``, column by column."""
     x = nk.Tensor(patches)
-    if x.rows != params.weight.cols:
-        raise nk.ShapeError(
-            f"bag width {x.rows} does not match projection input width {params.weight.cols}"
-        )
-    return nk.affine(params.weight, x, params.bias)
+    if x.rows != w.cols:
+        raise nk.ShapeError(f"bag width {x.rows} does not match projection input width {w.cols}")
+    return nk.affine(w, x, b)

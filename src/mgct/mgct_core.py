@@ -31,24 +31,20 @@ from __future__ import annotations
 
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
 
 from . import numkit as nk
 from .embedders import (
-    PatchProjParams,
     SNN_HIDDEN_DEFAULT,
-    SnnParams,
-    bind_patch_proj,
     bind_snn,
     embed_genomics,
     embed_patches,
     init_arrays,
     patch_proj_layout,
     snn_layout,
-    _leaves,
 )
 
 
@@ -203,58 +199,6 @@ class AblationSpec(Config):
 FULL_MODEL = AblationSpec()
 
 
-@dataclass
-class MgcaParams:
-    w_q: nk.Tensor  # (d, d)
-    w_k: nk.Tensor  # (d, d)
-    w_v: nk.Tensor  # (d, d)
-    heads: int = 1
-
-
-@dataclass
-class GatedPoolParams:
-    v: nk.Tensor  # (d_attn, d), tanh branch
-    u: nk.Tensor  # (d_attn, d), sigmoid branch
-    w: nk.Tensor  # (1, d_attn), scorer
-
-
-@dataclass
-class MlpParams:
-    w_in: nk.Tensor  # (d_ff, d)
-    b_in: nk.Tensor
-    w_out: nk.Tensor  # (d, d_ff), projection back to token width
-    b_out: nk.Tensor
-
-
-@dataclass
-class MgctLayerParams:
-    mgca: MgcaParams | None
-    pool: GatedPoolParams | None  # only stage-final layers pool
-    mlp: MlpParams | None
-
-
-@dataclass
-class HeadParams:
-    w: nk.Tensor  # (bins, 2d)
-    b: nk.Tensor  # (bins, 1)
-
-
-@dataclass
-class FusionParams:
-    stage1_gh: list[MgctLayerParams]  # query = genomic tokens
-    stage1_hg: list[MgctLayerParams]  # query = patch tokens
-    stage2_fh: list[MgctLayerParams]  # query = stage-1 pair
-    stage2_hf: list[MgctLayerParams]  # query = patch tokens
-
-
-@dataclass
-class MgctParams:
-    snn: SnnParams
-    patch: PatchProjParams
-    fusion: FusionParams
-    head: HeadParams
-
-
 @dataclass(frozen=True)
 class ModelSpec(Config):
     """Everything needed to lay out (and re-create) the trainable arrays."""
@@ -291,12 +235,15 @@ def _one_segment(tokens: nk.Tensor, offsets):
 def mgca(
     query_tokens: nk.Tensor,
     context_tokens: nk.Tensor,
-    params: MgcaParams,
+    w_q: nk.Tensor,
+    w_k: nk.Tensor,
+    w_v: nk.Tensor,
+    heads: int = 1,
     attn_sink: list | None = None,
     query_offsets=None,
     context_offsets=None,
 ) -> nk.Tensor:
-    """Cross-modality attention: (d, M) queries against (d, N) context.
+    """Cross-modality attention: (d, M) queries against (d, N) context, with (d, d) projections.
 
     Scaled dot-product attention per head, each sample's queries against its
     own context; the output keeps the query token count. ``attn_sink``
@@ -306,12 +253,12 @@ def mgca(
     if query_tokens.cols < 1 or context_tokens.cols < 1:
         raise ValueError("attention needs non-empty query and context token sets")
     return nk.segment_attention(
-        nk.matmul(params.w_q, query_tokens),
-        nk.matmul(params.w_k, context_tokens),
-        nk.matmul(params.w_v, context_tokens),
+        nk.matmul(w_q, query_tokens),
+        nk.matmul(w_k, context_tokens),
+        nk.matmul(w_v, context_tokens),
         _one_segment(query_tokens, query_offsets),
         _one_segment(context_tokens, context_offsets),
-        heads=params.heads,
+        heads=heads,
         sink=attn_sink,
     )
 
@@ -325,15 +272,16 @@ def _pool(tokens: nk.Tensor, scores: nk.Tensor, offsets) -> tuple[nk.Tensor, nk.
 
 
 def gated_attention_pool(
-    tokens: nk.Tensor, params: GatedPoolParams, offsets=None
+    tokens: nk.Tensor, v: nk.Tensor, u: nk.Tensor, w: nk.Tensor, offsets=None
 ) -> tuple[nk.Tensor, nk.Tensor]:
     """Pool (d, N) tokens to (d, B), one column per sample, with tanh/sigmoid-gated softmax weights.
 
-    Returns (pooled, alpha) where alpha is the (1, N) weighting, a simplex
-    over each sample's columns.
+    ``v`` (tanh branch) and ``u`` (sigmoid branch) are (d_attn, d), the
+    scorer ``w`` is (1, d_attn). Returns (pooled, alpha) where alpha is the
+    (1, N) weighting, a simplex over each sample's columns.
     """
-    gates = nk.mul(nk.tanh(nk.matmul(params.v, tokens)), nk.sigmoid(nk.matmul(params.u, tokens)))
-    return _pool(tokens, nk.matmul(params.w, gates), offsets)
+    gates = nk.mul(nk.tanh(nk.matmul(v, tokens)), nk.sigmoid(nk.matmul(u, tokens)))
+    return _pool(tokens, nk.matmul(w, gates), offsets)
 
 
 def mean_pool(tokens: nk.Tensor, offsets=None) -> tuple[nk.Tensor, nk.Tensor]:
@@ -348,33 +296,41 @@ def mean_pool(tokens: nk.Tensor, offsets=None) -> tuple[nk.Tensor, nk.Tensor]:
 def mgct_layer(
     query_tokens: nk.Tensor,
     context_tokens: nk.Tensor,
-    params: MgctLayerParams,
+    t: dict[str, nk.Tensor],
+    prefix: str,
     stage_final: bool,
     ablation: AblationSpec = FULL_MODEL,
+    heads: int = 1,
     residual: bool = False,
     attn_sink: list | None = None,
     alpha_sink: list | None = None,
     query_offsets=None,
     context_offsets=None,
 ) -> nk.Tensor:
-    """One fusion layer: attention, stage-final pooling (to one column per sample), feed-forward."""
+    """One fusion layer: attention, stage-final pooling (to one column per sample), feed-forward.
+
+    Reads its weights from ``t`` by name: ``prefix.attn.*``, ``prefix.pool.*``
+    and ``prefix.mlp.*``, as ``model_layout`` names them.
+    """
+    p = prefix + "."
     if ablation.mgca:
-        r = mgca(query_tokens, context_tokens, params.mgca, attn_sink, query_offsets, context_offsets)
+        r = mgca(query_tokens, context_tokens, t[p + "attn.wq"], t[p + "attn.wk"], t[p + "attn.wv"], heads,
+                 attn_sink, query_offsets, context_offsets)
         if residual:
             r = nk.add(r, query_tokens)
     else:
         r = query_tokens
     if stage_final:
         if ablation.gap:
-            r, alpha = gated_attention_pool(r, params.pool, query_offsets)
+            r, alpha = gated_attention_pool(r, t[p + "pool.v"], t[p + "pool.u"], t[p + "pool.w"], query_offsets)
         else:
             r, alpha = mean_pool(r, query_offsets)
         if alpha_sink is not None:
             offsets = _one_segment(alpha, query_offsets)
             alpha_sink.extend(alpha.data[:, a:b] for a, b in zip(offsets[:-1], offsets[1:]))
     if ablation.feedforward:
-        hidden = nk.relu(nk.affine(params.mlp.w_in, r, params.mlp.b_in))
-        out = nk.affine(params.mlp.w_out, hidden, params.mlp.b_out)
+        hidden = nk.relu(nk.affine(t[p + "mlp.w_in"], r, t[p + "mlp.b_in"]))
+        out = nk.affine(t[p + "mlp.w_out"], hidden, t[p + "mlp.b_out"])
         if residual:
             out = nk.add(out, r)
         return out
@@ -419,7 +375,7 @@ def _by_sample(blocks: list | None, n: int, sink: list | None) -> None:
 
 
 def fusion_nodes(
-    params: FusionParams,
+    t: dict[str, nk.Tensor],
     config: FusionConfig,
     ablation: AblationSpec,
     patch_offsets,
@@ -429,8 +385,9 @@ def fusion_nodes(
 ) -> dict[str, Node]:
     """The fusion layers and joins as a node table, from the "genomic" and "patch" tokens to the "fused" embeddings.
 
-    One node per layer, named by its array prefix (``s1.gh.0``, ...) and
-    reading only that prefix's arrays, in the order the layers run: the
+    One node per layer, named by its array prefix (``s1.gh.0``, ...), which
+    it hands its ``mgct_layer`` to read its tensors from ``t`` by name and
+    declares as its ``reads``; the nodes come in the order the layers run: the
     stage-1 stacks, their "pair" join (the (d, 2B) stage-1 tokens,
     sample-major), the stage-2 stacks and the "fused" join, which gives the
     (2d, B) embeddings. Without deep fusion "fused" joins the stage-1 pair
@@ -439,25 +396,26 @@ def fusion_nodes(
     """
     n = len(patch_offsets) - 1
     attn, alphas = ([] if sink is not None else None for sink in (attn_sink, alpha_sink))
-    kw = dict(ablation=ablation, residual=config.residual, attn_sink=attn, alpha_sink=alphas)
+    kw = dict(ablation=ablation, heads=config.heads, residual=config.residual, attn_sink=attn, alpha_sink=alphas)
     nodes: dict[str, Node] = {}
 
-    def stack(name, layers, query, context, query_offsets, context_offsets) -> str:
+    def stack(name, depth, query, context, query_offsets, context_offsets) -> str:
         """Add a stack's layers, each taking the one before as its query; returns the last one's name."""
-        for i, lp in enumerate(layers):
-            layer = partial(mgct_layer, params=lp, stage_final=i == len(layers) - 1, **kw,
+        for i in range(depth):
+            prefix = f"{name}.{i}"
+            layer = partial(mgct_layer, t=t, prefix=prefix, stage_final=i == depth - 1, **kw,
                             query_offsets=query_offsets, context_offsets=context_offsets)
-            nodes[f"{name}.{i}"] = Node((f"{name}.{i}.",), (query, context), layer)
-            query = f"{name}.{i}"
+            nodes[prefix] = Node((prefix + ".",), (query, context), layer)
+            query = prefix
         return query
 
-    a = stack("s1.gh", params.stage1_gh, "genomic", "patch", genomic_offsets, patch_offsets)  # (d, B)
-    b = stack("s1.hg", params.stage1_hg, "patch", "genomic", patch_offsets, genomic_offsets)  # (d, B)
+    a = stack("s1.gh", config.s1, "genomic", "patch", genomic_offsets, patch_offsets)  # (d, B)
+    b = stack("s1.hg", config.s1, "patch", "genomic", patch_offsets, genomic_offsets)  # (d, B)
     if ablation.deep_fusion:
         nodes["pair"] = Node((), (a, b), lambda gh, hg: _sample_major(nk.concat(gh, hg, "cols"), 2))
         pair_offsets = range(0, 2 * n + 1, 2)
-        a = stack("s2.fh", params.stage2_fh, "pair", "patch", pair_offsets, patch_offsets)
-        b = stack("s2.hf", params.stage2_hf, "patch", "pair", patch_offsets, pair_offsets)
+        a = stack("s2.fh", config.s2, "pair", "patch", pair_offsets, patch_offsets)
+        b = stack("s2.hf", config.s2, "patch", "pair", patch_offsets, pair_offsets)
 
     def fused(left, right):
         _by_sample(attn, n, attn_sink)
@@ -471,7 +429,7 @@ def fusion_nodes(
 def fuse(
     patch_tokens: nk.Tensor,
     genomic_tokens: nk.Tensor,
-    params: FusionParams,
+    t: dict[str, nk.Tensor],
     config: FusionConfig,
     ablation: AblationSpec = FULL_MODEL,
     attn_sink: list | None = None,
@@ -480,7 +438,7 @@ def fuse(
 ) -> nk.Tensor:
     """Two-stage bidirectional fusion of a window's patch and genomic tokens
     into its (2d, B) multimodal embeddings, one column per sample (the
-    ``fusion_nodes``).
+    ``fusion_nodes``, reading the fusion tensors from ``t`` by name).
 
     Patch tokens are (d, N), sample b's bag at columns ``patch_offsets[b]`` ..
     ``patch_offsets[b + 1] - 1`` (one sample when left out); genomic tokens
@@ -493,15 +451,15 @@ def fuse(
     if genomic_tokens.cols % n:
         raise nk.ShapeError(f"{genomic_tokens.cols} genomic tokens do not split over {n} samples")
     genomic_offsets = range(0, genomic_tokens.cols + 1, genomic_tokens.cols // n)
-    nodes = fusion_nodes(params, config, ablation, patch_offsets, genomic_offsets, attn_sink, alpha_sink)
+    nodes = fusion_nodes(t, config, ablation, patch_offsets, genomic_offsets, attn_sink, alpha_sink)
     return run_nodes(nodes, {"genomic": genomic_tokens, "patch": patch_tokens})["fused"]
 
 
-def classify(r_final: nk.Tensor, head: HeadParams) -> nk.Tensor:
-    """Affine map from the fused (2d, B) embeddings to (bins, B) hazard logits, one column per sample."""
-    if r_final.rows != head.w.cols:
-        raise nk.ShapeError(f"classifier expects ({head.w.cols}, B) input, got {r_final.shape}")
-    return nk.affine(head.w, r_final, head.b)
+def classify(r_final: nk.Tensor, w: nk.Tensor, b: nk.Tensor) -> nk.Tensor:
+    """Affine map (``w`` is (bins, 2d), ``b`` (bins, 1)) from the fused (2d, B) embeddings to (bins, B) hazard logits."""
+    if r_final.rows != w.cols:
+        raise nk.ShapeError(f"classifier expects ({w.cols}, B) input, got {r_final.shape}")
+    return nk.affine(w, r_final, b)
 
 
 # ---------------------------------------------------------------------------
@@ -560,63 +518,27 @@ def init_model_arrays(spec: ModelSpec, seed, head_init: str = "zeros") -> dict[s
     return init_arrays(model_layout(spec, head_init), np.random.default_rng(seed))
 
 
-@lru_cache(maxsize=16)
-def _bind_plan(spec: ModelSpec):
-    """(stacks, head names): the fusion and head block names ``bind_model`` reads.
+def bind_model(arrays: dict) -> dict[str, nk.Tensor]:
+    """The model's arrays as tensors, by their ``model_layout`` names.
 
-    The stacks come in ``FusionParams`` field order, each a tuple of layers'
-    (attn, pool, mlp) name groups, None where the spec has none; a group keeps
-    ``model_layout`` order, its class's field order. Memoized per frozen spec.
+    Tape leaves are kept as they are, so a forward pass over the tensors is
+    taped exactly when ``arrays`` holds tape leaves; raw arrays are wrapped
+    untaped. Tensors are not copied, so binding bound tensors gives them back.
     """
-    groups: dict[str, tuple[str, ...]] = {}
-    for name, _, _ in model_layout(spec):
-        group = name.rpartition(".")[0]
-        groups[group] = groups.get(group, ()) + (name,)
-    stacks: dict[str, list] = {"s1.gh": [], "s1.hg": [], "s2.fh": [], "s2.hf": []}
-    for prefix, _ in _layer_names(spec.fusion, spec.ablation):
-        layer = tuple(groups.get(f"{prefix}.{part}") for part in ("attn", "pool", "mlp"))
-        stacks[prefix.rpartition(".")[0]].append(layer)
-    return tuple(map(tuple, stacks.values())), groups["head"]
-
-
-def bind_model(arrays: dict[str, np.ndarray], spec: ModelSpec) -> MgctParams:
-    """Wrap flat arrays into the typed parameter tree.
-
-    Tape leaves are kept as they are, so a forward pass over the tree is
-    taped exactly when ``arrays`` holds tape leaves; raw arrays stay untaped.
-    """
-    stacks, head = _bind_plan(spec)
-    heads = spec.fusion.heads
-
-    def layers(stack) -> list[MgctLayerParams]:
-        return [
-            MgctLayerParams(
-                mgca=attn and MgcaParams(*_leaves(arrays, attn), heads=heads),
-                pool=pool and GatedPoolParams(*_leaves(arrays, pool)),
-                mlp=mlp and MlpParams(*_leaves(arrays, mlp)),
-            )
-            for attn, pool, mlp in stack
-        ]
-
-    return MgctParams(
-        snn=bind_snn(arrays, len(spec.gene_lengths)),
-        patch=bind_patch_proj(arrays),
-        fusion=FusionParams(*map(layers, stacks)),
-        head=HeadParams(*_leaves(arrays, head)),
-    )
+    return {name: a if isinstance(a, nk.Tensor) else nk.Tensor(a) for name, a in arrays.items()}
 
 
 def window_nodes(
     bags: list,
     genomics: list[list[np.ndarray]],
-    params: MgctParams,
+    t: dict[str, nk.Tensor],
     spec: ModelSpec,
     dropout_p: float = 0.0,
     dropout_key: tuple | None = None,
     attn_sink: list | None = None,
     alpha_sink: list | None = None,
 ) -> dict[str, Node]:
-    """``window_logits`` as a node table, in the order its nodes run (``run_nodes``).
+    """``window_logits`` as a node table over the tensors ``t``, in the order its nodes run (``run_nodes``).
 
     "genomic" reads the ``snn.`` arrays and gives the (d, S * B) genomic
     tokens, sample-major; "patch" reads ``patch.`` and gives the (d, N)
@@ -629,26 +551,25 @@ def window_nodes(
     raw = genomics[0] if len(bags) == 1 else [np.column_stack(cat) for cat in zip(*genomics)]
     patch_offsets = list(accumulate((bag.shape[1] for bag in bags), initial=0))
     genomic_offsets = range(0, len(raw) * len(bags) + 1, len(raw))
+    snn = bind_snn(t, len(spec.gene_lengths))
 
     def genomic():
-        g = embed_genomics(raw, params.snn, dropout_p=dropout_p, dropout_key=dropout_key)
+        g = embed_genomics(raw, snn, dropout_p=dropout_p, dropout_key=dropout_key)
         return _sample_major(g, len(raw))
 
     nodes = {
         "genomic": Node(("snn.",), (), genomic),
-        "patch": Node(("patch.",), (), lambda: embed_patches(np.hstack(bags), params.patch)),
+        "patch": Node(("patch.",), (), lambda: embed_patches(np.hstack(bags), t["patch.w"], t["patch.b"])),
     }
-    nodes |= fusion_nodes(
-        params.fusion, spec.fusion, spec.ablation, patch_offsets, genomic_offsets, attn_sink, alpha_sink
-    )
-    nodes["head"] = Node(("head.",), ("fused",), lambda fused: classify(fused, params.head))
+    nodes |= fusion_nodes(t, spec.fusion, spec.ablation, patch_offsets, genomic_offsets, attn_sink, alpha_sink)
+    nodes["head"] = Node(("head.",), ("fused",), lambda fused: classify(fused, t["head.w"], t["head.b"]))
     return nodes
 
 
 def window_logits(
     bags: list,
     genomics: list[list[np.ndarray]],
-    arrays: dict[str, np.ndarray] | MgctParams,
+    arrays: dict,
     spec: ModelSpec,
     dropout_p: float = 0.0,
     dropout_key: tuple | None = None,
@@ -663,20 +584,18 @@ def window_logits(
     every sample's tokens at once, cut into samples by offsets (see
     ``fuse``). ``dropout_key`` is (seed, step) for one sample or (seed,
     steps) with one step per sample; dropout is on when ``dropout_p > 0``.
-    One sample records no gather. Returns the (bins, B) hazard logits, taped
-    when ``arrays`` holds tape leaves (see ``bind_model``). A tree
-    ``bind_model`` made for ``spec`` is used as it is, so many passes over
-    the same tensors bind them only once.
+    One sample records no gather. ``arrays`` holds the model's raw arrays or
+    tensors by name (see ``bind_model``); the (bins, B) hazard logits are
+    taped when they are tape leaves.
     """
-    params = arrays if isinstance(arrays, MgctParams) else bind_model(arrays, spec)
-    nodes = window_nodes(bags, genomics, params, spec, dropout_p, dropout_key, attn_sink, alpha_sink)
+    nodes = window_nodes(bags, genomics, bind_model(arrays), spec, dropout_p, dropout_key, attn_sink, alpha_sink)
     return run_nodes(nodes)["head"]
 
 
 def forward_logits(
     patches: np.ndarray,
     genomic: list[np.ndarray],
-    arrays: dict[str, np.ndarray] | MgctParams,
+    arrays: dict,
     spec: ModelSpec,
     dropout_p: float = 0.0,
     dropout_key: tuple[int, int] | None = None,

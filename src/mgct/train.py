@@ -29,7 +29,6 @@ from .mgct_core import (
     AblationSpec,
     Config,
     FusionConfig,
-    MgctParams,
     ModelSpec,
     bind_model,
     forward_logits,
@@ -140,7 +139,7 @@ def adam_step(
 
 def window_losses(
     samples: list[BagSample],
-    arrays: dict | MgctParams,
+    arrays: dict,
     spec: ModelSpec,
     labels: list[survival.SurvivalLabel],
     dropout: float = 0.0,
@@ -151,8 +150,8 @@ def window_losses(
 
     One forward pass covers the window (see ``window_logits``); ``dropout_key``
     is (seed, step) for one sample or (seed, steps) with one step per sample.
-    Taped when ``arrays`` holds tape leaves (or their ``bind_model`` tree),
-    untaped otherwise. With ``dropout=0`` each loss equals the evaluation-mode loss.
+    Taped when ``arrays`` holds tape leaves, untaped when it holds raw
+    arrays (see ``bind_model``). With ``dropout=0`` each loss equals the evaluation-mode loss.
     """
     logits = window_logits(
         [s.patches for s in samples],
@@ -289,11 +288,11 @@ def evaluate(
     would put on one tape, binding the model once per call; each risk is
     ``predict``'s for its sample, up to round-off.
     """
-    params = bind_model(arrays, spec)
+    t = bind_model(arrays)
     risks: list[float] = []
     for start, stop in tape_spans([s.patches.shape[1] for s in samples], TAPE_PATCHES):
         run = samples[start:stop]
-        logits = window_logits([s.patches for s in run], [s.genomic for s in run], params, spec)
+        logits = window_logits([s.patches for s in run], [s.genomic for s in run], t, spec)
         risks += [survival.SurvivalPrediction.from_hazards(h).risk for h in nk.sigmoid(logits).data.T]
     labels = [survival.SurvivalLabel(s.t, s.event) for s in samples]
     return risks, survival.concordance_index(risks, labels), survival.binary_auc(risks, labels, horizon)

@@ -7,9 +7,9 @@ whole model), simplex invariants of attention and pooling weights,
 permutation invariance of the fusion pipeline, and the concat/gather_cols
 round-trip. Sizes are kept small so the whole suite runs in seconds. The
 gradient harnesses (``gradient_error``, and ``model_gradient_error`` for the
-whole model) and the permutation harness (``patch_permutation_deviation``)
-are shared with the test suite, which runs them at its own sizes and
-tolerances.
+whole model), the simplex harness (``simplex_deviation``) and the
+permutation harness (``patch_permutation_deviation``) are shared with the
+test suite, which runs them at its own sizes and tolerances.
 """
 
 from __future__ import annotations
@@ -43,32 +43,32 @@ SIMPLEX_TOL = 1e-12
 PERMUTATION_TOL = 1e-9
 
 
-def _tape_gradient(build, params, bind=dict) -> dict[str, np.ndarray]:
-    """Gradient of ``build(bind(tensors))`` at ``params``, registered as tape leaves."""
+def _tape_gradient(build, params) -> dict[str, np.ndarray]:
+    """Gradient of ``build(tensors)`` at ``params``, registered as tape leaves."""
     tape = nk.Tape()
     leaves = {k: tape.leaf(v) for k, v in params.items()}
-    grads = nk.backward(build(bind(leaves)), tape)
+    grads = nk.backward(build(leaves), tape)
     return {k: grads[v] for k, v in leaves.items()}
 
 
-def gradient_error(build, params, bind=dict) -> tuple[float, str]:
+def gradient_error(build, params) -> tuple[float, str]:
     """Tape gradient of ``build`` against central finite differences at ``params``.
 
-    ``build(bind(tensors)) -> 1x1 tensor`` runs once on ``params`` registered
-    as tape leaves, whose loss is backpropagated, and then on untaped tensors
+    ``build(tensors) -> 1x1 tensor`` runs once on ``params`` registered as
+    tape leaves, whose loss is backpropagated, and then on untaped tensors
     for every finite-difference evaluation. Those tensors wrap the oracle's
-    working arrays, which it perturbs in place, so ``bind`` (a dict by
-    default) runs once per sweep. The whole model is checked by
-    ``model_gradient_error``. Returns (max relative error, its parameter).
+    working arrays, which it perturbs in place, so they are bound once per
+    sweep. The whole model is checked by ``model_gradient_error``. Returns
+    (max relative error, its parameter).
     """
     bound = []
 
     def loss(work) -> float:
         if not bound:  # ``work`` is the same dict of arrays on every call
-            bound.append(bind({k: nk.Tensor(v) for k, v in work.items()}))
+            bound.append(bind_model(work))
         return build(bound[0]).item()
 
-    return max_relative_error(_tape_gradient(build, params, bind), finite_difference(loss, params))
+    return max_relative_error(_tape_gradient(build, params), finite_difference(loss, params))
 
 
 def resume_point(name: str, nodes: dict[str, Node]) -> str:
@@ -103,8 +103,8 @@ def model_gradient_error(
 
     def loss(work) -> float:
         if not nodes:  # ``work`` is the same dict of arrays on every call
-            params = bind_model({k: nk.Tensor(v) for k, v in work.items()}, spec)
-            nodes.update(window_nodes([sample.patches], [sample.genomic], params, spec, dropout, dropout_key))
+            t = bind_model(work)
+            nodes.update(window_nodes([sample.patches], [sample.genomic], t, spec, dropout, dropout_key))
         if work.moved not in plans:
             start = resume_point(work.moved, nodes)
             plan = plans[work.moved] = {}
@@ -117,9 +117,8 @@ def model_gradient_error(
         return survival.nll_loss(nk.sigmoid(logits), [label]).item()
 
     analytic = _tape_gradient(
-        lambda params: window_losses([sample], params, spec, [label], dropout=dropout, dropout_key=dropout_key),
+        lambda leaves: window_losses([sample], leaves, spec, [label], dropout=dropout, dropout_key=dropout_key),
         arrays,
-        bind=lambda t: bind_model(t, spec),
     )
     return max_relative_error(analytic, finite_difference(loss, arrays))
 
@@ -193,22 +192,28 @@ def check_model_gradient() -> tuple[bool, str]:
     return err < GRAD_TOL, f"max rel err {err:.3g} ({name})"
 
 
+def simplex_deviation(blocks) -> tuple[float, int]:
+    """(worst |row sum - 1|, blocks holding a negative weight) over weight blocks whose rows are simplices."""
+    worst, negatives = 0.0, 0
+    for w in blocks:
+        worst = max(worst, float(np.abs(w.sum(axis=1) - 1.0).max()))
+        negatives += int((w < 0).any())
+    return worst, negatives
+
+
 def check_attention_simplex() -> tuple[bool, str]:
     rng = np.random.default_rng(21)
     spec = _tiny_spec()
-    params = bind_model(init_model_arrays(spec, seed=4, head_init="xavier"), spec)
-    worst = 0.0
+    t = bind_model(init_model_arrays(spec, seed=4, head_init="xavier"))
+    blocks: list[np.ndarray] = []  # attention rows and pooling weights alike
     for _ in range(50):
         n = int(rng.integers(1, 16))
         patches = rng.uniform(-2.0, 2.0, (5, n))
         genomic = [rng.uniform(-2.0, 2.0, ln) for ln in spec.gene_lengths]
-        attn: list[np.ndarray] = []
-        alphas: list[np.ndarray] = []
-        forward_logits(patches, genomic, params, spec, attn_sink=attn, alpha_sink=alphas)
-        for w in attn + alphas:
-            worst = max(worst, float(np.abs(w.sum(axis=1) - 1.0).max()))
-            if w.min() < 0:
-                return False, "negative attention weight"
+        forward_logits(patches, genomic, t, spec, attn_sink=blocks, alpha_sink=blocks)
+    worst, negatives = simplex_deviation(blocks)
+    if negatives:
+        return False, "negative attention weight"
     return worst < SIMPLEX_TOL, f"max row-sum deviation {worst:.3g}"
 
 
@@ -222,14 +227,14 @@ def patch_permutation_deviation(
     from ``array_seed``.
     """
     rng = np.random.default_rng(data_seed)
-    params = bind_model(init_model_arrays(spec, seed=array_seed, head_init="xavier"), spec)
+    t = bind_model(init_model_arrays(spec, seed=array_seed, head_init="xavier"))
     patches = rng.uniform(-2.0, 2.0, (spec.d_in, n_patches))
     genomic = [rng.uniform(-2.0, 2.0, n) for n in spec.gene_lengths]
-    g = emb.embed_genomics(genomic, params.snn)
+    g = emb.embed_genomics(genomic, emb.bind_snn(t, len(spec.gene_lengths)))
 
     def fused(bag: np.ndarray) -> np.ndarray:
-        h = emb.embed_patches(bag, params.patch)
-        return fuse(h, g, params.fusion, spec.fusion, ablation=spec.ablation).data
+        h = emb.embed_patches(bag, t["patch.w"], t["patch.b"])
+        return fuse(h, g, t, spec.fusion, ablation=spec.ablation).data
 
     base = fused(patches)
     return max(
@@ -243,21 +248,15 @@ def check_patch_permutation_invariance() -> tuple[bool, str]:
 
 
 def check_pooling_simplex() -> tuple[bool, str]:
-    from .mgct_core import GatedPoolParams
-
     rng = np.random.default_rng(17)
-    worst = 0.0
+    blocks = []
     for _ in range(50):
         d, n = int(rng.integers(1, 12)), int(rng.integers(1, 16))
-        pool = GatedPoolParams(
-            v=nk.Tensor(rng.uniform(-1, 1, (4, d))),
-            u=nk.Tensor(rng.uniform(-1, 1, (4, d))),
-            w=nk.Tensor(rng.uniform(-1, 1, (1, 4))),
-        )
-        _, alpha = gated_attention_pool(nk.Tensor(rng.uniform(-2, 2, (d, n))), pool)
-        worst = max(worst, abs(float(alpha.data.sum()) - 1.0))
-        if alpha.data.min() < 0:
-            return False, "negative pooling weight"
+        v, u, w = (nk.Tensor(rng.uniform(-1, 1, shape)) for shape in ((4, d), (4, d), (1, 4)))
+        blocks.append(gated_attention_pool(nk.Tensor(rng.uniform(-2, 2, (d, n))), v, u, w)[1].data)
+    worst, negatives = simplex_deviation(blocks)
+    if negatives:
+        return False, "negative pooling weight"
     return worst < SIMPLEX_TOL, f"max weight-sum deviation {worst:.3g}"
 
 

@@ -17,8 +17,6 @@ from mgct.dataio import monte_carlo_splits
 from mgct.mgct_core import (
     AblationSpec,
     FusionConfig,
-    GatedPoolParams,
-    MgcaParams,
     ModelSpec,
     gated_attention_pool,
     init_model_arrays,
@@ -36,7 +34,7 @@ from mgct.train import (
     window_loss_and_grads,
     write_metrics_csv,
 )
-from mgct.verify import model_gradient_error, patch_permutation_deviation
+from mgct.verify import model_gradient_error, patch_permutation_deviation, simplex_deviation
 
 DATASET_SEED = 7
 DATASET_SIZE = 200
@@ -118,37 +116,19 @@ def test_criterion_2_patch_permutation_invariance():
 def test_criterion_3_simplex_invariants():
     """Attention rows and pooling weights stay on the simplex (1000 draws)."""
     rng = np.random.default_rng(33)
-    worst = 0.0
-    negatives = 0
+    blocks: list[np.ndarray] = []
     for i in range(1000):
         d = int(rng.integers(1, 12))
         m = int(rng.integers(1, 10))
         n = int(rng.integers(1, 14))
         if i % 2 == 0:
-            params = MgcaParams(
-                w_q=nk.Tensor(rng.uniform(-2, 2, (d, d))),
-                w_k=nk.Tensor(rng.uniform(-2, 2, (d, d))),
-                w_v=nk.Tensor(rng.uniform(-2, 2, (d, d))),
-                heads=1,
-            )
-            sink: list[np.ndarray] = []
-            mgca(
-                nk.Tensor(rng.uniform(-3, 3, (d, m))),
-                nk.Tensor(rng.uniform(-3, 3, (d, n))),
-                params,
-                attn_sink=sink,
-            )
-            weights = sink[0]
+            w_q, w_k, w_v = (nk.Tensor(rng.uniform(-2, 2, (d, d))) for _ in range(3))
+            query, context = nk.Tensor(rng.uniform(-3, 3, (d, m))), nk.Tensor(rng.uniform(-3, 3, (d, n)))
+            mgca(query, context, w_q, w_k, w_v, attn_sink=blocks)
         else:
-            pool = GatedPoolParams(
-                v=nk.Tensor(rng.uniform(-2, 2, (d, d))),
-                u=nk.Tensor(rng.uniform(-2, 2, (d, d))),
-                w=nk.Tensor(rng.uniform(-2, 2, (1, d))),
-            )
-            _, alpha = gated_attention_pool(nk.Tensor(rng.uniform(-3, 3, (d, n))), pool)
-            weights = alpha.data
-        worst = max(worst, float(np.abs(weights.sum(axis=1) - 1.0).max()))
-        negatives += int((weights < 0).any())
+            v, u, w = (nk.Tensor(rng.uniform(-2, 2, shape)) for shape in ((d, d), (d, d), (1, d)))
+            blocks.append(gated_attention_pool(nk.Tensor(rng.uniform(-3, 3, (d, n))), v, u, w)[1].data)
+    worst, negatives = simplex_deviation(blocks)
     ok = worst < 1e-12 and negatives == 0
     report(3, ok, f"max row-sum deviation {worst:.3g}, negative weights: {negatives}")
 

@@ -528,6 +528,32 @@ class TestEvalCommand:
         assert code == 2
         assert "d_in" in capsys.readouterr().err
 
+    def test_category_order_must_match_checkpoint(self, tmp_path, dataset_dir, capsys):
+        # same categories and lengths in another order would feed each vector to another category's network
+        runs = tmp_path / "runs"
+        assert main(["train", "--config", write_config(tmp_path, dataset_dir), "--out", str(runs)]) == 0
+        ckpt = str(run_dirs(runs)[0] / "fold_0.ckpt")
+        manifest = str(dataset_dir / "manifest.csv")
+        cmap = json.loads((dataset_dir / "category_map.json").read_text())
+        outputs = {}
+        for name, order in (("default", None), ("same", list(cmap)), ("reversed", list(cmap)[::-1])):
+            argv = ["eval", "--checkpoint", ckpt, "--manifest", manifest, "--km-out", str(tmp_path / name / "x")]
+            if order is not None:
+                path = tmp_path / f"{name}.json"
+                path.write_text(json.dumps({cat: cmap[cat] for cat in order}))
+                argv += ["--category-map", str(path)]
+            if name == "reversed":
+                proc = run_mgct(argv)
+                assert proc.returncode == 2 and "Traceback" not in proc.stderr
+                assert f"checkpoint categories {list(cmap)!r} do not match the category map's {order!r}" in proc.stderr
+                assert not (tmp_path / name).exists()
+            else:
+                capsys.readouterr()
+                assert main(argv) == 0
+                files = sorted((tmp_path / name).iterdir())
+                outputs[name] = capsys.readouterr().out, [(p.name, p.read_bytes()) for p in files]
+        assert outputs["same"] == outputs["default"]
+
 
     @pytest.mark.parametrize(
         "edit,message",

@@ -5,7 +5,6 @@ import pytest
 
 from mgct import numkit as nk
 from mgct.embedders import (
-    bind_patch_proj,
     bind_snn,
     embed_genomics,
     embed_patches,
@@ -13,19 +12,20 @@ from mgct.embedders import (
     patch_proj_layout,
     snn_layout,
 )
+from mgct.mgct_core import bind_model
 from mgct.verify import gradient_error
 
 
 def snn_setup(gene_lengths, d=8, hidden=8, seed=0):
     rng = np.random.default_rng(seed)
     arrays = init_arrays(snn_layout(list(gene_lengths), d, hidden), rng)
-    return arrays, bind_snn(arrays, len(gene_lengths))
+    return arrays, bind_snn(bind_model(arrays), len(gene_lengths))
 
 
 class TestGenomicEmbedder:
     def test_zero_weights_give_zero_matrix(self):
         arrays, _ = snn_setup([3, 4], d=5)
-        params = bind_snn({k: np.zeros_like(v) for k, v in arrays.items()}, 2)
+        params = bind_snn(bind_model({k: np.zeros_like(v) for k, v in arrays.items()}), 2)
         out = embed_genomics([np.ones(3), np.ones(4)], params)
         np.testing.assert_array_equal(out.data, np.zeros((5, 2)))
 
@@ -102,30 +102,34 @@ class TestGenomicEmbedder:
         assert err < 1e-4, f"{name}: {err}"
 
 
+def patch_proj(arrays):
+    """(w, b) of the patch projection, as ``embed_patches`` takes them."""
+    return nk.Tensor(arrays["patch.w"]), nk.Tensor(arrays["patch.b"])
+
+
 class TestPatchProjection:
     def test_identity_weights_pass_through(self):
-        arrays = {"patch.w": np.eye(5), "patch.b": np.zeros((5, 1))}
-        params = bind_patch_proj(arrays)
+        params = nk.Tensor(np.eye(5)), nk.Tensor(np.zeros((5, 1)))
         x = np.random.default_rng(6).normal(size=(5, 9))
-        np.testing.assert_array_equal(embed_patches(x, params).data, x)
+        np.testing.assert_array_equal(embed_patches(x, *params).data, x)
 
     def test_single_patch(self):
         rng = np.random.default_rng(7)
         arrays = init_arrays(patch_proj_layout(d_in=4, d=6), rng)
-        out = embed_patches(rng.normal(size=(4, 1)), bind_patch_proj(arrays))
+        out = embed_patches(rng.normal(size=(4, 1)), *patch_proj(arrays))
         assert out.shape == (6, 1)
 
     def test_permutation_equivariance_bitwise(self):
         rng = np.random.default_rng(8)
         arrays = init_arrays(patch_proj_layout(d_in=5, d=7), rng)
-        params = bind_patch_proj(arrays)
+        params = patch_proj(arrays)
         x = rng.normal(size=(5, 11))
         perm = rng.permutation(11)
-        out_perm = embed_patches(x[:, perm], params).data
-        np.testing.assert_array_equal(out_perm, embed_patches(x, params).data[:, perm])
+        out_perm = embed_patches(x[:, perm], *params).data
+        np.testing.assert_array_equal(out_perm, embed_patches(x, *params).data[:, perm])
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(9)
-        params = bind_patch_proj(init_arrays(patch_proj_layout(4, 6), rng))
+        params = patch_proj(init_arrays(patch_proj_layout(4, 6), rng))
         with pytest.raises(nk.ShapeError, match="bag width"):
-            embed_patches(np.ones((5, 3)), params)
+            embed_patches(np.ones((5, 3)), *params)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from mgct import gradcheck, mgct_core, verify
-from mgct import numkit as nk
 from mgct.gradcheck import STEP, finite_difference
 from mgct.mgct_core import AblationSpec, bind_model, init_model_arrays, window_nodes
 from mgct.train import window_losses
@@ -128,13 +127,13 @@ def test_a_child_that_dies_is_named(three_shares):
 
 
 def test_model_check_binds_once_per_sweep(monkeypatch):
-    # one process: the tape's tree and the sweep's tree, not one tree per forward call
+    # one process: the tape's tensors and the sweep's tensors, not one binding per forward call
     monkeypatch.setattr(gradcheck, "MIN_SHARE", 10**9)
     calls = []
 
-    def counted(arrays, spec):
-        calls.append(spec)
-        return bind_model(arrays, spec)
+    def counted(arrays):
+        calls.append(len(arrays))
+        return bind_model(arrays)
 
     monkeypatch.setattr(mgct_core, "bind_model", counted)
     monkeypatch.setattr(verify, "bind_model", counted)
@@ -169,8 +168,8 @@ def test_nan_error_is_the_worst():
 @pytest.mark.parametrize("preset", AblationSpec.preset_names())
 def test_every_model_array_has_one_resume_point(preset):
     spec = verify._tiny_spec(AblationSpec.preset(preset))
-    params = bind_model(init_model_arrays(spec, seed=0), spec)
-    nodes = window_nodes([np.ones((spec.d_in, 3))], [[np.ones(n) for n in spec.gene_lengths]], params, spec)
+    t = bind_model(init_model_arrays(spec, seed=0))
+    nodes = window_nodes([np.ones((spec.d_in, 3))], [[np.ones(n) for n in spec.gene_lengths]], t, spec)
     used = set()
     for name, _, _ in mgct_core.model_layout(spec):
         matches = [key for key, node in nodes.items() if name.startswith(node.reads)]
@@ -199,7 +198,7 @@ def unstaged_model_checks():
 
         def whole_forward(work):
             if not bound:
-                bound.append(bind_model({k: nk.Tensor(v) for k, v in work.items()}, spec))
+                bound.append(bind_model(work))
             return window_losses([sample], bound[0], spec, [label], **kw).item()
 
         checks[preset] = calls[0], finite_difference(whole_forward, arrays)

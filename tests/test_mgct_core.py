@@ -14,10 +14,6 @@ from mgct.dataio import BagSample
 from mgct.mgct_core import (
     AblationSpec,
     FusionConfig,
-    GatedPoolParams,
-    MgcaParams,
-    MgctLayerParams,
-    MlpParams,
     ModelSpec,
     bind_model,
     classify,
@@ -38,32 +34,27 @@ def rng_tensor(rng, rows, cols, lo=-1.5, hi=1.5):
     return nk.Tensor(rng.uniform(lo, hi, (rows, cols)))
 
 
-def make_mgca(rng, d, heads=1):
-    return MgcaParams(
-        w_q=rng_tensor(rng, d, d),
-        w_k=rng_tensor(rng, d, d),
-        w_v=rng_tensor(rng, d, d),
-        heads=heads,
-    )
+def make_mgca(rng, d):
+    """(w_q, w_k, w_v), in ``mgca``'s argument order."""
+    return rng_tensor(rng, d, d), rng_tensor(rng, d, d), rng_tensor(rng, d, d)
 
 
 def make_pool(rng, d, d_attn=4):
-    return GatedPoolParams(
-        v=rng_tensor(rng, d_attn, d), u=rng_tensor(rng, d_attn, d), w=rng_tensor(rng, 1, d_attn)
-    )
+    """(v, u, w), in ``gated_attention_pool``'s argument order."""
+    return rng_tensor(rng, d_attn, d), rng_tensor(rng, d_attn, d), rng_tensor(rng, 1, d_attn)
 
 
-def make_layer(rng, d, d_attn=4, d_ff=6, heads=1):
-    return MgctLayerParams(
-        mgca=make_mgca(rng, d, heads),
-        pool=make_pool(rng, d, d_attn),
-        mlp=MlpParams(
-            w_in=rng_tensor(rng, d_ff, d),
-            b_in=nk.Tensor(np.zeros((d_ff, 1))),
-            w_out=rng_tensor(rng, d, d_ff),
-            b_out=nk.Tensor(np.zeros((d, 1))),
-        ),
-    )
+def make_layer(rng, d, d_attn=4, d_ff=6):
+    """One fusion layer's tensors, named as ``mgct_layer`` reads them under the prefix "L"."""
+    names = ("attn.wq", "attn.wk", "attn.wv", "pool.v", "pool.u", "pool.w")
+    t = dict(zip(names, make_mgca(rng, d) + make_pool(rng, d, d_attn)))
+    t |= {
+        "mlp.w_in": rng_tensor(rng, d_ff, d),
+        "mlp.b_in": nk.Tensor(np.zeros((d_ff, 1))),
+        "mlp.w_out": rng_tensor(rng, d, d_ff),
+        "mlp.b_out": nk.Tensor(np.zeros((d, 1))),
+    }
+    return {f"L.{name}": tensor for name, tensor in t.items()}
 
 
 class TestMgca:
@@ -74,33 +65,33 @@ class TestMgca:
         query = rng_tensor(rng, d, 4)
         context = rng_tensor(rng, d, 1)
         sink = []
-        out = mgca(query, context, params, attn_sink=sink)
+        out = mgca(query, context, *params, attn_sink=sink)
         np.testing.assert_array_equal(sink[0], np.ones((4, 1)))
-        expected = (params.w_v.data @ context.data) @ np.ones((1, 4))
+        expected = (params[2].data @ context.data) @ np.ones((1, 4))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_output_token_count_matches_query(self):
         rng = np.random.default_rng(1)
         params = make_mgca(rng, 8)
-        out = mgca(rng_tensor(rng, 8, 6), rng_tensor(rng, 8, 12), params)
+        out = mgca(rng_tensor(rng, 8, 6), rng_tensor(rng, 8, 12), *params)
         assert out.shape == (8, 6)
 
     def test_context_permutation_invariance(self):
         rng = np.random.default_rng(2)
-        params = make_mgca(rng, 5, heads=1)
+        params = make_mgca(rng, 5)
         query = rng_tensor(rng, 5, 3)
         context = rng.uniform(-2, 2, (5, 9))
-        base = mgca(query, nk.Tensor(context), params).data
+        base = mgca(query, nk.Tensor(context), *params, heads=1).data
         for _ in range(5):
             perm = rng.permutation(9)
-            out = mgca(query, nk.Tensor(context[:, perm]), params).data
+            out = mgca(query, nk.Tensor(context[:, perm]), *params, heads=1).data
             np.testing.assert_allclose(out, base, atol=1e-12)
 
     def test_multi_head_shapes_and_simplex(self):
         rng = np.random.default_rng(3)
-        params = make_mgca(rng, 8, heads=4)
+        params = make_mgca(rng, 8)
         sink = []
-        out = mgca(rng_tensor(rng, 8, 3), rng_tensor(rng, 8, 7), params, attn_sink=sink)
+        out = mgca(rng_tensor(rng, 8, 3), rng_tensor(rng, 8, 7), *params, heads=4, attn_sink=sink)
         assert out.shape == (8, 3)
         assert len(sink) == 4
         for weights in sink:
@@ -109,15 +100,15 @@ class TestMgca:
 
     def test_head_divisibility_enforced(self):
         rng = np.random.default_rng(4)
-        params = make_mgca(rng, 6, heads=4)
+        params = make_mgca(rng, 6)
         with pytest.raises(nk.ShapeError, match="divisible"):
-            mgca(rng_tensor(rng, 6, 2), rng_tensor(rng, 6, 2), params)
+            mgca(rng_tensor(rng, 6, 2), rng_tensor(rng, 6, 2), *params, heads=4)
 
     def test_empty_token_set_rejected(self):
         rng = np.random.default_rng(5)
         params = make_mgca(rng, 4)
         with pytest.raises(ValueError, match="non-empty"):
-            mgca(nk.Tensor(np.zeros((4, 0))), rng_tensor(rng, 4, 2), params)
+            mgca(nk.Tensor(np.zeros((4, 0))), rng_tensor(rng, 4, 2), *params)
 
 
 class TestGatedAttentionPool:
@@ -125,7 +116,7 @@ class TestGatedAttentionPool:
         rng = np.random.default_rng(6)
         pool = make_pool(rng, 5)
         token = rng_tensor(rng, 5, 1)
-        pooled, alpha = gated_attention_pool(token, pool)
+        pooled, alpha = gated_attention_pool(token, *pool)
         np.testing.assert_array_equal(alpha.data, [[1.0]])
         np.testing.assert_allclose(pooled.data, token.data, atol=1e-15)
 
@@ -133,7 +124,7 @@ class TestGatedAttentionPool:
         rng = np.random.default_rng(7)
         pool = make_pool(rng, 4)
         token = rng.uniform(-1, 1, (4, 1))
-        pooled, alpha = gated_attention_pool(nk.Tensor(np.repeat(token, 6, axis=1)), pool)
+        pooled, alpha = gated_attention_pool(nk.Tensor(np.repeat(token, 6, axis=1)), *pool)
         np.testing.assert_allclose(alpha.data, np.full((1, 6), 1 / 6), atol=1e-12)
         np.testing.assert_allclose(pooled.data, token, atol=1e-12)
 
@@ -141,9 +132,9 @@ class TestGatedAttentionPool:
         rng = np.random.default_rng(8)
         pool = make_pool(rng, 5)
         tokens = rng.uniform(-2, 2, (5, 8))
-        pooled0, alpha0 = gated_attention_pool(nk.Tensor(tokens), pool)
+        pooled0, alpha0 = gated_attention_pool(nk.Tensor(tokens), *pool)
         perm = rng.permutation(8)
-        pooled, alpha = gated_attention_pool(nk.Tensor(tokens[:, perm]), pool)
+        pooled, alpha = gated_attention_pool(nk.Tensor(tokens[:, perm]), *pool)
         np.testing.assert_allclose(alpha.data[0], alpha0.data[0][perm], atol=1e-12)
         np.testing.assert_allclose(pooled.data, pooled0.data, atol=1e-12)
 
@@ -152,7 +143,7 @@ class TestGatedAttentionPool:
         for _ in range(20):
             d, n = int(rng.integers(1, 10)), int(rng.integers(1, 12))
             pool = make_pool(rng, d)
-            _, alpha = gated_attention_pool(rng_tensor(rng, d, n, -3, 3), pool)
+            _, alpha = gated_attention_pool(rng_tensor(rng, d, n, -3, 3), *pool)
             assert alpha.data.min() >= 0
             assert abs(alpha.data.sum() - 1.0) < 1e-12
 
@@ -168,13 +159,13 @@ class TestMgctLayer:
     def test_stage_final_pools_to_one_token(self):
         rng = np.random.default_rng(11)
         layer = make_layer(rng, 6)
-        out = mgct_layer(rng_tensor(rng, 6, 4), rng_tensor(rng, 6, 9), layer, stage_final=True)
+        out = mgct_layer(rng_tensor(rng, 6, 4), rng_tensor(rng, 6, 9), layer, "L", stage_final=True)
         assert out.shape == (6, 1)
 
     def test_intermediate_preserves_token_count(self):
         rng = np.random.default_rng(12)
         layer = make_layer(rng, 6)
-        out = mgct_layer(rng_tensor(rng, 6, 4), rng_tensor(rng, 6, 9), layer, stage_final=False)
+        out = mgct_layer(rng_tensor(rng, 6, 4), rng_tensor(rng, 6, 9), layer, "L", stage_final=False)
         assert out.shape == (6, 4)
 
     def test_single_token_stage_final_weight_is_one(self):
@@ -182,7 +173,7 @@ class TestMgctLayer:
         layer = make_layer(rng, 5)
         sink = []
         mgct_layer(
-            rng_tensor(rng, 5, 1), rng_tensor(rng, 5, 3), layer, stage_final=True, alpha_sink=sink
+            rng_tensor(rng, 5, 1), rng_tensor(rng, 5, 3), layer, "L", stage_final=True, alpha_sink=sink
         )
         np.testing.assert_array_equal(sink[0], [[1.0]])
 
@@ -190,22 +181,17 @@ class TestMgctLayer:
         rng = np.random.default_rng(14)
         d, m, n = 4, 2, 3
         names = {
-            "wq": (d, d), "wk": (d, d), "wv": (d, d),
-            "pv": (3, d), "pu": (3, d), "pw": (1, 3),
-            "mi": (6, d), "bi": (6, 1), "mo": (d, 6), "bo": (d, 1),
+            "attn.wq": (d, d), "attn.wk": (d, d), "attn.wv": (d, d),
+            "pool.v": (3, d), "pool.u": (3, d), "pool.w": (1, 3),
+            "mlp.w_in": (6, d), "mlp.b_in": (6, 1), "mlp.w_out": (d, 6), "mlp.b_out": (d, 1),
         }
-        arrays = {k: rng.uniform(-1, 1, shape) for k, shape in names.items()}
+        arrays = {f"L.{k}": rng.uniform(-1, 1, shape) for k, shape in names.items()}
         query = rng.uniform(-1, 1, (d, m))
         context = rng.uniform(-1, 1, (d, n))
 
         def build(t):
-            layer = MgctLayerParams(
-                mgca=MgcaParams(w_q=t["wq"], w_k=t["wk"], w_v=t["wv"], heads=1),
-                pool=GatedPoolParams(v=t["pv"], u=t["pu"], w=t["pw"]),
-                mlp=MlpParams(w_in=t["mi"], b_in=t["bi"], w_out=t["mo"], b_out=t["bo"]),
-            )
             return nk.sum_all(
-                mgct_layer(nk.Tensor(query), nk.Tensor(context), layer, stage_final=True)
+                mgct_layer(nk.Tensor(query), nk.Tensor(context), t, "L", stage_final=True)
             )
 
         err, name = gradient_error(build, arrays)
@@ -226,24 +212,24 @@ class TestFuse:
     def test_final_embedding_shape(self):
         spec = tiny_spec()
         arrays = init_model_arrays(spec, seed=0, head_init="xavier")
-        params = bind_model(arrays, spec)
+        t = bind_model(arrays)
         rng = np.random.default_rng(15)
         h = rng_tensor(rng, 8, 12)
         g = rng_tensor(rng, 8, 6)
-        out = fuse(h, g, params.fusion, spec.fusion)
+        out = fuse(h, g, t, spec.fusion)
         assert out.shape == (16, 1)
 
     def test_stage_one_produces_token_pair(self):
         # the stage-1 stacks each pool to one token of width d
         spec = tiny_spec()
         arrays = init_model_arrays(spec, seed=1, head_init="xavier")
-        params = bind_model(arrays, spec)
+        t = bind_model(arrays)
         rng = np.random.default_rng(16)
         from mgct.mgct_core import fusion_nodes, run_nodes
 
         h = rng_tensor(rng, 8, 10)
         g = rng_tensor(rng, 8, 3)
-        nodes = fusion_nodes(params.fusion, spec.fusion, spec.ablation, (0, 10), (0, 3))
+        nodes = fusion_nodes(t, spec.fusion, spec.ablation, (0, 10), (0, 3))
         out = run_nodes(nodes, {"genomic": g, "patch": h})
         assert out["s1.gh.0"].shape == (8, 1) and out["s1.hg.0"].shape == (8, 1)
         assert out["pair"].shape == (8, 2)
@@ -251,22 +237,22 @@ class TestFuse:
     def test_zero_parameters_give_zero_embedding(self):
         spec = tiny_spec()
         arrays = {k: np.zeros_like(v) for k, v in init_model_arrays(spec, 0).items()}
-        params = bind_model(arrays, spec)
+        t = bind_model(arrays)
         rng = np.random.default_rng(17)
-        out = fuse(rng_tensor(rng, 8, 7), rng_tensor(rng, 8, 3), params.fusion, spec.fusion)
+        out = fuse(rng_tensor(rng, 8, 7), rng_tensor(rng, 8, 3), t, spec.fusion)
         np.testing.assert_array_equal(out.data, np.zeros((16, 1)))
 
     def test_patch_permutation_invariance(self):
         spec = tiny_spec()
         arrays = init_model_arrays(spec, seed=2, head_init="xavier")
-        params = bind_model(arrays, spec)
+        t = bind_model(arrays)
         rng = np.random.default_rng(18)
         h = rng.uniform(-2, 2, (8, 11))
         g = rng_tensor(rng, 8, 3)
-        base = fuse(nk.Tensor(h), g, params.fusion, spec.fusion).data
+        base = fuse(nk.Tensor(h), g, t, spec.fusion).data
         for _ in range(10):
             perm = rng.permutation(11)
-            out = fuse(nk.Tensor(h[:, perm]), g, params.fusion, spec.fusion).data
+            out = fuse(nk.Tensor(h[:, perm]), g, t, spec.fusion).data
             assert np.abs(out - base).max() < 1e-9
 
     def test_model_a_is_meanpool_concat(self):
@@ -274,11 +260,11 @@ class TestFuse:
         # each modality and stacking the two vectors
         spec = tiny_spec(AblationSpec.preset("A"))
         arrays = init_model_arrays(spec, seed=3)
-        params = bind_model(arrays, spec)
+        t = bind_model(arrays)
         rng = np.random.default_rng(19)
         h = rng.uniform(-1, 1, (8, 9))
         g = rng.uniform(-1, 1, (8, 4))
-        out = fuse(nk.Tensor(h), nk.Tensor(g), params.fusion, spec.fusion, ablation=spec.ablation)
+        out = fuse(nk.Tensor(h), nk.Tensor(g), t, spec.fusion, ablation=spec.ablation)
         expected = np.vstack([g.mean(axis=1, keepdims=True), h.mean(axis=1, keepdims=True)])
         np.testing.assert_allclose(out.data, expected, atol=1e-15)
 
@@ -319,10 +305,8 @@ class TestFuse:
 
 class TestClassify:
     def test_zero_weights_give_half_hazards(self):
-        from mgct.mgct_core import HeadParams
-
-        head = HeadParams(w=nk.Tensor(np.zeros((4, 10))), b=nk.Tensor(np.zeros((4, 1))))
-        logits = classify(nk.Tensor(np.random.default_rng(22).normal(size=(10, 1))), head)
+        head = nk.Tensor(np.zeros((4, 10))), nk.Tensor(np.zeros((4, 1)))
+        logits = classify(nk.Tensor(np.random.default_rng(22).normal(size=(10, 1))), *head)
         np.testing.assert_array_equal(logits.data, np.zeros((4, 1)))
         hazards = nk.sigmoid(logits)
         np.testing.assert_array_equal(hazards.data, np.full((4, 1), 0.5))
@@ -338,11 +322,9 @@ class TestClassify:
         assert logits.shape == (4, 1)
 
     def test_width_mismatch(self):
-        from mgct.mgct_core import HeadParams
-
-        head = HeadParams(w=nk.Tensor(np.zeros((4, 10))), b=nk.Tensor(np.zeros((4, 1))))
+        head = nk.Tensor(np.zeros((4, 10))), nk.Tensor(np.zeros((4, 1)))
         with pytest.raises(nk.ShapeError, match="classifier"):
-            classify(nk.Tensor(np.zeros((8, 1))), head)
+            classify(nk.Tensor(np.zeros((8, 1))), *head)
 
     def test_gradient_through_classify_and_fuse(self):
         spec = tiny_spec()
@@ -526,14 +508,14 @@ class TestWindowLayout:
 
     def test_mgca_sink_order_is_head_then_sample(self):
         rng = np.random.default_rng(27)
-        params = make_mgca(rng, 6, heads=2)
+        params = make_mgca(rng, 6)
         query, context = rng_tensor(rng, 6, 5), rng_tensor(rng, 6, 7)
         sink = []
-        out = mgca(query, context, params, sink, query_offsets=[0, 2, 5], context_offsets=[0, 4, 7])
+        out = mgca(query, context, *params, 2, sink, query_offsets=[0, 2, 5], context_offsets=[0, 4, 7])
         assert [w.shape for w in sink] == [(2, 4), (3, 3), (2, 4), (3, 3)]
         for b, (q, c) in enumerate([(slice(0, 2), slice(0, 4)), (slice(2, 5), slice(4, 7))]):
             one_sink = []
-            one = mgca(nk.Tensor(query.data[:, q]), nk.Tensor(context.data[:, c]), params, one_sink)
+            one = mgca(nk.Tensor(query.data[:, q]), nk.Tensor(context.data[:, c]), *params, 2, one_sink)
             np.testing.assert_allclose(out.data[:, q], one.data, rtol=0, atol=1e-12)
             for head in range(2):
                 np.testing.assert_allclose(sink[2 * head + b], one_sink[head], rtol=0, atol=1e-12)
