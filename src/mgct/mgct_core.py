@@ -250,8 +250,6 @@ def mgca(
     collects the (m_b, n_b) weights of each head and, within a head, of each
     sample.
     """
-    if query_tokens.cols < 1 or context_tokens.cols < 1:
-        raise ValueError("attention needs non-empty query and context token sets")
     return nk.segment_attention(
         nk.matmul(w_q, query_tokens),
         nk.matmul(w_k, context_tokens),
@@ -264,8 +262,6 @@ def mgca(
 
 
 def _pool(tokens: nk.Tensor, scores: nk.Tensor, offsets) -> tuple[nk.Tensor, nk.Tensor]:
-    if tokens.cols < 1:
-        raise ValueError("cannot pool an empty token set")
     offsets = _one_segment(tokens, offsets)
     alpha = nk.segment_softmax(scores, offsets)  # (1, N), a simplex per sample
     return nk.segment_sum(tokens, offsets, alpha), alpha

@@ -2,9 +2,10 @@
 
 Every value is a (rows, cols) float64 matrix, in C or Fortran memory order
 (bags load Fortran-ordered; no op depends on the order), and every operand
-of an op is a ``Tensor``: ops convert nothing. The one broadcast is an
-(m, 1) column against an (m, n) operand in ``add``, ``sub`` and ``mul``,
-as in ``1 - h``, and the bias column of ``affine``. Operations build a
+of an op is a ``Tensor``: ops convert nothing. ``add`` and ``mul`` take
+equal shapes; the one broadcast is the (m, 1) bias column of ``affine``.
+``bernoulli_nll``, the survival loss as one op, takes its constant weights
+as plain arrays. Operations build a
 flat tape of primitive nodes; ``backward`` walks the tape once, in reverse,
 and returns a gradient for every leaf. It spends the tape: each non-leaf
 node is dropped once pulled, freeing the activations its closure holds, and
@@ -37,12 +38,10 @@ __all__ = [
     "matmul",
     "affine",
     "add",
-    "sub",
     "mul",
     "scale",
     "sum_all",
-    "log",
-    "clamp",
+    "bernoulli_nll",
     "segment_softmax",
     "segment_sum",
     "segment_attention",
@@ -172,17 +171,6 @@ def _tape_of(*operands: Tensor) -> "Tape | None":
     return tape
 
 
-def _reduce_to(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Collapse a broadcast gradient back to the operand's shape: an (m, 1) column gets each row's sum."""
-    return g if g.shape == shape else g.sum(axis=1, keepdims=True)
-
-
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    (ar, ac), (br, bc) = a.data.shape, b.data.shape
-    if ar != br or (ac != bc and ac != 1 and bc != 1):
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not align")
-
-
 # ---------------------------------------------------------------------------
 # arithmetic primitives
 
@@ -202,8 +190,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
-    """``w @ x + b``, the (m, 1) bias column broadcast across x's columns, as one node:
-    values and gradients are bitwise those of ``add(matmul(w, x), b)``."""
+    """``w @ x + b`` as one node, the (m, 1) bias column broadcast across x's columns
+    (numkit's one broadcast); its gradient is the row sums of ``g``."""
     if w.data.shape[1] != x.data.shape[0] or b.data.shape != (w.data.shape[0], 1):
         raise ShapeError(f"affine: {w.shape} @ {x.shape} + {b.shape} do not align")
     out = w.data.dot(x.data)
@@ -213,52 +201,36 @@ def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
     wd, xd = w.data, x.data
 
     def pull(g):
-        return (g @ xd.T, wd.T @ g, _reduce_to(g, (g.shape[0], 1)))
+        return (g @ xd.T, wd.T @ g, g.sum(axis=1, keepdims=True))
 
     return _tape_of(w, x, b)._emit(out, (w, x, b), pull)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; the operands' rows match, and an (m, 1) column broadcasts across (m, n)."""
+    """Elementwise sum of two tensors of one shape."""
     if a.data.shape != b.data.shape:
-        _check_broadcast(a, b, "add")
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
     out = a.data + b.data
     if a.tape is None and b.tape is None:
         return _wrap(out)
-    a_shape, b_shape = a.shape, b.shape
 
     def pull(g):
-        return (_reduce_to(g, a_shape), _reduce_to(g, b_shape))
-
-    return _tape_of(a, b)._emit(out, (a, b), pull)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        _check_broadcast(a, b, "sub")
-    out = a.data - b.data
-    if a.tape is None and b.tape is None:
-        return _wrap(out)
-    a_shape, b_shape = a.shape, b.shape
-
-    def pull(g):
-        return (_reduce_to(g, a_shape), -_reduce_to(g, b_shape))
+        return (g, g)
 
     return _tape_of(a, b)._emit(out, (a, b), pull)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Hadamard product with the same broadcast rule as ``add``."""
+    """Hadamard product of two tensors of one shape."""
     if a.data.shape != b.data.shape:
-        _check_broadcast(a, b, "mul")
+        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
     out = a.data * b.data
     if a.tape is None and b.tape is None:
         return _wrap(out)
     ad, bd = a.data, b.data
-    a_shape, b_shape = a.shape, b.shape
 
     def pull(g):
-        return (_reduce_to(g * bd, a_shape), _reduce_to(g * ad, b_shape))
+        return (g * bd, g * ad)
 
     return _tape_of(a, b)._emit(out, (a, b), pull)
 
@@ -287,33 +259,29 @@ def sum_all(a: Tensor) -> Tensor:
     return a.tape._emit(out, (a,), pull)
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise ValueError("log: input must be strictly positive")
-    out = np.log(a.data)
-    if a.tape is None:
+def bernoulli_nll(p: Tensor, w_pos: np.ndarray, w_neg: np.ndarray, eps: float) -> Tensor:
+    """Minus each column's sum of ``w_pos * log(h) + w_neg * log(1 - h)``, as a (1, n) row.
+
+    ``h`` is ``p`` clipped into [eps, 1 - eps], so every log is finite; the
+    gradient passes only where ``p`` lies inside. ``w_pos`` and ``w_neg`` are
+    constant (m, n) weight arrays, not differentiated.
+    """
+    if w_pos.shape != p.shape or w_neg.shape != p.shape:
+        raise ShapeError(f"bernoulli_nll: weights {w_pos.shape} and {w_neg.shape} for {p.shape} probabilities")
+    h = np.clip(p.data, eps, 1.0 - eps)
+    rest = 1.0 - h
+    minus_ones = np.full((1, p.data.shape[0]), -1.0)
+    # minus each column's sum as a BLAS product; a numpy sum adds in another order
+    out = minus_ones.dot(w_pos * np.log(h) + w_neg * np.log(rest))
+    if p.tape is None:
         return _wrap(out)
-    ad = a.data
+    inside = ((p.data >= eps) & (p.data <= 1.0 - eps)).astype(np.float64)
 
     def pull(g):
-        return (g / ad,)
+        g = minus_ones.T @ g  # (m, n)
+        return (((g * w_pos) / h - (g * w_neg) / rest) * inside,)
 
-    return a.tape._emit(out, (a,), pull)
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip entries into [lo, hi]; gradient passes only where the input lies inside."""
-    if not lo < hi:
-        raise ValueError(f"clamp: need lo < hi, got [{lo}, {hi}]")
-    out = np.clip(a.data, lo, hi)
-    if a.tape is None:
-        return _wrap(out)
-    mask = ((a.data >= lo) & (a.data <= hi)).astype(np.float64)
-
-    def pull(g):
-        return (g * mask,)
-
-    return a.tape._emit(out, (a,), pull)
+    return p.tape._emit(out, (p,), pull)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -77,9 +76,11 @@ def nll_loss(hazards: nk.Tensor, labels: Sequence[SurvivalLabel], alpha: float =
     A death in bin b contributes -log S(b-1) - log h(b); a sample censored
     in bin b contributes -log S(b). ``alpha`` in [0, 1) optionally
     down-weights censored terms, which up-weights the observed deaths.
-    Hazards are clamped to [HAZARD_EPS, 1 - HAZARD_EPS] so the loss is always
-    finite. Scores (bins, B) hazards against B labels and returns the (1, B)
-    row of losses; it participates in the tape when ``hazards`` does.
+    Scores (bins, B) hazards against B labels and returns the (1, B) row of
+    losses, one ``numkit.bernoulli_nll`` node with weight ``death`` on log h
+    and ``keep`` on log(1 - h); hazards are clipped to [HAZARD_EPS,
+    1 - HAZARD_EPS] there, so the loss is always finite. It participates in
+    the tape when ``hazards`` does.
     """
     bins, n = hazards.shape
     if len(labels) != n:
@@ -98,20 +99,7 @@ def nll_loss(hazards: nk.Tensor, labels: Sequence[SurvivalLabel], alpha: float =
             keep[:b, j] = 1.0  # -log S(b-1)
         else:
             keep[: b + 1, j] = 1.0 - alpha  # -log S(b)
-
-    ones, minus_ones = _loss_constants(bins)
-    h = nk.clamp(hazards, HAZARD_EPS, 1.0 - HAZARD_EPS)
-    log_keep = nk.log(nk.sub(ones, h))  # log(1 - h), per bin
-    terms = nk.add(nk.mul(nk.Tensor(death), nk.log(h)), nk.mul(nk.Tensor(keep), log_keep))
-    return nk.matmul(minus_ones, terms)  # minus each column's sum
-
-
-@lru_cache(maxsize=16)
-def _loss_constants(bins: int) -> tuple[nk.Tensor, nk.Tensor]:
-    """The read-only (bins, 1) ones and (1, bins) minus ones of ``nll_loss``."""
-    ones, minus_ones = np.ones((bins, 1)), np.full((1, bins), -1.0)
-    ones.flags.writeable = minus_ones.flags.writeable = False
-    return nk.Tensor(ones), nk.Tensor(minus_ones)
+    return nk.bernoulli_nll(hazards, death, keep, HAZARD_EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -483,33 +483,11 @@ def write_metrics_csv(path, folds: list[FoldResult]) -> None:
 
 
 def write_ablation_csv(path, rows: list[AblationRow]) -> None:
+    toggles = [f.name for f in fields(AblationSpec)]
+    stats = ["c_index_mean", "c_index_std", "auc_mean", "auc_std"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "model",
-                "deep_fusion",
-                "mgca",
-                "gap",
-                "feedforward",
-                "c_index_mean",
-                "c_index_std",
-                "auc_mean",
-                "auc_std",
-            ]
-        )
+        writer.writerow(["model", *toggles, *stats])
         for row in rows:
-            ab = row.ablation
-            writer.writerow(
-                [
-                    row.model,
-                    int(ab.deep_fusion),
-                    int(ab.mgca),
-                    int(ab.gap),
-                    int(ab.feedforward),
-                    _fmt(row.cv.c_index_mean),
-                    _fmt(row.cv.c_index_std),
-                    _fmt(row.cv.auc_mean),
-                    _fmt(row.cv.auc_std),
-                ]
-            )
+            flags = [int(getattr(row.ablation, name)) for name in toggles]
+            writer.writerow([row.model, *flags, *(_fmt(getattr(row.cv, name)) for name in stats)])

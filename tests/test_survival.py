@@ -128,6 +128,37 @@ class TestNllLoss:
         err, _ = gradient_error(lambda t: sv.nll_loss(nk.sigmoid(t["z"]), [label]), {"z": logits})
         assert err < 1e-5
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.4])
+    @pytest.mark.parametrize("cols", [1, 7])
+    def test_bitwise_the_composed_chain(self, alpha, cols):
+        # oracle: the loss as separate clip, 1 - h, log, product, sum and minus-ones matmul steps in
+        # numpy, gradients summed in the order a backward over those steps takes; some hazards are clipped
+        rng = np.random.default_rng(cols)
+        bins, eps = 5, sv.HAZARD_EPS
+        h = rng.uniform(0, 1, (bins, cols))
+        h.flat[rng.choice(h.size, h.size // 3, replace=False)] = rng.choice([0.0, 1e-9, eps, 1 - eps, 1.0], h.size // 3)
+        labels = [lab(1.0, int(rng.integers(0, 2)), int(rng.integers(0, bins))) for _ in range(cols)]
+        at = np.arange(bins)[:, None]
+        bin_of, event = np.array([[x.bin for x in labels]]), np.array([[x.event for x in labels]])
+        death = (event * (at == bin_of)).astype(float)
+        keep = np.where(event == 1, (at < bin_of) * 1.0, (at <= bin_of) * (1.0 - alpha))
+        clipped = np.clip(h, eps, 1 - eps)
+        rest = np.ones((bins, 1)) - clipped
+        minus_ones = np.full((1, bins), -1.0)
+        rows = minus_ones.dot(death * np.log(clipped) + keep * np.log(rest))
+        g = rng.normal(size=(1, cols))
+        pulled = minus_ones.T @ g
+        inside = ((h >= eps) & (h <= 1 - eps)).astype(float)
+        grad = ((pulled * death) / clipped + -((pulled * keep) / rest)) * inside
+
+        tape = nk.Tape()
+        leaf = tape.leaf(h)
+        out = sv.nll_loss(leaf, labels, alpha)
+        assert out.data.tobytes() == rows.tobytes()
+        assert sv.nll_loss(nk.Tensor(h), labels, alpha).data.tobytes() == rows.tobytes()
+        assert nk.backward(nk.sum_all(nk.mul(out, nk.Tensor(g))), tape)[leaf].tobytes() == grad.tobytes()
+        assert not inside.all()  # some hazards were clipped
+
     def test_bin_required(self):
         h = nk.Tensor(np.full((4, 1), 0.5))
         with pytest.raises(ValueError, match="bin"):
