@@ -15,7 +15,7 @@ rng = np.random.default_rng(0)
 x = nk.Tensor(rng.standard_normal((3, 4)))
 w = nk.Tensor(rng.standard_normal((4, 2)))
 print("x @ w ->", nk.matmul(x, w).shape)
-soft = nk.segment_softmax(x, [0, 1, 4])  # softmax over column 0, and over columns 1-3, of each row
+soft = nk.segment_softmax(x, nk.Segments([1, 3]))  # softmax over column 0, and over columns 1-3, of each row
 print("segment softmax sums, per row:", soft.data[:, :1].sum(axis=1), soft.data[:, 1:].sum(axis=1))
 
 # --- the same expression, recorded -------------------------------------------

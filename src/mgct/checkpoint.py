@@ -61,6 +61,8 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(path)
+    if not path.is_file():
+        raise CheckpointError(f"checkpoint not found: {path}")
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size  # writes replace a file, never edit it in place
         magic = fh.read(4)

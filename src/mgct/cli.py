@@ -84,10 +84,10 @@ def validate_config(doc) -> tuple[dict, set[str]]:
 
 
 def load_config(path) -> tuple[dict, set[str]]:
+    if not Path(path).is_file():
+        raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8: {exc}") from None
     except (ValueError, RecursionError) as exc:  # not JSON, an integer over Python's digit limit, or too deep

@@ -100,7 +100,7 @@ def embed_genomics(
     if dropout_p > 0.0 and dropout_key is None:
         raise ValueError("dropout needs a (seed, step) key")
     seed, step = dropout_key if dropout_key is not None else (0, 0)
-    columns = None
+    columns = []
     for s, (vec, p) in enumerate(zip(raw, params.per_category)):
         arr = np.asarray(vec, dtype=np.float64)
         x = nk.Tensor(arr.reshape(-1, 1) if arr.ndim == 1 else arr)
@@ -108,15 +108,14 @@ def embed_genomics(
             raise nk.ShapeError(
                 f"category {s}: vector length {x.rows} does not match weights ({p.w1.cols})"
             )
-        if columns is not None and x.cols * s != columns.cols:
-            raise nk.ShapeError(f"category {s}: {x.cols} samples, category 0 has {columns.cols // s}")
+        if columns and x.cols != columns[0].cols:
+            raise nk.ShapeError(f"category {s}: {x.cols} samples, category 0 has {columns[0].cols}")
         a = nk.elu(nk.affine(p.w1, x, p.b1))
         a = nk.alpha_dropout(a, dropout_p, (seed, 2 * s, step))
         a = nk.elu(nk.affine(p.w2, a, p.b2))
         a = nk.alpha_dropout(a, dropout_p, (seed, 2 * s + 1, step))
-        col = nk.affine(p.w_out, a, p.b_out)
-        columns = col if columns is None else nk.concat(columns, col, "cols")
-    return columns
+        columns.append(nk.affine(p.w_out, a, p.b_out))
+    return nk.concat(columns, "cols")
 
 
 def embed_patches(patches: np.ndarray, w: nk.Tensor, b: nk.Tensor) -> nk.Tensor:

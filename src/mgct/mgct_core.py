@@ -32,7 +32,6 @@ from __future__ import annotations
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import partial
-from itertools import accumulate
 
 import numpy as np
 
@@ -222,14 +221,10 @@ class ModelSpec(Config):
 # attention and pooling
 #
 # Every function here runs on a window of B samples at once: each token set
-# holds the samples' columns side by side, and a (B + 1,) offsets vector
-# marks where each sample's columns start (see the segmented primitives of
-# ``numkit``). Offsets left out mean one sample, all columns. Tokens of one
-# sample only ever meet tokens of the same sample.
-
-
-def _one_segment(tokens: nk.Tensor, offsets):
-    return (0, tokens.cols) if offsets is None else offsets
+# holds the samples' columns side by side, cut into one segment per sample
+# by an ``nk.Segments`` that the window builds once per token set (see the
+# segmented primitives of ``numkit``). Tokens of one sample only ever meet
+# tokens of the same sample.
 
 
 def mgca(
@@ -238,15 +233,16 @@ def mgca(
     w_q: nk.Tensor,
     w_k: nk.Tensor,
     w_v: nk.Tensor,
+    query_segments: nk.Segments,
+    context_segments: nk.Segments,
     heads: int = 1,
     attn_sink: list | None = None,
-    query_offsets=None,
-    context_offsets=None,
 ) -> nk.Tensor:
     """Cross-modality attention: (d, M) queries against (d, N) context, with (d, d) projections.
 
     Scaled dot-product attention per head, each sample's queries against its
-    own context; the output keeps the query token count. ``attn_sink``
+    own context, the samples cut by ``query_segments`` and
+    ``context_segments``; the output keeps the query token count. ``attn_sink``
     collects the (m_b, n_b) weights of each head and, within a head, of each
     sample.
     """
@@ -254,21 +250,20 @@ def mgca(
         nk.matmul(w_q, query_tokens),
         nk.matmul(w_k, context_tokens),
         nk.matmul(w_v, context_tokens),
-        _one_segment(query_tokens, query_offsets),
-        _one_segment(context_tokens, context_offsets),
+        query_segments,
+        context_segments,
         heads=heads,
         sink=attn_sink,
     )
 
 
-def _pool(tokens: nk.Tensor, scores: nk.Tensor, offsets) -> tuple[nk.Tensor, nk.Tensor]:
-    offsets = _one_segment(tokens, offsets)
-    alpha = nk.segment_softmax(scores, offsets)  # (1, N), a simplex per sample
-    return nk.segment_sum(tokens, offsets, alpha), alpha
+def _pool(tokens: nk.Tensor, scores: nk.Tensor, segments: nk.Segments) -> tuple[nk.Tensor, nk.Tensor]:
+    alpha = nk.segment_softmax(scores, segments)  # (1, N), a simplex per sample
+    return nk.segment_sum(tokens, segments, alpha), alpha
 
 
 def gated_attention_pool(
-    tokens: nk.Tensor, v: nk.Tensor, u: nk.Tensor, w: nk.Tensor, offsets=None
+    tokens: nk.Tensor, v: nk.Tensor, u: nk.Tensor, w: nk.Tensor, segments: nk.Segments
 ) -> tuple[nk.Tensor, nk.Tensor]:
     """Pool (d, N) tokens to (d, B), one column per sample, with tanh/sigmoid-gated softmax weights.
 
@@ -277,12 +272,12 @@ def gated_attention_pool(
     (1, N) weighting, a simplex over each sample's columns.
     """
     gates = nk.mul(nk.tanh(nk.matmul(v, tokens)), nk.sigmoid(nk.matmul(u, tokens)))
-    return _pool(tokens, nk.matmul(w, gates), offsets)
+    return _pool(tokens, nk.matmul(w, gates), segments)
 
 
-def mean_pool(tokens: nk.Tensor, offsets=None) -> tuple[nk.Tensor, nk.Tensor]:
+def mean_pool(tokens: nk.Tensor, segments: nk.Segments) -> tuple[nk.Tensor, nk.Tensor]:
     """Uniform-weight pooling, the ablation stand-in for the gated scorer: all scores zero."""
-    return _pool(tokens, nk.Tensor(np.zeros((1, tokens.cols))), offsets)
+    return _pool(tokens, nk.Tensor(np.zeros((1, tokens.cols))), segments)
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +290,13 @@ def mgct_layer(
     t: dict[str, nk.Tensor],
     prefix: str,
     stage_final: bool,
+    query_segments: nk.Segments,
+    context_segments: nk.Segments,
     ablation: AblationSpec = FULL_MODEL,
     heads: int = 1,
     residual: bool = False,
     attn_sink: list | None = None,
     alpha_sink: list | None = None,
-    query_offsets=None,
-    context_offsets=None,
 ) -> nk.Tensor:
     """One fusion layer: attention, stage-final pooling (to one column per sample), feed-forward.
 
@@ -310,20 +305,19 @@ def mgct_layer(
     """
     p = prefix + "."
     if ablation.mgca:
-        r = mgca(query_tokens, context_tokens, t[p + "attn.wq"], t[p + "attn.wk"], t[p + "attn.wv"], heads,
-                 attn_sink, query_offsets, context_offsets)
+        r = mgca(query_tokens, context_tokens, t[p + "attn.wq"], t[p + "attn.wk"], t[p + "attn.wv"],
+                 query_segments, context_segments, heads, attn_sink)
         if residual:
             r = nk.add(r, query_tokens)
     else:
         r = query_tokens
     if stage_final:
         if ablation.gap:
-            r, alpha = gated_attention_pool(r, t[p + "pool.v"], t[p + "pool.u"], t[p + "pool.w"], query_offsets)
+            r, alpha = gated_attention_pool(r, t[p + "pool.v"], t[p + "pool.u"], t[p + "pool.w"], query_segments)
         else:
-            r, alpha = mean_pool(r, query_offsets)
+            r, alpha = mean_pool(r, query_segments)
         if alpha_sink is not None:
-            offsets = _one_segment(alpha, query_offsets)
-            alpha_sink.extend(alpha.data[:, a:b] for a, b in zip(offsets[:-1], offsets[1:]))
+            alpha_sink.extend(np.split(alpha.data, query_segments.offsets[1:-1], axis=1))
     if ablation.feedforward:
         hidden = nk.relu(nk.affine(t[p + "mlp.w_in"], r, t[p + "mlp.b_in"]))
         out = nk.affine(t[p + "mlp.w_out"], hidden, t[p + "mlp.b_out"])
@@ -374,8 +368,8 @@ def fusion_nodes(
     t: dict[str, nk.Tensor],
     config: FusionConfig,
     ablation: AblationSpec,
-    patch_offsets,
-    genomic_offsets,
+    patch_segments: nk.Segments,
+    genomic_segments: nk.Segments,
     attn_sink: list | None = None,
     alpha_sink: list | None = None,
 ) -> dict[str, Node]:
@@ -387,36 +381,38 @@ def fusion_nodes(
     stage-1 stacks, their "pair" join (the (d, 2B) stage-1 tokens,
     sample-major), the stage-2 stacks and the "fused" join, which gives the
     (2d, B) embeddings. Without deep fusion "fused" joins the stage-1 pair
-    feature-wise. The layers record their weights B blocks at a time, and
+    feature-wise. ``patch_segments`` and ``genomic_segments`` cut the two
+    token sets into the window's B samples; the pair's cut is built here,
+    once per table. The layers record their weights B blocks at a time, and
     "fused" regroups them by sample into the sinks.
     """
-    n = len(patch_offsets) - 1
+    n = patch_segments.sizes.size
     attn, alphas = ([] if sink is not None else None for sink in (attn_sink, alpha_sink))
     kw = dict(ablation=ablation, heads=config.heads, residual=config.residual, attn_sink=attn, alpha_sink=alphas)
     nodes: dict[str, Node] = {}
 
-    def stack(name, depth, query, context, query_offsets, context_offsets) -> str:
+    def stack(name, depth, query, context, query_segments, context_segments) -> str:
         """Add a stack's layers, each taking the one before as its query; returns the last one's name."""
         for i in range(depth):
             prefix = f"{name}.{i}"
             layer = partial(mgct_layer, t=t, prefix=prefix, stage_final=i == depth - 1, **kw,
-                            query_offsets=query_offsets, context_offsets=context_offsets)
+                            query_segments=query_segments, context_segments=context_segments)
             nodes[prefix] = Node((prefix + ".",), (query, context), layer)
             query = prefix
         return query
 
-    a = stack("s1.gh", config.s1, "genomic", "patch", genomic_offsets, patch_offsets)  # (d, B)
-    b = stack("s1.hg", config.s1, "patch", "genomic", patch_offsets, genomic_offsets)  # (d, B)
+    a = stack("s1.gh", config.s1, "genomic", "patch", genomic_segments, patch_segments)  # (d, B)
+    b = stack("s1.hg", config.s1, "patch", "genomic", patch_segments, genomic_segments)  # (d, B)
     if ablation.deep_fusion:
-        nodes["pair"] = Node((), (a, b), lambda gh, hg: _sample_major(nk.concat(gh, hg, "cols"), 2))
-        pair_offsets = range(0, 2 * n + 1, 2)
-        a = stack("s2.fh", config.s2, "pair", "patch", pair_offsets, patch_offsets)
-        b = stack("s2.hf", config.s2, "patch", "pair", patch_offsets, pair_offsets)
+        nodes["pair"] = Node((), (a, b), lambda gh, hg: _sample_major(nk.concat([gh, hg], "cols"), 2))
+        pair_segments = nk.Segments([2] * n)
+        a = stack("s2.fh", config.s2, "pair", "patch", pair_segments, patch_segments)
+        b = stack("s2.hf", config.s2, "patch", "pair", patch_segments, pair_segments)
 
     def fused(left, right):
         _by_sample(attn, n, attn_sink)
         _by_sample(alphas, n, alpha_sink)
-        return nk.concat(left, right, "rows")
+        return nk.concat([left, right], "rows")
 
     nodes["fused"] = Node((), (a, b), fused)
     return nodes
@@ -430,24 +426,14 @@ def fuse(
     ablation: AblationSpec = FULL_MODEL,
     attn_sink: list | None = None,
     alpha_sink: list | None = None,
-    patch_offsets=None,
 ) -> nk.Tensor:
-    """Two-stage bidirectional fusion of a window's patch and genomic tokens
-    into its (2d, B) multimodal embeddings, one column per sample (the
-    ``fusion_nodes``, reading the fusion tensors from ``t`` by name).
-
-    Patch tokens are (d, N), sample b's bag at columns ``patch_offsets[b]`` ..
-    ``patch_offsets[b + 1] - 1`` (one sample when left out); genomic tokens
-    are (d, S * B), sample-major (sample b's S tokens side by side). The
-    sinks receive sample 0's weights, then sample 1's, and so on; each
-    sample's in the order a one-sample window records them.
+    """Two-stage bidirectional fusion of one sample's (d, N) patch and (d, S)
+    genomic tokens into its (2d, 1) multimodal embedding: the
+    ``fusion_nodes`` of a one-sample window, reading the fusion tensors from
+    ``t`` by name.
     """
-    patch_offsets = _one_segment(patch_tokens, patch_offsets)
-    n = len(patch_offsets) - 1
-    if genomic_tokens.cols % n:
-        raise nk.ShapeError(f"{genomic_tokens.cols} genomic tokens do not split over {n} samples")
-    genomic_offsets = range(0, genomic_tokens.cols + 1, genomic_tokens.cols // n)
-    nodes = fusion_nodes(t, config, ablation, patch_offsets, genomic_offsets, attn_sink, alpha_sink)
+    cuts = nk.Segments([patch_tokens.cols]), nk.Segments([genomic_tokens.cols])
+    nodes = fusion_nodes(t, config, ablation, *cuts, attn_sink, alpha_sink)
     return run_nodes(nodes, {"genomic": genomic_tokens, "patch": patch_tokens})["fused"]
 
 
@@ -545,8 +531,7 @@ def window_nodes(
     every node once, in order.
     """
     raw = genomics[0] if len(bags) == 1 else [np.column_stack(cat) for cat in zip(*genomics)]
-    patch_offsets = list(accumulate((bag.shape[1] for bag in bags), initial=0))
-    genomic_offsets = range(0, len(raw) * len(bags) + 1, len(raw))
+    cuts = nk.Segments([bag.shape[1] for bag in bags]), nk.Segments([len(raw)] * len(bags))  # patch, genomic
     snn = bind_snn(t, len(spec.gene_lengths))
 
     def genomic():
@@ -557,7 +542,7 @@ def window_nodes(
         "genomic": Node(("snn.",), (), genomic),
         "patch": Node(("patch.",), (), lambda: embed_patches(np.hstack(bags), t["patch.w"], t["patch.b"])),
     }
-    nodes |= fusion_nodes(t, spec.fusion, spec.ablation, patch_offsets, genomic_offsets, attn_sink, alpha_sink)
+    nodes |= fusion_nodes(t, spec.fusion, spec.ablation, *cuts, attn_sink, alpha_sink)
     nodes["head"] = Node(("head.",), ("fused",), lambda fused: classify(fused, t["head.w"], t["head.b"]))
     return nodes
 
@@ -577,8 +562,9 @@ def window_logits(
     The window runs as one pass of its ``window_nodes``: the genomic
     networks run once on its stacked category vectors, and one affine map
     projects its bags side by side; each fusion layer and the head then take
-    every sample's tokens at once, cut into samples by offsets (see
-    ``fuse``). ``dropout_key`` is (seed, step) for one sample or (seed,
+    every sample's tokens at once, cut into samples by the ``nk.Segments``
+    the node table builds once per token set (see ``fusion_nodes``).
+    ``dropout_key`` is (seed, step) for one sample or (seed,
     steps) with one step per sample; dropout is on when ``dropout_p > 0``.
     One sample records no gather. ``arrays`` holds the model's raw arrays or
     tensors by name (see ``bind_model``); the (bins, B) hazard logits are

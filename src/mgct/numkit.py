@@ -5,7 +5,9 @@ Every value is a (rows, cols) float64 matrix, in C or Fortran memory order
 of an op is a ``Tensor``: ops convert nothing. ``add`` and ``mul`` take
 equal shapes; the one broadcast is the (m, 1) bias column of ``affine``.
 ``bernoulli_nll``, the survival loss as one op, takes its constant weights
-as plain arrays. Operations build a
+as plain arrays. The segmented ops take the cut of their columns into
+samples as a ``Segments``, built once from the samples' column counts and
+shared by every op on that token set. Operations build a
 flat tape of primitive nodes; ``backward`` walks the tape once, in reverse,
 and returns a gradient for every leaf. It spends the tape: each non-leaf
 node is dropped once pulled, freeing the activations its closure holds, and
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,6 +45,7 @@ __all__ = [
     "scale",
     "sum_all",
     "bernoulli_nll",
+    "Segments",
     "segment_softmax",
     "segment_sum",
     "segment_attention",
@@ -364,31 +368,25 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
 # layout primitives
 
 
-def concat(a: Tensor, b: Tensor, axis: str) -> Tensor:
-    """Stack two tensors along ``"rows"`` or ``"cols"``."""
-    if axis == "rows":
-        if a.cols != b.cols:
-            raise ShapeError(f"concat rows: column counts differ, {a.shape} vs {b.shape}")
-        out = np.vstack([a.data, b.data])
-        cut = a.rows
-
-        def pull(g):
-            return (g[:cut, :], g[cut:, :])
-
-    elif axis == "cols":
-        if a.rows != b.rows:
-            raise ShapeError(f"concat cols: row counts differ, {a.shape} vs {b.shape}")
-        out = np.hstack([a.data, b.data])
-        cut = a.cols
-
-        def pull(g):
-            return (g[:, :cut], g[:, cut:])
-
-    else:
+def concat(parts: Sequence[Tensor], axis: str) -> Tensor:
+    """Join any number of tensors along ``"rows"`` or ``"cols"`` as one node; one part is returned as it is."""
+    if axis not in ("rows", "cols"):
         raise ValueError(f"concat axis must be 'rows' or 'cols', got {axis!r}")
-    if a.tape is None and b.tape is None:
+    ax = 0 if axis == "rows" else 1
+    if len({p.data.shape[1 - ax] for p in parts}) != 1:
+        raise ShapeError(f"concat {axis}: {('column', 'row')[ax]} counts differ, {[p.shape for p in parts]}")
+    if len(parts) == 1:
+        return parts[0]
+    out = np.concatenate([p.data for p in parts], axis=ax)
+    tape = _tape_of(*parts)
+    if tape is None:
         return _wrap(out)
-    return _tape_of(a, b)._emit(out, (a, b), pull)
+    cuts = list(accumulate(p.data.shape[ax] for p in parts[:-1]))
+
+    def pull(g):
+        return np.split(g, cuts, axis=ax)
+
+    return tape._emit(out, parts, pull)
 
 
 def gather_cols(a: Tensor, cols: Sequence[int]) -> Tensor:
@@ -411,8 +409,10 @@ def gather_cols(a: Tensor, cols: Sequence[int]) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # segmented primitives: the columns of several samples side by side, cut into
-# one segment per sample by a (B + 1,) vector of column offsets (segment b
-# spans columns offsets[b] .. offsets[b + 1] - 1)
+# one segment per sample by a ``Segments`` (segment b spans columns
+# offsets[b] .. offsets[b + 1] - 1). A window builds each token set's cut
+# once and hands it to every op on that set, as the varlen layout of
+# FlashAttention-2 computes its ``cu_seqlens`` once per batch.
 #
 # A single untaped segment (a one-sample forward, such as ``predict``) takes
 # plain 2-D products instead, one per attention head: the padded-block
@@ -420,19 +420,37 @@ def gather_cols(a: Tensor, cols: Sequence[int]) -> Tensor:
 # pass makes 14 such calls. The two routes agree to round-off.
 
 
-class _Segments:
-    """The zero-padded (B, width) layout of B non-empty column segments."""
+class Segments:
+    """B non-empty column segments, cut once from their sizes.
 
-    __slots__ = ("sizes", "width", "valid")
+    Holds the (B + 1) column ``offsets``, the column count ``cols`` and the
+    zero-padded (B, width) layout the segmented ops compute in. Read-only
+    once built, so one cut serves every op on its token set.
+    """
 
-    def __init__(self, sizes: np.ndarray):
-        self.sizes = sizes
-        self.width = int(sizes.max())
+    __slots__ = ("offsets", "cols", "sizes", "width", "valid")
+
+    def __init__(self, sizes):
+        try:
+            cut = [operator.index(s) for s in sizes]
+        except TypeError:  # not a sequence of integers
+            cut = []
+        if not cut or min(cut) < 1:
+            raise ShapeError(f"Segments: sizes {sizes!r} do not cut columns into one or more non-empty segments")
+        self.offsets = tuple(accumulate(cut, initial=0))
+        self.cols = self.offsets[-1]
+        self.sizes = np.array(cut)
+        self.width = max(cut)
         # (B, width) mask of the real columns; None when no segment is padded
-        self.valid = None if sizes.min() == self.width else np.arange(self.width) < sizes[:, None]
-        for arr in (sizes, self.valid):  # shared by every call with these offsets
+        self.valid = None if min(cut) == self.width else np.arange(self.width) < self.sizes[:, None]
+        for arr in (self.sizes, self.valid):
             if arr is not None:
                 arr.setflags(write=False)
+
+    def check(self, cols: int, op: str) -> None:
+        """Raise ``ShapeError``, naming ``op``, unless the segments cut ``cols`` columns."""
+        if cols != self.cols:
+            raise ShapeError(f"{op}: segments of {self.cols} columns for an operand of {cols}")
 
     def pad(self, x: np.ndarray, fill: float = 0.0) -> np.ndarray:
         """(r, N) columns as (r, B, width), padding set to ``fill``."""
@@ -461,38 +479,13 @@ class _Segments:
         return self.unpad(blocks.transpose(1, 3, 0, 2).reshape(heads * d_k, b, width))
 
 
-def _segments(offsets, cols: int, op: str) -> _Segments:
-    try:
-        key = tuple(map(operator.index, offsets))
-    except TypeError:  # not a sequence of integers
-        key = ()
-    seg = _layout(key, cols) if key else None
-    if seg is None:
-        cut = np.asarray(offsets).tolist()
-        raise ShapeError(f"{op}: offsets {cut} do not cut {cols} columns into non-empty segments")
-    return seg
-
-
-@lru_cache(maxsize=64)
-def _layout(offsets: tuple[int, ...], cols: int) -> _Segments | None:
-    # memoized: a forward pass and its backward cut each token set the same
-    # way in every call, and one-sample passes repeat their bag sizes; a
-    # one-sample predict makes 20 such calls and runs about 12% slower
-    # when each builds its layout afresh
-    off = np.array(offsets)
-    sizes = off[1:] - off[:-1]
-    if off.size < 2 or off[0] != 0 or off[-1] != cols or sizes.min() < 1:
-        return None
-    return _Segments(sizes)
-
-
-def segment_sum(a: Tensor, offsets, weights: Tensor) -> Tensor:
+def segment_sum(a: Tensor, seg: Segments, weights: Tensor) -> Tensor:
     """Weighted sum of each column segment: (d, N) to (d, B).
 
     ``weights``, a (1, N) row, scales each column before the sum, so a
     weighted pooling is one node.
     """
-    seg = _segments(offsets, a.cols, "segment_sum")
+    seg.check(a.cols, "segment_sum")
     if weights.shape != (1, a.cols):
         raise ShapeError(f"segment_sum: weights {weights.shape} for {a.cols} columns")
     tape = _tape_of(a, weights)
@@ -511,9 +504,9 @@ def segment_sum(a: Tensor, offsets, weights: Tensor) -> Tensor:
     return tape._emit(out, (a, weights), pull)
 
 
-def segment_softmax(a: Tensor, offsets) -> Tensor:
+def segment_softmax(a: Tensor, seg: Segments) -> Tensor:
     """Softmax over each column segment of every row, stabilized by the segment's max."""
-    seg = _segments(offsets, a.cols, "segment_softmax")
+    seg.check(a.cols, "segment_softmax")
     if seg.sizes.size == 1 and a.tape is None:
         return _wrap(_softmax(a.data, 1))  # one untaped segment: 2-D products
     soft = _softmax(seg.pad(a.data, -np.inf), 2)  # zero in the padding
@@ -529,13 +522,13 @@ def segment_softmax(a: Tensor, offsets) -> Tensor:
 
 
 def segment_attention(
-    q: Tensor, k: Tensor, v: Tensor, q_offsets, kv_offsets, heads: int = 1, sink: list | None = None
+    q: Tensor, k: Tensor, v: Tensor, qs: Segments, cs: Segments, heads: int = 1, sink: list | None = None
 ) -> Tensor:
     """Scaled dot-product attention of each query segment on its own key/value segment.
 
-    ``q`` holds (d, M) query columns cut into B segments by ``q_offsets``;
-    ``k`` and ``v`` hold (d, N) key and value columns cut into B segments by
-    ``kv_offsets``. The rows split into ``heads`` blocks of d_k = d / heads.
+    ``q`` holds (d, M) query columns cut into B segments by ``qs``; ``k``
+    and ``v`` hold (d, N) key and value columns cut into B segments by
+    ``cs``. The rows split into ``heads`` blocks of d_k = d / heads.
     In each head, query column j of segment b becomes the weighted sum of the
     value columns n of segment b, with weights softmax_n(q_j . k_n / sqrt(d_k)).
     Returns (d, M). The weights are kept as one (B, heads, max m_b, max n_b)
@@ -550,8 +543,8 @@ def segment_attention(
         )
     if d % heads:
         raise ShapeError(f"segment_attention: width {d} not divisible by {heads} heads")
-    qs = _segments(q_offsets, q.cols, "segment_attention")
-    cs = _segments(kv_offsets, k.cols, "segment_attention")
+    qs.check(q.cols, "segment_attention")
+    cs.check(k.cols, "segment_attention")
     if qs.sizes.size != cs.sizes.size:
         raise ShapeError(f"segment_attention: {qs.sizes.size} query segments, {cs.sizes.size} key segments")
     inv = 1.0 / math.sqrt(d // heads)
@@ -654,14 +647,6 @@ def dropout_mask(key: tuple, shape: tuple[int, int], keep: float) -> np.ndarray:
     return _mask_and_drop(key, shape, keep)[0]
 
 
-@lru_cache(maxsize=16)
-def _dropout_constants(p: float) -> tuple[float, float, float]:
-    """(keep, gain, shift) of self-normalizing dropout at rate ``p``."""
-    keep = 1.0 - p
-    gain = (keep + _DROP_VALUE**2 * keep * p) ** -0.5
-    return keep, gain, -gain * _DROP_VALUE * p
-
-
 def alpha_dropout(a: Tensor, p: float, key: tuple) -> Tensor:
     """Self-normalizing dropout: dropped entries saturate at a fixed negative
     value and an affine correction restores the mean/variance of a
@@ -673,7 +658,9 @@ def alpha_dropout(a: Tensor, p: float, key: tuple) -> Tensor:
         raise ValueError(f"alpha_dropout: p must lie in [0, 1), got {p}")
     if p == 0.0:
         return a
-    keep, gain, shift = _dropout_constants(p)
+    keep = 1.0 - p
+    gain = (keep + _DROP_VALUE**2 * keep * p) ** -0.5
+    shift = -gain * _DROP_VALUE * p
     mask, drop = _mask_and_drop(key, a.shape, keep)
     out = a.data * mask  # gain * (a * mask + drop) + shift, in place
     out += drop

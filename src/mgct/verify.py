@@ -137,10 +137,8 @@ def check_matmul_gradient() -> tuple[bool, str]:
 
 def check_softmax_gradient() -> tuple[bool, str]:
     # ragged segments of 1 and 3 columns: the padded route that training takes
-    w = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
-    return _check_op_gradient(
-        lambda t: nk.sum_all(nk.mul(nk.segment_softmax(t["x"], (0, 1, 4)), nk.Tensor(w)))
-    )
+    w, cut = np.linspace(-1.0, 1.0, 12).reshape(3, 4), nk.Segments([1, 3])
+    return _check_op_gradient(lambda t: nk.sum_all(nk.mul(nk.segment_softmax(t["x"], cut), nk.Tensor(w))))
 
 
 def _elementwise_check(kind: str) -> Callable[[], tuple[bool, str]]:
@@ -253,7 +251,7 @@ def check_pooling_simplex() -> tuple[bool, str]:
     for _ in range(50):
         d, n = int(rng.integers(1, 12)), int(rng.integers(1, 16))
         v, u, w = (nk.Tensor(rng.uniform(-1, 1, shape)) for shape in ((4, d), (4, d), (1, 4)))
-        blocks.append(gated_attention_pool(nk.Tensor(rng.uniform(-2, 2, (d, n))), v, u, w)[1].data)
+        blocks.append(gated_attention_pool(nk.Tensor(rng.uniform(-2, 2, (d, n))), v, u, w, nk.Segments([n]))[1].data)
     worst, negatives = simplex_deviation(blocks)
     if negatives:
         return False, "negative pooling weight"
@@ -264,7 +262,7 @@ def check_concat_split_roundtrip() -> tuple[bool, str]:
     rng = np.random.default_rng(29)
     a = rng.uniform(-2, 2, (4, 3))
     b = rng.uniform(-2, 2, (4, 5))
-    joined = nk.concat(nk.Tensor(a), nk.Tensor(b), "cols")
+    joined = nk.concat([nk.Tensor(a), nk.Tensor(b)], "cols")
     ra, rb = nk.gather_cols(joined, range(3)), nk.gather_cols(joined, range(3, 8))
     ok = np.array_equal(ra.data, a) and np.array_equal(rb.data, b)
     return ok, "bitwise" if ok else "mismatch"

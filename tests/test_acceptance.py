@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``. The heavyweight pieces
 synthetic dataset) are shared through module-scoped fixtures.
 """
 
+import os
 import time
 from fractions import Fraction
 
@@ -72,9 +73,13 @@ def model_e_fold0(default_dataset, paper_config):
 
 @pytest.fixture(scope="module")
 def model_cv(default_dataset, paper_config):
-    """Criterion 7: Models A and E cross-validated over the same 5 folds."""
-    cv_a = cross_validate(default_dataset, CvConfig(folds=5), paper_config, AblationSpec.preset("A"))
-    cv_e = cross_validate(default_dataset, CvConfig(folds=5), paper_config, AblationSpec.preset("E"))
+    """Criterion 7: Models A and E cross-validated over the same 5 folds, on the usable CPUs."""
+    try:
+        cv = CvConfig(folds=5, jobs=len(os.sched_getaffinity(0)))
+    except AttributeError:  # no affinity call on this platform
+        cv = CvConfig(folds=5, jobs=os.cpu_count() or 1)
+    cv_a = cross_validate(default_dataset, cv, paper_config, AblationSpec.preset("A"))
+    cv_e = cross_validate(default_dataset, cv, paper_config, AblationSpec.preset("E"))
     return cv_a, cv_e
 
 
@@ -124,10 +129,11 @@ def test_criterion_3_simplex_invariants():
         if i % 2 == 0:
             w_q, w_k, w_v = (nk.Tensor(rng.uniform(-2, 2, (d, d))) for _ in range(3))
             query, context = nk.Tensor(rng.uniform(-3, 3, (d, m))), nk.Tensor(rng.uniform(-3, 3, (d, n)))
-            mgca(query, context, w_q, w_k, w_v, attn_sink=blocks)
+            mgca(query, context, w_q, w_k, w_v, nk.Segments([m]), nk.Segments([n]), attn_sink=blocks)
         else:
             v, u, w = (nk.Tensor(rng.uniform(-2, 2, shape)) for shape in ((d, d), (d, d), (1, d)))
-            blocks.append(gated_attention_pool(nk.Tensor(rng.uniform(-3, 3, (d, n))), v, u, w)[1].data)
+            tokens = nk.Tensor(rng.uniform(-3, 3, (d, n)))
+            blocks.append(gated_attention_pool(tokens, v, u, w, nk.Segments([n]))[1].data)
     worst, negatives = simplex_deviation(blocks)
     ok = worst < 1e-12 and negatives == 0
     report(3, ok, f"max row-sum deviation {worst:.3g}, negative weights: {negatives}")

@@ -244,6 +244,13 @@ class TestConfigValidation:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
 
+    def test_directory_config_exits_2_naming_it(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        assert main(["train", "--config", str(tmp_path), "--out", str(runs)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: config file not found: {tmp_path}" in err and "Traceback" not in err
+        assert not runs.exists()
+
     def test_non_utf8_config_names_the_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_bytes(b'{"train": {"epochs": 1}, "dataset": {"manifest": "\xff.csv"}}')
@@ -615,6 +622,19 @@ class TestEvalCommand:
         assert main(argv + ["--km-out", str(km)]) == 2
         captured = capsys.readouterr()
         assert f"error: {message}" in captured.err
+        assert captured.out == ""
+        assert not km.parent.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_checkpoint_that_is_no_file_exits_2_naming_it(self, tmp_path, dataset_dir, capsys, kind):
+        ckpt = tmp_path / "nope.ckpt"
+        if kind == "directory":
+            ckpt.mkdir()
+        km = tmp_path / "km" / "x"
+        argv = ["eval", "--checkpoint", str(ckpt), "--manifest", str(dataset_dir / "manifest.csv"), "--km-out", str(km)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: checkpoint not found: {ckpt}" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
         assert not km.parent.exists()
 

@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from mgct import gradcheck, mgct_core, verify
+from mgct import gradcheck, mgct_core, numkit as nk, verify
 from mgct.gradcheck import STEP, finite_difference
 from mgct.mgct_core import AblationSpec, bind_model, init_model_arrays, window_nodes
 from mgct.train import window_losses
@@ -127,9 +127,12 @@ def test_a_child_that_dies_is_named(three_shares):
 
 
 def test_model_check_binds_once_per_sweep(monkeypatch):
-    # one process: the tape's tensors and the sweep's tensors, not one binding per forward call
+    # one process: the tape's tensors and the sweep's tensors, not one binding per forward call;
+    # likewise the window's three cuts (patch, genomic, pair), built for the tape and for the sweep
     monkeypatch.setattr(gradcheck, "MIN_SHARE", 10**9)
-    calls = []
+    calls, cuts = [], []
+    real_cut = nk.Segments.__init__
+    monkeypatch.setattr(nk.Segments, "__init__", lambda seg, sizes: cuts.append(sizes) or real_cut(seg, sizes))
 
     def counted(arrays):
         calls.append(len(arrays))
@@ -140,6 +143,7 @@ def test_model_check_binds_once_per_sweep(monkeypatch):
     ok, detail = verify.check_model_gradient()
     assert ok, detail
     assert len(calls) <= 2
+    assert len(cuts) == 6
 
 
 def test_entries_are_dealt_round_robin(three_shares):

@@ -34,6 +34,11 @@ def rng_tensor(rng, rows, cols, lo=-1.5, hi=1.5):
     return nk.Tensor(rng.uniform(lo, hi, (rows, cols)))
 
 
+def one(tokens):
+    """The one-sample cut of a token set: all its columns."""
+    return nk.Segments([tokens.cols])
+
+
 def make_mgca(rng, d):
     """(w_q, w_k, w_v), in ``mgca``'s argument order."""
     return rng_tensor(rng, d, d), rng_tensor(rng, d, d), rng_tensor(rng, d, d)
@@ -65,7 +70,7 @@ class TestMgca:
         query = rng_tensor(rng, d, 4)
         context = rng_tensor(rng, d, 1)
         sink = []
-        out = mgca(query, context, *params, attn_sink=sink)
+        out = mgca(query, context, *params, one(query), one(context), attn_sink=sink)
         np.testing.assert_array_equal(sink[0], np.ones((4, 1)))
         expected = (params[2].data @ context.data) @ np.ones((1, 4))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -73,7 +78,7 @@ class TestMgca:
     def test_output_token_count_matches_query(self):
         rng = np.random.default_rng(1)
         params = make_mgca(rng, 8)
-        out = mgca(rng_tensor(rng, 8, 6), rng_tensor(rng, 8, 12), *params)
+        out = mgca(rng_tensor(rng, 8, 6), rng_tensor(rng, 8, 12), *params, nk.Segments([6]), nk.Segments([12]))
         assert out.shape == (8, 6)
 
     def test_context_permutation_invariance(self):
@@ -81,17 +86,19 @@ class TestMgca:
         params = make_mgca(rng, 5)
         query = rng_tensor(rng, 5, 3)
         context = rng.uniform(-2, 2, (5, 9))
-        base = mgca(query, nk.Tensor(context), *params, heads=1).data
+        cuts = one(query), nk.Segments([9])
+        base = mgca(query, nk.Tensor(context), *params, *cuts, heads=1).data
         for _ in range(5):
             perm = rng.permutation(9)
-            out = mgca(query, nk.Tensor(context[:, perm]), *params, heads=1).data
+            out = mgca(query, nk.Tensor(context[:, perm]), *params, *cuts, heads=1).data
             np.testing.assert_allclose(out, base, atol=1e-12)
 
     def test_multi_head_shapes_and_simplex(self):
         rng = np.random.default_rng(3)
         params = make_mgca(rng, 8)
         sink = []
-        out = mgca(rng_tensor(rng, 8, 3), rng_tensor(rng, 8, 7), *params, heads=4, attn_sink=sink)
+        cuts = nk.Segments([3]), nk.Segments([7])
+        out = mgca(rng_tensor(rng, 8, 3), rng_tensor(rng, 8, 7), *params, *cuts, heads=4, attn_sink=sink)
         assert out.shape == (8, 3)
         assert len(sink) == 4
         for weights in sink:
@@ -102,13 +109,14 @@ class TestMgca:
         rng = np.random.default_rng(4)
         params = make_mgca(rng, 6)
         with pytest.raises(nk.ShapeError, match="divisible"):
-            mgca(rng_tensor(rng, 6, 2), rng_tensor(rng, 6, 2), *params, heads=4)
+            mgca(rng_tensor(rng, 6, 2), rng_tensor(rng, 6, 2), *params, nk.Segments([2]), nk.Segments([2]), heads=4)
 
     def test_empty_token_set_rejected(self):
         rng = np.random.default_rng(5)
         params = make_mgca(rng, 4)
+        empty, context = nk.Tensor(np.zeros((4, 0))), rng_tensor(rng, 4, 2)
         with pytest.raises(ValueError, match="non-empty"):
-            mgca(nk.Tensor(np.zeros((4, 0))), rng_tensor(rng, 4, 2), *params)
+            mgca(empty, context, *params, one(empty), one(context))
 
 
 class TestGatedAttentionPool:
@@ -116,7 +124,7 @@ class TestGatedAttentionPool:
         rng = np.random.default_rng(6)
         pool = make_pool(rng, 5)
         token = rng_tensor(rng, 5, 1)
-        pooled, alpha = gated_attention_pool(token, *pool)
+        pooled, alpha = gated_attention_pool(token, *pool, one(token))
         np.testing.assert_array_equal(alpha.data, [[1.0]])
         np.testing.assert_allclose(pooled.data, token.data, atol=1e-15)
 
@@ -124,7 +132,7 @@ class TestGatedAttentionPool:
         rng = np.random.default_rng(7)
         pool = make_pool(rng, 4)
         token = rng.uniform(-1, 1, (4, 1))
-        pooled, alpha = gated_attention_pool(nk.Tensor(np.repeat(token, 6, axis=1)), *pool)
+        pooled, alpha = gated_attention_pool(nk.Tensor(np.repeat(token, 6, axis=1)), *pool, nk.Segments([6]))
         np.testing.assert_allclose(alpha.data, np.full((1, 6), 1 / 6), atol=1e-12)
         np.testing.assert_allclose(pooled.data, token, atol=1e-12)
 
@@ -132,9 +140,9 @@ class TestGatedAttentionPool:
         rng = np.random.default_rng(8)
         pool = make_pool(rng, 5)
         tokens = rng.uniform(-2, 2, (5, 8))
-        pooled0, alpha0 = gated_attention_pool(nk.Tensor(tokens), *pool)
+        pooled0, alpha0 = gated_attention_pool(nk.Tensor(tokens), *pool, nk.Segments([8]))
         perm = rng.permutation(8)
-        pooled, alpha = gated_attention_pool(nk.Tensor(tokens[:, perm]), *pool)
+        pooled, alpha = gated_attention_pool(nk.Tensor(tokens[:, perm]), *pool, nk.Segments([8]))
         np.testing.assert_allclose(alpha.data[0], alpha0.data[0][perm], atol=1e-12)
         np.testing.assert_allclose(pooled.data, pooled0.data, atol=1e-12)
 
@@ -143,14 +151,14 @@ class TestGatedAttentionPool:
         for _ in range(20):
             d, n = int(rng.integers(1, 10)), int(rng.integers(1, 12))
             pool = make_pool(rng, d)
-            _, alpha = gated_attention_pool(rng_tensor(rng, d, n, -3, 3), *pool)
+            _, alpha = gated_attention_pool(rng_tensor(rng, d, n, -3, 3), *pool, nk.Segments([n]))
             assert alpha.data.min() >= 0
             assert abs(alpha.data.sum() - 1.0) < 1e-12
 
     def test_mean_pool_uniform(self):
         rng = np.random.default_rng(10)
         tokens = rng.uniform(-1, 1, (4, 5))
-        pooled, alpha = mean_pool(nk.Tensor(tokens))
+        pooled, alpha = mean_pool(nk.Tensor(tokens), nk.Segments([5]))
         np.testing.assert_array_equal(alpha.data, np.full((1, 5), 0.2))
         np.testing.assert_allclose(pooled.data, tokens.mean(axis=1, keepdims=True), atol=1e-15)
 
@@ -159,13 +167,15 @@ class TestMgctLayer:
     def test_stage_final_pools_to_one_token(self):
         rng = np.random.default_rng(11)
         layer = make_layer(rng, 6)
-        out = mgct_layer(rng_tensor(rng, 6, 4), rng_tensor(rng, 6, 9), layer, "L", stage_final=True)
+        cuts = nk.Segments([4]), nk.Segments([9])
+        out = mgct_layer(rng_tensor(rng, 6, 4), rng_tensor(rng, 6, 9), layer, "L", True, *cuts)
         assert out.shape == (6, 1)
 
     def test_intermediate_preserves_token_count(self):
         rng = np.random.default_rng(12)
         layer = make_layer(rng, 6)
-        out = mgct_layer(rng_tensor(rng, 6, 4), rng_tensor(rng, 6, 9), layer, "L", stage_final=False)
+        cuts = nk.Segments([4]), nk.Segments([9])
+        out = mgct_layer(rng_tensor(rng, 6, 4), rng_tensor(rng, 6, 9), layer, "L", False, *cuts)
         assert out.shape == (6, 4)
 
     def test_single_token_stage_final_weight_is_one(self):
@@ -173,7 +183,8 @@ class TestMgctLayer:
         layer = make_layer(rng, 5)
         sink = []
         mgct_layer(
-            rng_tensor(rng, 5, 1), rng_tensor(rng, 5, 3), layer, "L", stage_final=True, alpha_sink=sink
+            rng_tensor(rng, 5, 1), rng_tensor(rng, 5, 3), layer, "L", True, nk.Segments([1]), nk.Segments([3]),
+            alpha_sink=sink,
         )
         np.testing.assert_array_equal(sink[0], [[1.0]])
 
@@ -191,7 +202,7 @@ class TestMgctLayer:
 
         def build(t):
             return nk.sum_all(
-                mgct_layer(nk.Tensor(query), nk.Tensor(context), t, "L", stage_final=True)
+                mgct_layer(nk.Tensor(query), nk.Tensor(context), t, "L", True, nk.Segments([m]), nk.Segments([n]))
             )
 
         err, name = gradient_error(build, arrays)
@@ -229,7 +240,7 @@ class TestFuse:
 
         h = rng_tensor(rng, 8, 10)
         g = rng_tensor(rng, 8, 3)
-        nodes = fusion_nodes(t, spec.fusion, spec.ablation, (0, 10), (0, 3))
+        nodes = fusion_nodes(t, spec.fusion, spec.ablation, nk.Segments([10]), nk.Segments([3]))
         out = run_nodes(nodes, {"genomic": g, "patch": h})
         assert out["s1.gh.0"].shape == (8, 1) and out["s1.hg.0"].shape == (8, 1)
         assert out["pair"].shape == (8, 2)
@@ -479,6 +490,18 @@ class TestWindowLayout:
         genomics = [[rng.uniform(-1, 1, n) for n in spec.gene_lengths] for _ in bags]
         return spec, init_model_arrays(spec, seed=10, head_init="xavier"), bags, genomics
 
+    @pytest.mark.parametrize(
+        "preset, cuts", [("E", [[4, 1, 9, 2, 6], [3] * 5, [2] * 5]), ("A", [[4, 1, 9, 2, 6], [3] * 5])]
+    )
+    def test_each_token_set_is_cut_once(self, monkeypatch, preset, cuts):
+        # the patch and genomic tokens, and the stage-1 pair when stage two runs: once per window, not per op
+        built = []
+        real = nk.Segments.__init__
+        monkeypatch.setattr(nk.Segments, "__init__", lambda seg, sizes: built.append(list(sizes)) or real(seg, sizes))
+        spec, arrays, bags, genomics = self.window(preset)
+        window_logits(bags, genomics, arrays, spec)
+        assert built == cuts
+
     @pytest.mark.parametrize("preset", ["A", "C", "E"])
     def test_sinks_are_the_one_sample_sinks_sample_by_sample(self, preset):
         spec, arrays, bags, genomics = self.window(preset)
@@ -511,11 +534,12 @@ class TestWindowLayout:
         params = make_mgca(rng, 6)
         query, context = rng_tensor(rng, 6, 5), rng_tensor(rng, 6, 7)
         sink = []
-        out = mgca(query, context, *params, 2, sink, query_offsets=[0, 2, 5], context_offsets=[0, 4, 7])
+        out = mgca(query, context, *params, nk.Segments([2, 3]), nk.Segments([4, 3]), 2, sink)
         assert [w.shape for w in sink] == [(2, 4), (3, 3), (2, 4), (3, 3)]
         for b, (q, c) in enumerate([(slice(0, 2), slice(0, 4)), (slice(2, 5), slice(4, 7))]):
             one_sink = []
-            one = mgca(nk.Tensor(query.data[:, q]), nk.Tensor(context.data[:, c]), *params, 2, one_sink)
-            np.testing.assert_allclose(out.data[:, q], one.data, rtol=0, atol=1e-12)
+            alone = nk.Tensor(query.data[:, q]), nk.Tensor(context.data[:, c])
+            single = mgca(*alone, *params, *map(one, alone), 2, one_sink)
+            np.testing.assert_allclose(out.data[:, q], single.data, rtol=0, atol=1e-12)
             for head in range(2):
                 np.testing.assert_allclose(sink[2 * head + b], one_sink[head], rtol=0, atol=1e-12)

@@ -102,20 +102,21 @@ class TestAffine:
 class TestSegmentSoftmax:
     # one segment takes the untaped 2-D route, several the padded route
     def test_uniform_row(self):
-        out = nk.segment_softmax(nk.Tensor([[0.0, 0.0, 0.0]]), [0, 3])
+        out = nk.segment_softmax(nk.Tensor([[0.0, 0.0, 0.0]]), nk.Segments([3]))
         np.testing.assert_allclose(out.data, [[1 / 3] * 3], atol=1e-15)
 
     def test_large_values_do_not_overflow(self):
-        for x, offsets in (([[1000.0, 0.0]], [0, 2]), ([[1000.0, 0.0, 1000.0, 0.0, -1000.0]], [0, 2, 5])):
-            out = nk.segment_softmax(nk.Tensor(x), offsets).data
+        for x, sizes in (([[1000.0, 0.0]], [2]), ([[1000.0, 0.0, 1000.0, 0.0, -1000.0]], [2, 3])):
+            out = nk.segment_softmax(nk.Tensor(x), nk.Segments(sizes)).data
             assert np.all(np.isfinite(out))
             np.testing.assert_allclose(out, np.array(x) == 1000.0, rtol=0, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         x = rand(7, 9, seed=4, lo=-30, hi=30)
-        for offsets in ([0, 9], [0, 4, 5, 9]):
-            out = nk.segment_softmax(nk.Tensor(x), offsets).data
-            for seg in segments(offsets):
+        for sizes in ([9], [4, 1, 4]):
+            cut = nk.Segments(sizes)
+            out = nk.segment_softmax(nk.Tensor(x), cut).data
+            for seg in segments(cut.offsets):
                 np.testing.assert_allclose(out[:, seg].sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -158,34 +159,62 @@ class TestElementwise:
 class TestConcatSplit:
     def test_shapes(self):
         a, b = nk.Tensor(rand(2, 3, seed=7)), nk.Tensor(rand(2, 3, seed=8))
-        assert nk.concat(a, b, "cols").shape == (2, 6)
-        assert nk.concat(a, b, "rows").shape == (4, 3)
+        assert nk.concat([a, b], "cols").shape == (2, 6)
+        assert nk.concat([a, b], "rows").shape == (4, 3)
 
     def test_row_stack_of_vectors(self):
         a, b = nk.Tensor(rand(1, 5, seed=9)), nk.Tensor(rand(1, 5, seed=10))
-        assert nk.concat(a, b, "rows").shape == (2, 5)
+        assert nk.concat([a, b], "rows").shape == (2, 5)
 
     def test_roundtrip_bitwise(self):
         a, b = rand(4, 3, seed=11), rand(4, 5, seed=12)
-        joined = nk.concat(nk.Tensor(a), nk.Tensor(b), "cols")
+        joined = nk.concat([nk.Tensor(a), nk.Tensor(b)], "cols")
         assert np.array_equal(nk.gather_cols(joined, range(3)).data, a)
         assert np.array_equal(nk.gather_cols(joined, range(3, 8)).data, b)
 
     def test_axis_mismatch(self):
         with pytest.raises(nk.ShapeError, match="column counts differ"):
-            nk.concat(nk.Tensor(np.zeros((2, 3))), nk.Tensor(np.zeros((2, 4))), "rows")
+            nk.concat([nk.Tensor(np.zeros((2, 3))), nk.Tensor(np.zeros((2, 4)))], "rows")
         with pytest.raises(nk.ShapeError, match="row counts differ"):
-            nk.concat(nk.Tensor(np.zeros((2, 3))), nk.Tensor(np.zeros((3, 3))), "cols")
+            nk.concat([nk.Tensor(np.zeros((2, 3))), nk.Tensor(np.zeros((3, 3)))], "cols")
 
     def test_gradient_splits_correctly(self):
         a, b = rand(2, 3, seed=13), rand(2, 2, seed=14)
         w = rand(2, 5, seed=15)
         tape = nk.Tape()
         la, lb = tape.leaf(a), tape.leaf(b)
-        loss = nk.sum_all(nk.mul(nk.concat(la, lb, "cols"), nk.Tensor(w)))
+        loss = nk.sum_all(nk.mul(nk.concat([la, lb], "cols"), nk.Tensor(w)))
         grads = nk.backward(loss, tape)
         np.testing.assert_allclose(grads[la], w[:, :3], atol=1e-15)
         np.testing.assert_allclose(grads[lb], w[:, 3:], atol=1e-15)
+
+    @pytest.mark.parametrize("axis", ["rows", "cols"])
+    def test_three_parts_are_one_node(self, axis):
+        ax = ("rows", "cols").index(axis)
+        parts = [rand(2, n, seed=16 + n) if ax else rand(n, 2, seed=16 + n) for n in (3, 1, 4)]
+        assert nk.concat([nk.Tensor(p) for p in parts], axis).data.tobytes() == np.concatenate(parts, ax).tobytes()
+        tape = nk.Tape()
+        leaves = [tape.leaf(p) for p in parts]
+        joined = nk.concat(leaves, axis)
+        assert len(tape.nodes) == 4  # three leaves and the join
+        w = rand(*joined.shape, seed=19)
+        grads = nk.backward(nk.sum_all(nk.mul(joined, nk.Tensor(w))), tape)
+        for leaf, g in zip(leaves, np.split(w, [3, 4], ax)):  # each part's own rows or columns of w
+            assert np.array_equal(grads[leaf], g)
+
+    def test_one_part_is_returned_as_it_is(self):
+        tape = nk.Tape()
+        leaf = tape.leaf(rand(2, 3, seed=20))
+        assert nk.concat([leaf], "cols") is leaf and len(tape.nodes) == 1
+
+    def test_three_parts_must_align_on_a_known_axis(self):
+        a, b = nk.Tensor(np.zeros((2, 3))), nk.Tensor(np.zeros((2, 4)))
+        with pytest.raises(nk.ShapeError, match="column counts differ"):
+            nk.concat([a, a, b], "rows")
+        with pytest.raises(nk.ShapeError, match="row counts differ"):
+            nk.concat([a, b, nk.Tensor(np.zeros((3, 3)))], "cols")
+        with pytest.raises(ValueError, match="axis"):
+            nk.concat([a, a, a], "depth")
 
 
 class TestGatherCols:
@@ -401,7 +430,7 @@ def test_no_public_op_emits_nonfinite(shape, seed):
     rng = np.random.default_rng(seed)
     x = nk.Tensor(rng.uniform(-2, 2, shape))
     y = nk.Tensor(rng.uniform(-2, 2, shape))
-    cut = [0, shape[1] // 2, shape[1]] if shape[1] > 1 else [0, 1]
+    cut = nk.Segments([shape[1] // 2, shape[1] - shape[1] // 2] if shape[1] > 1 else [1])
     outs = [
         nk.add(x, y),
         nk.bernoulli_nll(x, np.abs(y.data), np.abs(x.data), 1e-7),
@@ -415,7 +444,7 @@ def test_no_public_op_emits_nonfinite(shape, seed):
         nk.elu(x),
         nk.matmul(x, nk.Tensor(y.data.T)),
         nk.alpha_dropout(x, 0.5, (seed, 0, 0)),
-        nk.concat(x, y, "rows"),
+        nk.concat([x, y], "rows"),
         nk.gather_cols(x, range(shape[1] - 1, -1, -1)),
     ]
     for out in outs:
@@ -426,7 +455,7 @@ def test_no_public_op_emits_nonfinite(shape, seed):
 @given(shape=shapes, seed=st.integers(0, 2**31 - 1))
 def test_softmax_simplex_property(shape, seed):
     x = np.random.default_rng(seed).uniform(-50, 50, shape)
-    out = nk.segment_softmax(nk.Tensor(x), [0, shape[1]]).data
+    out = nk.segment_softmax(nk.Tensor(x), nk.Segments([shape[1]])).data
     assert np.all(out >= 0)
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
@@ -449,10 +478,6 @@ def test_matmul_gradient_property(m, k, n, seed):
 # segmented primitives: ragged segments of 1-33 columns, 1-8 of them
 
 segment_sizes = st.lists(st.integers(1, 33), min_size=1, max_size=8)
-
-
-def offsets_of(sizes):
-    return np.concatenate([[0], np.cumsum(sizes)])
 
 
 def segments(off):
@@ -487,14 +512,14 @@ def attention_loop(q, k, v, q_off, kv_off, heads):
 @given(sizes=segment_sizes, seed=st.integers(0, 2**31 - 1))
 def test_segment_softmax_property(sizes, seed):
     rng = np.random.default_rng(seed)
-    off = offsets_of(sizes)
-    x = rng.uniform(-3, 3, (1, off[-1]))
-    out = nk.segment_softmax(nk.Tensor(x), off).data
-    for seg in segments(off):
+    cut = nk.Segments(sizes)
+    x = rng.uniform(-3, 3, (1, cut.cols))
+    out = nk.segment_softmax(nk.Tensor(x), cut).data
+    for seg in segments(cut.offsets):
         np.testing.assert_allclose(out[:, seg], softmax_of(x[:, seg]), rtol=0, atol=1e-12)
     w = rng.uniform(0.5, 1.5, x.shape)
     err, _ = gradient_error(
-        lambda t: nk.sum_all(nk.mul(nk.segment_softmax(t["x"], off), nk.Tensor(w))), {"x": x}
+        lambda t: nk.sum_all(nk.mul(nk.segment_softmax(t["x"], cut), nk.Tensor(w))), {"x": x}
     )
     assert err < GRAD_TOL
 
@@ -503,16 +528,16 @@ def test_segment_softmax_property(sizes, seed):
 @given(sizes=segment_sizes, rows=st.integers(1, 4), weighted=st.booleans(), seed=st.integers(0, 2**31 - 1))
 def test_segment_sum_property(sizes, rows, weighted, seed):
     rng = np.random.default_rng(seed)
-    off = offsets_of(sizes)
-    x = rng.uniform(-2, 2, (rows, off[-1]))
-    w = rng.uniform(-2, 2, (1, off[-1])) if weighted else np.ones((1, off[-1]))
+    cut = nk.Segments(sizes)
+    x = rng.uniform(-2, 2, (rows, cut.cols))
+    w = rng.uniform(-2, 2, (1, cut.cols)) if weighted else np.ones((1, cut.cols))
     params = {"x": x, "w": w}
-    out = nk.segment_sum(nk.Tensor(x), off, nk.Tensor(w)).data
-    loop = np.column_stack([(x[:, s] * w[:, s]).sum(axis=1) for s in segments(off)])
+    out = nk.segment_sum(nk.Tensor(x), cut, nk.Tensor(w)).data
+    loop = np.column_stack([(x[:, s] * w[:, s]).sum(axis=1) for s in segments(cut.offsets)])
     np.testing.assert_allclose(out, loop, rtol=0, atol=1e-12)
     c = rng.uniform(0.5, 1.5, (rows, len(sizes)))
     err, name = gradient_error(
-        lambda t: nk.sum_all(nk.mul(nk.segment_sum(t["x"], off, t["w"]), nk.Tensor(c))), params
+        lambda t: nk.sum_all(nk.mul(nk.segment_sum(t["x"], cut, t["w"]), nk.Tensor(c))), params
     )
     assert err < GRAD_TOL, f"{name}: {err}"
 
@@ -522,19 +547,19 @@ def test_segment_sum_property(sizes, rows, weighted, seed):
 def test_segment_attention_property(layout, seed):
     q_sizes, kv_sizes, heads = layout
     rng = np.random.default_rng(seed)
-    q_off, kv_off = offsets_of(q_sizes), offsets_of(kv_sizes)
+    qs, cs = nk.Segments(q_sizes), nk.Segments(kv_sizes)
     d = 2 * heads
-    params = {"q": rng.uniform(-2, 2, (d, q_off[-1])), "k": rng.uniform(-2, 2, (d, kv_off[-1])),
-              "v": rng.uniform(-2, 2, (d, kv_off[-1]))}
+    params = {"q": rng.uniform(-2, 2, (d, qs.cols)), "k": rng.uniform(-2, 2, (d, cs.cols)),
+              "v": rng.uniform(-2, 2, (d, cs.cols))}
     sink = []
-    out = nk.segment_attention(*(nk.Tensor(params[n]) for n in "qkv"), q_off, kv_off, heads, sink)
-    loop = attention_loop(params["q"], params["k"], params["v"], q_off, kv_off, heads)
+    out = nk.segment_attention(*(nk.Tensor(params[n]) for n in "qkv"), qs, cs, heads, sink)
+    loop = attention_loop(params["q"], params["k"], params["v"], qs.offsets, cs.offsets, heads)
     np.testing.assert_allclose(out.data, loop, rtol=0, atol=1e-12)
     assert [w.shape for w in sink] == [(m, n) for _ in range(heads) for m, n in zip(q_sizes, kv_sizes)]
     w = rng.uniform(0.5, 1.5, out.shape)
 
     def build(t):
-        return nk.sum_all(nk.mul(nk.segment_attention(t["q"], t["k"], t["v"], q_off, kv_off, heads), nk.Tensor(w)))
+        return nk.sum_all(nk.mul(nk.segment_attention(t["q"], t["k"], t["v"], qs, cs, heads), nk.Tensor(w)))
 
     err, name = gradient_error(build, params)
     assert err < GRAD_TOL, f"{name}: {err}"
@@ -555,12 +580,13 @@ def test_one_segment_is_the_unsegmented_formula(m, n, heads, seed):
     attended = attention_loop(q.data, k.data, v.data, [0, m], [0, n], heads)
     tape = nk.Tape()
     sinks = []
+    qs, cs = nk.Segments([m]), nk.Segments([n])
     for t in (x, row, q, k, v), tuple(tape.leaf(t.data) for t in (x, row, q, k, v)):
         tx, trow, tq, tk, tv = t
-        np.testing.assert_allclose(nk.segment_softmax(trow, [0, n]).data, alpha, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(nk.segment_sum(tx, [0, n], nk.Tensor(alpha)).data, pooled, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(nk.segment_softmax(trow, cs).data, alpha, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(nk.segment_sum(tx, cs, nk.Tensor(alpha)).data, pooled, rtol=0, atol=1e-12)
         sinks.append([])
-        out = nk.segment_attention(tq, tk, tv, [0, m], [0, n], heads, sink=sinks[-1])
+        out = nk.segment_attention(tq, tk, tv, qs, cs, heads, sink=sinks[-1])
         np.testing.assert_allclose(out.data, attended, rtol=0, atol=1e-12)
     untaped, taped = sinks
     assert len(untaped) == len(taped) == heads
@@ -584,12 +610,36 @@ def test_sigmoid_is_bitwise_the_two_branch_formula():
         assert nk.sigmoid(nk.Tensor(x)).data.tobytes() == two_branch(x).tobytes()
 
 
-@pytest.mark.parametrize("offsets", [[0, 2, 2, 5], [1, 5], [0, 4], [0.0, 5.0], [[0, 5]], [0], []])
+@pytest.mark.parametrize("offsets", [[0, 2, 2, 5], [1, 5], [0, 4], [0.0, 5.0], [[0, 5]], [0], [], [0, 3, 2, 5]])
 def test_bad_offsets_rejected(offsets):
-    with pytest.raises(nk.ShapeError, match="offsets"):
-        nk.segment_sum(nk.Tensor(np.ones((2, 5))), offsets, nk.Tensor(np.ones((1, 5))))
+    # the sizes between these offsets are empty, zero, negative, non-integer or nested, and make
+    # no Segments; [1, 5] and [0, 4] give a 4-column cut, which segment_sum refuses for 5 columns
+    sizes = np.diff(offsets).tolist()
+    with pytest.raises(nk.ShapeError, match="segment_sum" if sizes == [4] else "non-empty"):
+        nk.segment_sum(nk.Tensor(np.ones((2, 5))), nk.Segments(sizes), nk.Tensor(np.ones((1, 5))))
+
+
+def test_segments_are_read_only_offsets_and_padded_layout():
+    cut = nk.Segments([2, 1, 3])
+    assert (cut.offsets, cut.cols, cut.width) == ((0, 2, 3, 6), 6, 3)
+    np.testing.assert_array_equal(cut.valid, [[True, True, False], [True, False, False], [True, True, True]])
+    assert not cut.sizes.flags.writeable and not cut.valid.flags.writeable
+    assert nk.Segments([4, 4]).valid is None  # no segment padded
+
+
+def test_segmented_ops_check_their_column_count():
+    x, row, four = nk.Tensor(np.ones((2, 5))), nk.Tensor(np.ones((1, 5))), nk.Segments([2, 2])
+    five = nk.Segments([2, 3])
+    with pytest.raises(nk.ShapeError, match="segment_sum: segments of 4 columns for an operand of 5"):
+        nk.segment_sum(x, four, row)
+    with pytest.raises(nk.ShapeError, match="segment_softmax: segments of 4 columns"):
+        nk.segment_softmax(row, four)
+    with pytest.raises(nk.ShapeError, match="segment_attention: segments of 4 columns"):
+        nk.segment_attention(x, x, x, four, five)
+    with pytest.raises(nk.ShapeError, match="segment_attention: segments of 4 columns"):
+        nk.segment_attention(x, x, x, five, four)
 
 
 def test_segment_sum_weights_are_one_row():
     with pytest.raises(nk.ShapeError, match="weights"):
-        nk.segment_sum(nk.Tensor(np.ones((2, 5))), [0, 5], nk.Tensor(np.ones((2, 5))))
+        nk.segment_sum(nk.Tensor(np.ones((2, 5))), nk.Segments([5]), nk.Tensor(np.ones((2, 5))))
