@@ -233,15 +233,7 @@ def read_manifest(path) -> list[SampleDescriptor]:
             raise IngestError(f"{path}:{lineno}: t_months must be finite and > 0, got {t_raw}")
         if event_raw not in ("0", "1"):
             raise IngestError(f"{path}:{lineno}: event must be 0 or 1, got {event_raw!r}")
-        out.append(
-            SampleDescriptor(
-                sample_id=sample_id,
-                bag_path=(base / bag_path),
-                t=t,
-                event=int(event_raw),
-                genomic_path=(base / genomic_path),
-            )
-        )
+        out.append(SampleDescriptor(sample_id, base / bag_path, t, int(event_raw), base / genomic_path))
     return out
 
 
@@ -336,15 +328,7 @@ def load_samples(manifest_path, cmap: CategoryMap) -> Dataset:
                 raise IngestError(
                     f"{bad}: bag width and gene counts {got} differ from {want} in sample {samples[0].sample_id!r}"
                 )
-        samples.append(
-            BagSample(
-                sample_id=desc.sample_id,
-                patches=patches,
-                genomic=genomic,
-                t=desc.t,
-                event=desc.event,
-            )
-        )
+        samples.append(BagSample(desc.sample_id, patches, genomic, t=desc.t, event=desc.event))
     if not samples:
         raise IngestError(f"{manifest_path}: no samples")
     return Dataset(samples=samples, category_map=cmap)
@@ -395,10 +379,7 @@ def default_category_map(s_categories: int, genes_per_category: int) -> Category
     names = list(DEFAULT_CATEGORIES[:s_categories])
     while len(names) < s_categories:
         names.append(f"Category {len(names) + 1}")
-    genes = {
-        cat: tuple(f"g{ci}_{j}" for j in range(genes_per_category))
-        for ci, cat in enumerate(names)
-    }
+    genes = {cat: tuple(f"g{ci}_{j}" for j in range(genes_per_category)) for ci, cat in enumerate(names)}
     return CategoryMap(categories=tuple(names), genes=genes)
 
 
@@ -445,9 +426,7 @@ def synthesize(
         patches = np.hstack([signal, noise])
         patches = patches[:, rng.permutation(n_patches)]
 
-        genomic = [
-            amp * v * gene_dir + rm.gene_noise * rng.standard_normal(rm.genes_per_category)
-        ]
+        genomic = [amp * v * gene_dir + rm.gene_noise * rng.standard_normal(rm.genes_per_category)]
         for _ in range(1, s_categories):
             genomic.append(rm.off_category_scale * rng.standard_normal(rm.genes_per_category))
 
@@ -464,9 +443,7 @@ def synthesize(
             t_obs, event = t_death, 1
 
         sid = f"synth-{i:04d}"
-        samples.append(
-            BagSample(sample_id=sid, patches=patches, genomic=genomic, t=t_obs, event=event)
-        )
+        samples.append(BagSample(sample_id=sid, patches=patches, genomic=genomic, t=t_obs, event=event))
         true_risk[sid] = r
 
     return Dataset(samples=samples, category_map=cmap, true_risk=true_risk)
@@ -489,11 +466,7 @@ def write_dataset(dataset: Dataset, out_dir) -> Path:
             for gene, value in zip(cmap.genes[cat], vec):
                 table[gene] = float(value)
         write_genomic_csv(out / gen_rel, table)
-        descriptors.append(
-            SampleDescriptor(
-                sample_id=s.sample_id, bag_path=bag_rel, t=s.t, event=s.event, genomic_path=gen_rel
-            )
-        )
+        descriptors.append(SampleDescriptor(s.sample_id, bag_rel, t=s.t, event=s.event, genomic_path=gen_rel))
     write_manifest(out / "manifest.csv", descriptors)
     return out / "manifest.csv"
 

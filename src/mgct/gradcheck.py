@@ -4,17 +4,20 @@ Used by the test suite and the ``verify`` command to check every tape
 gradient against an independent numerical estimate. The oracle only calls
 the forward function; it never touches the tape.
 
-A large sweep is dealt round-robin across the usable CPUs by forking (see
-``finite_difference``); each difference is taken from the same working
+A large sweep is dealt round-robin to forked children, one per usable CPU
+(see ``finite_difference``); each difference is taken from the same working
 state as in a one-process sweep, so the gradients are bitwise the same.
 """
 
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
+
+from .forks import run_tasks
 
 STEP = 1e-5
 MIN_SHARE = 256  # entries; a smaller share costs more to fork than it saves
@@ -43,24 +46,30 @@ def finite_difference(
 
     Entries are numbered in dict order, row-major within each array, and
     dealt round-robin to shares, entry i to share i mod P: one share per
-    usable CPU, each of at least ``MIN_SHARE`` entries. Share 0 runs here and
-    every other one in a forked child that calls ``f`` on its own copy of the
-    working arrays, in entry order within its share, and sends back only its
-    float64 differences; whatever ``f`` changes in a child (a call counter, a
-    cache) stays in that child. A sweep too small for two shares, or a
-    platform without ``fork``, runs in this process alone, and then ``f``
-    sees every entry move up and then down, in order, one per call. If ``f``
-    raises, the oracle raises what a one-process sweep would have raised
-    first: the exception of the lowest-numbered failing entry, with its type
-    and message.
+    usable CPU, each of at least ``MIN_SHARE`` entries. Each share runs in a
+    forked child of its own (``forks.run_tasks``), which calls ``f`` on its
+    own copy of the working arrays, in entry order within its share, and
+    sends back only its float64 differences; whatever ``f`` changes in a
+    child (a call counter, a cache) stays in that child, and this process
+    only waits. A sweep too small for two shares, or a platform without
+    ``fork``, runs in this process, and then ``f`` sees every entry move up
+    and then down, in order, one per call. A share whose child ends without
+    a result raises a ``RuntimeError`` naming the share and the exit code.
+    If ``f`` raises, the oracle raises what a one-process sweep would have
+    raised first: the exception of the lowest-numbered failing entry, with
+    its type and message.
     """
     work = Work((name, np.array(arr, dtype=np.float64, order="C")) for name, arr in params.items())
     n = sum(arr.size for arr in work.values())
     shares = _share_count(n)
-    if shares > 1 and hasattr(os, "fork"):
-        parts = _forked_sweep(f, work, shares)
-    else:
-        shares, parts = 1, [_sweep(f, work, 0, 1)]
+    parts = run_tasks(
+        [(f"finite-difference share {k} (entries {k}::{shares})", partial(_sweep, f, work, k, shares))
+         for k in range(shares)],
+        shares,
+    )
+    for part in parts:
+        if isinstance(part, Exception):  # its child ended without a result
+            raise part
     failures = [failure for _, failure in parts if failure]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
@@ -76,12 +85,12 @@ def finite_difference(
 
 
 def _share_count(n: int) -> int:
-    """Shares for ``n`` entries: one per usable CPU, none under ``MIN_SHARE``."""
+    """Shares for ``n`` entries: one per usable CPU, none under ``MIN_SHARE``; one without ``fork``."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n // MIN_SHARE))
+    return max(1, min(cpus, n // MIN_SHARE)) if hasattr(os, "fork") else 1
 
 
 def _sweep(f, work: Work, share: int, shares: int):
@@ -110,46 +119,6 @@ def _sweep(f, work: Work, share: int, shares: int):
         first += flat.size
     work.moved = None
     return np.array(out), None
-
-
-def _send_share(f, work, share: int, shares: int, conn) -> None:
-    """Child body: sweep one share and send its (values, failure)."""
-    conn.send(_sweep(f, work, share, shares))
-    conn.close()
-
-
-def _forked_sweep(f, work: Work, shares: int) -> list:
-    """Sweep share 0 here and every later share in a forked child; return every share's (values, failure)."""
-    import multiprocessing  # here, not at the top: an import of mgct should not load it
-
-    ctx = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for k in range(1, shares):
-            recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_send_share, args=(f, work, k, shares, send))
-            child.start()  # flushes sys.stdout and sys.stderr first, so no child writes their buffers again
-            send.close()
-            children.append((child, recv))
-        parts = [_sweep(f, work, 0, shares)]
-        for k, (child, recv) in enumerate(children, start=1):
-            try:
-                parts.append(recv.recv())
-            except EOFError:
-                child.join()
-                raise RuntimeError(
-                    f"finite-difference share {k} (entries {k}::{shares}) "
-                    f"ended without a result, exit code {child.exitcode}"
-                ) from None
-    except BaseException:
-        for child, _ in children:  # their values are no longer needed
-            child.terminate()
-        raise
-    finally:
-        for child, recv in children:
-            child.join()
-            recv.close()
-    return parts
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:

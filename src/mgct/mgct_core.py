@@ -540,7 +540,8 @@ def window_nodes(
 
     nodes = {
         "genomic": Node(("snn.",), (), genomic),
-        "patch": Node(("patch.",), (), lambda: embed_patches(np.hstack(bags), t["patch.w"], t["patch.b"])),
+        "patch": Node(("patch.",), (), lambda: embed_patches(  # one bag as it is, uncopied
+            bags[0] if len(bags) == 1 else np.hstack(bags), t["patch.w"], t["patch.b"])),
     }
     nodes |= fusion_nodes(t, spec.fusion, spec.ablation, *cuts, attn_sink, alpha_sink)
     nodes["head"] = Node(("head.",), ("fused",), lambda fused: classify(fused, t["head.w"], t["head.b"]))

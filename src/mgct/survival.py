@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -134,23 +135,14 @@ def kaplan_meier(labels: Sequence[SurvivalLabel]) -> list[tuple[float, float]]:
     """
     if not labels:
         raise ValueError("kaplan_meier needs at least one label")
-    order = sorted(labels, key=lambda lab: (lab.t, -lab.event))
-    points = [(0.0, 1.0)]
-    surv = 1.0
-    at_risk = len(order)
-    i = 0
-    while i < len(order):
-        t = order[i].t
-        deaths = 0
-        removed = 0
-        while i < len(order) and order[i].t == t:
-            deaths += order[i].event
-            removed += 1
-            i += 1
+    points, surv, at_risk = [(0.0, 1.0)], 1.0, len(labels)
+    for t, tied in groupby(sorted(labels, key=lambda lab: lab.t), key=lambda lab: lab.t):
+        tied = list(tied)
+        deaths = sum(lab.event for lab in tied)
         if deaths > 0:
             surv *= 1.0 - deaths / at_risk
             points.append((t, surv))
-        at_risk -= removed
+        at_risk -= len(tied)
     return points
 
 

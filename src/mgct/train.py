@@ -25,6 +25,7 @@ from . import numkit as nk
 from . import survival
 from .dataio import BagSample, Dataset, FoldSplit, monte_carlo_splits
 from .embedders import DROPOUT_DEFAULT, SNN_HIDDEN_DEFAULT
+from .forks import run_tasks
 from .mgct_core import (
     AblationSpec,
     Config,
@@ -400,49 +401,11 @@ def _aggregate(values: list[float | None]) -> tuple[float | None, float | None]:
     return float(np.mean(defined)), float(np.std(defined))  # population std
 
 
-def ProcessPoolExecutor(max_workers: int):
-    """``concurrent.futures.ProcessPoolExecutor``, imported on first use, since it imports multiprocessing."""
-    from concurrent.futures import ProcessPoolExecutor as pool
-    return pool(max_workers=max_workers)
-
-
 def cross_validate(
-    dataset: Dataset,
-    cv: CvConfig,
-    config: TrainConfig,
-    ablation: AblationSpec = AblationSpec(),
+    dataset: Dataset, cv: CvConfig, config: TrainConfig, ablation: AblationSpec = AblationSpec()
 ) -> CrossValidationResult:
-    """Run ``train_fold`` over ``cv.folds`` Monte Carlo splits and aggregate final metrics.
-
-    With ``cv.jobs > 1`` the folds run in that many worker processes, at most
-    one per fold. A fold that raises is recorded in ``errors`` (never silently
-    dropped) and excluded from the aggregates.
-    """
-    splits = monte_carlo_splits(dataset.ids, cv.folds, ratio=cv.ratio, seed=config.seed)
-    if cv.jobs > 1:
-        # the fork start method starts every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(cv.jobs, len(splits))) as pool:
-            outcomes = [pool.submit(train_fold, dataset, sp, config, ablation).result for sp in splits]
-    else:
-        outcomes = [partial(train_fold, dataset, sp, config, ablation) for sp in splits]
-    results: list[FoldResult] = []
-    errors: dict[int, str] = {}
-    for sp, outcome in zip(splits, outcomes):
-        try:
-            results.append(outcome())
-        except Exception as exc:  # noqa: BLE001 - fold failures are reported
-            log.warning("fold %d failed: %s", sp.fold, exc)
-            errors[sp.fold] = str(exc)
-    ci_mean, ci_std = _aggregate([r.final_c_index for r in results])
-    auc_mean, auc_std = _aggregate([r.final_auc for r in results])
-    return CrossValidationResult(
-        folds=results,
-        errors=errors,
-        c_index_mean=ci_mean,
-        c_index_std=ci_std,
-        auc_mean=auc_mean,
-        auc_std=auc_std,
-    )
+    """Run ``train_fold`` over ``cv.folds`` Monte Carlo splits and aggregate final metrics (``_cross_validate_all``)."""
+    return _cross_validate_all(dataset, cv, config, [ablation])[0]
 
 
 @dataclass
@@ -453,12 +416,36 @@ class AblationRow:
 
 
 def run_ablation_matrix(dataset: Dataset, cv: CvConfig, config: TrainConfig) -> list[AblationRow]:
-    """Cross-validate every preset A..E on the same splits."""
-    rows = []
-    for name in AblationSpec.preset_names():
-        ablation = AblationSpec.preset(name)
-        rows.append(AblationRow(model=name, ablation=ablation, cv=cross_validate(dataset, cv, config, ablation)))
-    return rows
+    """Cross-validate every preset A..E on the same splits, all (preset, fold) pairs on one queue."""
+    names = AblationSpec.preset_names()
+    results = _cross_validate_all(dataset, cv, config, [AblationSpec.preset(name) for name in names])
+    return [AblationRow(name, AblationSpec.preset(name), result) for name, result in zip(names, results)]
+
+
+def _cross_validate_all(dataset: Dataset, cv: CvConfig, config: TrainConfig, ablations: list) -> list:
+    """Cross-validate each ablation on the same splits, each (ablation, fold) pair one task of ``forks.run_tasks``.
+
+    The pairs run on ``cv.jobs`` children, bitwise the same for any
+    ``cv.jobs``. A fold that fails, or whose child dies, is recorded in its
+    ablation's ``errors`` (never silently dropped) and left out of its
+    aggregates; no other pair is touched.
+    """
+    splits = monte_carlo_splits(dataset.ids, cv.folds, ratio=cv.ratio, seed=config.seed)
+    tasks = [(f"fold {sp.fold}", partial(train_fold, dataset, sp, config, ab)) for ab in ablations for sp in splits]
+    outcomes = iter(run_tasks(tasks, cv.jobs))
+    summaries = []
+    for _ in ablations:
+        results, errors = [], {}
+        for sp, outcome in zip(splits, outcomes):
+            if isinstance(outcome, Exception):
+                log.warning("fold %d failed: %s", sp.fold, outcome)
+                errors[sp.fold] = str(outcome)
+            else:
+                results.append(outcome)
+        ci_mean, ci_std = _aggregate([r.final_c_index for r in results])
+        auc_mean, auc_std = _aggregate([r.final_auc for r in results])
+        summaries.append(CrossValidationResult(results, errors, ci_mean, ci_std, auc_mean, auc_std))
+    return summaries
 
 
 def parameter_count(arrays: dict[str, np.ndarray]) -> int:

@@ -474,6 +474,49 @@ class TestAblateCommand:
             assert model in out
 
 
+def run_outputs(run_dir) -> dict[str, bytes]:
+    """A run directory's files by name, but for ``effective_config.json``, which echoes the flags."""
+    return {path.name: path.read_bytes() for path in run_dir.iterdir() if path.name != "effective_config.json"}
+
+
+@pytest.mark.parametrize("command,files", [("cv", 4), ("ablate", 2)])
+def test_jobs_leave_the_outputs_byte_identical(tmp_path, dataset_dir, capsys, command, files):
+    # every (preset, fold) pair in this process, or each in a forked child of its own
+    cfg = write_config(tmp_path, dataset_dir)
+    outputs = []
+    for jobs in ("1", "2"):
+        runs = tmp_path / f"jobs{jobs}"
+        assert main([command, "--config", cfg, "--out", str(runs), "--jobs", jobs]) == 0
+        (run_dir,) = run_dirs(runs)
+        outputs.append((capsys.readouterr().out.replace(str(run_dir), "<run dir>"), run_outputs(run_dir)))
+    assert outputs[0] == outputs[1] and len(outputs[0][1]) == files
+
+
+def test_blas_threads_and_jobs_leave_the_outputs_byte_identical(tmp_path):
+    # importing mgct sets numpy's OpenBLAS to one thread whatever OPENBLAS_NUM_THREADS says, so
+    # mgct cv writes the same bytes with it unset, 1 and 2, at --jobs 1 and 2. The default model's
+    # products are large enough for a second BLAS thread to change their bits. Child processes,
+    # since the variable is read when numpy is first imported.
+    assert main(["synth", "--out", str(tmp_path / "data"), "--n", "40", "--seed", "3"]) == 0
+    doc = {"dataset": {"manifest": str(tmp_path / "data" / "manifest.csv")}, "train": {"epochs": 1, "accumulation": 8},
+           "cv": {"folds": 2}}
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env |= {"PYTHONPATH": src} | ({"OPENBLAS_NUM_THREADS": threads} if threads else {})
+        for jobs in ("1", "2"):
+            runs = tmp_path / f"runs-{threads}-{jobs}"
+            argv = ["cv", "--config", str(tmp_path / "run.json"), "--out", str(runs), "--jobs", jobs]
+            proc = subprocess.run([sys.executable, "-m", "mgct.cli", *argv], env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs[threads, jobs] = run_outputs(run_dirs(runs)[0])
+    first = outputs[None, "1"]
+    assert sorted(first) == ["config.json", "fold_0.ckpt", "fold_1.ckpt", "metrics.csv"]
+    assert all(files == first for files in outputs.values())
+
+
 class TestEvalCommand:
     def test_outputs_exist_and_parse(self, tmp_path, dataset_dir, capsys):
         cfg = write_config(tmp_path, dataset_dir)
@@ -726,7 +769,7 @@ class TestEvalCommand:
 
 
 def test_import_loads_no_process_pool():
-    # the process pool and multiprocessing are imported where a command first needs them
+    # the fork queue imports multiprocessing where a command first forks, not at import
     script = "import sys, mgct.cli, mgct.verify; print(sorted({'multiprocessing', 'subprocess'} & set(sys.modules)))"
     proc = run_python(["-c", script], capture_output=True)
     assert proc.returncode == 0, proc.stderr
@@ -798,6 +841,28 @@ def test_heap_thresholds_left_alone(monkeypatch, confstr, libc):
     monkeypatch.setattr(os, "confstr", confstr)
     monkeypatch.setattr(ctypes, "CDLL", load)
     assert mgct._keep_freed_heap() is None
+
+
+class FakeBlas:
+    def __init__(self, symbols):
+        self.calls = []
+        for symbol in symbols:
+            setattr(self, symbol, lambda n, symbol=symbol: self.calls.append((symbol, n)))
+
+
+@pytest.mark.parametrize(
+    "symbols,expected",
+    [(mgct.BLAS_SETTERS, [(mgct.BLAS_SETTERS[0], 1)]), (mgct.BLAS_SETTERS[1:], [(mgct.BLAS_SETTERS[1], 1)]), ((), [])],
+    ids=["scipy-openblas", "openblas", "no-setter"],
+)
+def test_one_blas_thread_through_the_first_setter_found(monkeypatch, symbols, expected):
+    # only numpy's bundled OpenBLAS is loaded; a library without a setter is left as it is
+    lib, loaded = FakeBlas(symbols), []
+    monkeypatch.setattr(os.path, "isdir", lambda path: path.endswith("numpy.libs"))
+    monkeypatch.setattr(os, "listdir", lambda path: ["libgfortran-a1.so", "libscipy_openblas64_-b2.so"])
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: loaded.append(os.path.basename(path)) or lib)
+    assert mgct._one_blas_thread() is None
+    assert loaded == ["libscipy_openblas64_-b2.so"] and lib.calls == expected
 
 
 class TestVerifyCommand:

@@ -1,13 +1,15 @@
 """Optimizer, fold-training, and cross-validation tests (small configs)."""
 
 import logging
-from concurrent.futures import Future
+import multiprocessing
+import os
 from dataclasses import replace
+from multiprocessing.context import ForkProcess
 
 import numpy as np
 import pytest
 
-from mgct import dataio, numkit as nk, survival as sv, train
+from mgct import dataio, mgct_core, numkit as nk, survival as sv, train
 from mgct.dataio import RiskModel, monte_carlo_splits
 from mgct.mgct_core import AblationSpec, FusionConfig, ModelSpec, init_model_arrays
 from mgct.train import (
@@ -45,29 +47,6 @@ def tiny_dataset(n=24, seed=5):
     return dataio.synthesize(n, d_in=5, s_categories=3, risk_model=rm, seed=seed)
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs each task in-process."""
-
-    max_workers: list[int] = []
-
-    def __init__(self, max_workers):
-        self.max_workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:  # noqa: BLE001 - delivered through the future
-            future.set_exception(exc)
-        return future
-
-
 def mean_of_sample_grads(samples, arrays, spec, labels, seed, first_step, dropout):
     """Per-sample losses and the mean of the one-sample gradients, step by step as in the paper."""
     per = [
@@ -81,6 +60,18 @@ def mean_of_sample_grads(samples, arrays, spec, labels, seed, first_step, dropou
 def train_fold_failing_fold_1(dataset, split, config, ablation):
     if split.fold == 1:
         raise ValueError("fold 1 diverged")
+    return train_fold(dataset, split, config, ablation)
+
+
+def train_fold_noting_pid(dataset, split, config, ablation):
+    result = train_fold(dataset, split, config, ablation)
+    result.pid = os.getpid()
+    return result
+
+
+def train_fold_dying_in_c_fold_1(dataset, split, config, ablation):
+    if ablation == AblationSpec.preset("C") and split.fold == 1:
+        os._exit(3)
     return train_fold(dataset, split, config, ablation)
 
 
@@ -360,6 +351,21 @@ class TestWindowEquivalence:
         assert np.isfinite(loss)
         assert np.isfinite(predict(s, arrays, spec).risk)
 
+    def test_one_sample_projects_its_bag_uncopied(self, monkeypatch):
+        # a one-sample window hands its bag itself to the patch projection; a window stacks its bags
+        seen = []
+        project = mgct_core.embed_patches
+        monkeypatch.setattr(mgct_core, "embed_patches", lambda bag, w, b: seen.append(bag) or project(bag, w, b))
+        ds = tiny_dataset()
+        spec = ModelSpec(d_in=ds.d_in, gene_lengths=tuple(ds.gene_lengths), snn_hidden=8, fusion=tiny_config().fusion)
+        arrays = init_model_arrays(spec, seed=1, head_init="xavier")
+        s = replace(ds.samples[0], patches=np.asfortranarray(ds.samples[0].patches))
+        alone = predict(s, arrays, spec).risk
+        assert seen.pop() is s.patches
+        risks, _, _ = evaluate([s, ds.samples[1]], arrays, spec, 10.0)
+        assert seen.pop().shape[1] == s.patches.shape[1] + ds.samples[1].patches.shape[1]
+        assert abs(risks[0] - alone) <= 1e-12
+
 
 class TestTapeSpans:
     def test_runs_fill_up_to_the_bound(self):
@@ -512,7 +518,7 @@ class TestCrossValidation:
         assert [f.final_c_index for f in seq.folds] == [f.final_c_index for f in par.folds]
 
     def test_failing_fold_recorded_for_any_jobs(self, monkeypatch):
-        # module-level, so that worker processes can unpickle it
+        # forked children inherit the patched module, and the exception comes back through the pipe
         monkeypatch.setattr(train, "train_fold", train_fold_failing_fold_1)
         ds = tiny_dataset(n=16)
         seq = cross_validate(ds, CvConfig(folds=3), tiny_config())
@@ -522,13 +528,20 @@ class TestCrossValidation:
         assert [f.final_c_index for f in seq.folds] == [f.final_c_index for f in par.folds]
 
     def test_pool_never_larger_than_fold_count(self, monkeypatch):
-        monkeypatch.setattr(RecordingPool, "max_workers", [])
-        monkeypatch.setattr(train, "ProcessPoolExecutor", RecordingPool)
+        # at most min(jobs, folds) children alive at once, each fold in a forked child of its own
+        alive = []
+        start = ForkProcess.start
+        monkeypatch.setattr(ForkProcess, "start", lambda child: start(child) or alive.append(
+            len(multiprocessing.active_children())))
+        monkeypatch.setattr(train, "train_fold", train_fold_noting_pid)
         ds = tiny_dataset(n=16)
-        cv = cross_validate(ds, CvConfig(folds=2, jobs=1000), tiny_config())
-        cross_validate(ds, CvConfig(folds=3, jobs=2), tiny_config())
-        assert RecordingPool.max_workers == [2, 2]
-        assert len(cv.folds) == 2 and not cv.errors
+        for folds, jobs in ((2, 1000), (3, 2)):
+            alive.clear()
+            cv = cross_validate(ds, CvConfig(folds=folds, jobs=jobs), tiny_config())
+            assert len(alive) == folds and max(alive) <= min(folds, jobs)
+            pids = {f.pid for f in cv.folds}
+            assert len(pids) == folds and os.getpid() not in pids and not cv.errors
+        assert multiprocessing.active_children() == []
 
     def test_metrics_csv_shape(self, tmp_path):
         ds = tiny_dataset()
@@ -555,6 +568,23 @@ class TestAblationMatrix:
         assert lines[0].startswith("model,deep_fusion,mgca,gap,feedforward,c_index_mean")
         assert lines[1].startswith("A,0,0,0,0,")
         assert lines[5].startswith("E,1,1,1,1,")
+
+    def test_a_dead_child_fails_only_its_pair(self, monkeypatch):
+        ds = tiny_dataset(n=16)
+        clean = run_ablation_matrix(ds, CvConfig(folds=2), tiny_config())
+        monkeypatch.setattr(train, "train_fold", train_fold_dying_in_c_fold_1)
+        rows = run_ablation_matrix(ds, CvConfig(folds=2, jobs=2), tiny_config())
+        assert multiprocessing.active_children() == []
+        for row, ref in zip(rows, clean):
+            lost = {1: "fold 1 ended without a result, exit code 3"} if row.model == "C" else {}
+            assert row.cv.errors == lost and not ref.cv.errors
+            kept = [f for f in ref.cv.folds if f.fold not in lost]
+            assert [f.fold for f in row.cv.folds] == [f.fold for f in kept]
+            for got, want in zip(row.cv.folds, kept):  # every other pair bitwise that of the clean run
+                assert_bitwise(got.arrays, want.arrays)
+                assert got.history == want.history
+            assert (row.cv.c_index_mean, row.cv.auc_mean) == (
+                (kept[0].final_c_index, kept[0].final_auc) if lost else (ref.cv.c_index_mean, ref.cv.auc_mean))
 
     def test_presets_stay_finite_through_training(self):
         ds = tiny_dataset()

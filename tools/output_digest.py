@@ -17,6 +17,12 @@ on everything listed here:
   ``mgct eval`` of ``fold_0.ckpt``: its stdout, KM CSVs and log-rank JSON.
   Contents are hashed, not the timestamped run-directory names.
 
+``mgct cv`` and ``mgct ablate`` also run at ``--jobs 2``, each (preset, fold)
+pair in a forked child; their files must be byte-identical to the ``--jobs
+1`` files (``effective_config.json`` aside, which echoes the flag), or the
+script names the files that differ and exits 1. These runs add no line to
+the hash.
+
 Floats are printed with ``repr``, so a change in the last bit shows. Run it
 from any directory: ``python tools/output_digest.py``; the program is
 imported from the ``src/`` beside this file.
@@ -24,19 +30,14 @@ imported from the ``src/`` beside this file.
 
 from __future__ import annotations
 
-import os
-
-# one BLAS thread, as the benchmark runs: the GEMM summation order must not vary
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import hashlib  # noqa: E402
-import io  # noqa: E402
-import json  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-from contextlib import chdir, redirect_stdout  # noqa: E402
-from dataclasses import replace  # noqa: E402
-from pathlib import Path  # noqa: E402
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from contextlib import chdir, redirect_stdout
+from dataclasses import replace
+from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -62,6 +63,8 @@ RUN_JSON = {
     "model": {"s1": 1, "s2": 2, "d": 8, "heads": 1, "d_attn": 6, "d_ff": 12, "bins": 4},
     "cv": {"folds": 2, "jobs": 1},
 }
+# files of the --jobs 2 runs that differ from those of the --jobs 1 runs
+JOBS_MISMATCHES: list[str] = []
 
 
 def parameter_digest(arrays) -> str:
@@ -120,6 +123,17 @@ def cli_lines():
             (run_dir,) = Path(command[0]).iterdir()  # the one timestamped run directory
             for path in sorted(run_dir.iterdir()):
                 yield f"mgct {command[0]} {file_line(path)}"
+            forked = f"{command[0]}-jobs2"
+            forked_code, _ = run_cli([*command, "--config", "run.json", "--out", forked, "--jobs", "2"])
+            (forked_dir,) = Path(forked).iterdir()
+            if forked_code != code:
+                JOBS_MISMATCHES.append(f"mgct {command[0]} exit {forked_code} at --jobs 2, {code} at --jobs 1")
+            names = {path.name for path in run_dir.iterdir()} | {path.name for path in forked_dir.iterdir()}
+            for name in sorted(names - {"effective_config.json"}):
+                if not all((d / name).is_file() for d in (run_dir, forked_dir)) or (
+                    (run_dir / name).read_bytes() != (forked_dir / name).read_bytes()
+                ):
+                    JOBS_MISMATCHES.append(f"mgct {command[0]} {name} differs at --jobs 2")
         checkpoint = str(next(Path("cv").iterdir()) / "fold_0.ckpt")
         code, stdout = run_cli(["eval", "--checkpoint", checkpoint, "--manifest", "cohort/manifest.csv",
                                 "--km-out", "km/curves"])
@@ -135,7 +149,9 @@ def main() -> int:
         print(line)
         combined.update(line.encode() + b"\n")
     print(f"combined {combined.hexdigest()}")
-    return 0
+    for mismatch in JOBS_MISMATCHES:
+        print(f"error: {mismatch}", file=sys.stderr)
+    return 1 if JOBS_MISMATCHES else 0
 
 
 if __name__ == "__main__":
