@@ -44,8 +44,8 @@ print("rel err wy:", relative_error(grads[wy], numeric["wy"]))
 
 # --- deterministic, self-normalizing dropout ---------------------------------
 z = nk.Tensor(rng.standard_normal((2000, 500)))
-dropped = nk.alpha_dropout(z, p=0.5, key=(seed := 42, 0, 0))
+dropped = nk.alpha_dropout(z, p=0.5, key=(seed := 42, 0, range(500)))  # one step per column
 print("\nalpha dropout at p=0.5 on standard-normal input:")
 print("  mean %.4f (target 0), var %.4f (target 1)" % (dropped.data.mean(), dropped.data.var()))
-same = nk.alpha_dropout(z, 0.5, (seed, 0, 0))
-print("  same (seed, layer, step) key reproduces the mask:", np.array_equal(dropped.data, same.data))
+same = nk.alpha_dropout(z, 0.5, (seed, 0, range(500)))
+print("  same (seed, layer, steps) key reproduces the mask:", np.array_equal(dropped.data, same.data))

@@ -285,6 +285,9 @@ def cmd_eval(args) -> int:
             f"do not match the category map's {categories!r}"
         )
 
+    out_prefix = Path(args.km_out)
+    out_prefix.parent.mkdir(parents=True, exist_ok=True)
+
     risks, ci, auc = evaluate(dataset.samples, arrays, spec, horizon)
     labels = [survival.SurvivalLabel(s.t, s.event) for s in dataset.samples]
     print(f"samples: {len(labels)}")
@@ -294,8 +297,6 @@ def cmd_eval(args) -> int:
     low_idx, high_idx = survival.stratify(risks, labels)
     low = [labels[i] for i in low_idx]
     high = [labels[i] for i in high_idx]
-    out_prefix = Path(args.km_out)
-    out_prefix.parent.mkdir(parents=True, exist_ok=True)
     for name, group in (("low", low), ("high", high)):
         path = out_prefix.parent / f"{out_prefix.name}_{name}.csv"
         with open(path, "w", newline="") as fh:
@@ -388,7 +389,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, dataio.IngestError, dataio.FormatError, ckpt.CheckpointError) as exc:
+    except (ConfigError, dataio.IngestError, dataio.FormatError, ckpt.CheckpointError,
+            FileExistsError, NotADirectoryError) as exc:  # the last two: a file blocks an output directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, ValueError) as exc:

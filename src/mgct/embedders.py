@@ -60,14 +60,15 @@ def init_arrays(layout, rng: np.random.Generator) -> dict[str, np.ndarray]:
 
 
 @lru_cache(maxsize=16)
-def _snn_names(n_categories: int) -> tuple[tuple[str, ...], ...]:
-    names = ("w1", "b1", "w2", "b2", "w_out", "b_out")  # in SnnCategoryParams field order
+def snn_names(n_categories: int) -> tuple[tuple[str, ...], ...]:
+    """The genomic networks' array names, one tuple per category in ``SnnCategoryParams`` field order."""
+    names = ("w1", "b1", "w2", "b2", "w_out", "b_out")
     return tuple(tuple(f"snn.c{s}.{n}" for n in names) for s in range(n_categories))
 
 
 def bind_snn(t: dict[str, nk.Tensor], n_categories: int) -> SnnParams:
     """The genomic networks' tensors, read from ``t`` by name."""
-    return SnnParams([SnnCategoryParams(*map(t.__getitem__, names)) for names in _snn_names(n_categories)])
+    return SnnParams([SnnCategoryParams(*map(t.__getitem__, names)) for names in snn_names(n_categories)])
 
 
 def patch_proj_layout(d_in: int, d: int):
@@ -89,17 +90,16 @@ def embed_genomics(
     one GEMM over the batch. Category s fills columns s*B .. s*B + B - 1, and
     column s*B + b is a function of sample b's category s alone.
     Dropout is on when ``dropout_p > 0``; ``dropout_key`` is then the
-    (seed, step) pair that makes it reproducible, with one step per sample
-    when B > 1; the per-layer component of the counter key is derived
-    internally.
+    (seed, steps) pair that makes it reproducible, with one step per sample;
+    the per-layer component of the counter key is derived internally.
     """
     if len(raw) != len(params.per_category):
         raise nk.ShapeError(
             f"got {len(raw)} category vectors for {len(params.per_category)} category networks"
         )
     if dropout_p > 0.0 and dropout_key is None:
-        raise ValueError("dropout needs a (seed, step) key")
-    seed, step = dropout_key if dropout_key is not None else (0, 0)
+        raise ValueError("dropout needs a (seed, steps) key")
+    seed, steps = dropout_key if dropout_key is not None else (0, ())
     columns = []
     for s, (vec, p) in enumerate(zip(raw, params.per_category)):
         arr = np.asarray(vec, dtype=np.float64)
@@ -111,9 +111,9 @@ def embed_genomics(
         if columns and x.cols != columns[0].cols:
             raise nk.ShapeError(f"category {s}: {x.cols} samples, category 0 has {columns[0].cols}")
         a = nk.elu(nk.affine(p.w1, x, p.b1))
-        a = nk.alpha_dropout(a, dropout_p, (seed, 2 * s, step))
+        a = nk.alpha_dropout(a, dropout_p, (seed, 2 * s, steps))
         a = nk.elu(nk.affine(p.w2, a, p.b2))
-        a = nk.alpha_dropout(a, dropout_p, (seed, 2 * s + 1, step))
+        a = nk.alpha_dropout(a, dropout_p, (seed, 2 * s + 1, steps))
         columns.append(nk.affine(p.w_out, a, p.b_out))
     return nk.concat(columns, "cols")
 

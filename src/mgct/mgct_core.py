@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .embedders import (
     init_arrays,
     patch_proj_layout,
     snn_layout,
+    snn_names,
 )
 
 
@@ -287,8 +288,7 @@ def mean_pool(tokens: nk.Tensor, segments: nk.Segments) -> tuple[nk.Tensor, nk.T
 def mgct_layer(
     query_tokens: nk.Tensor,
     context_tokens: nk.Tensor,
-    t: dict[str, nk.Tensor],
-    prefix: str,
+    w: dict[str, nk.Tensor],
     stage_final: bool,
     query_segments: nk.Segments,
     context_segments: nk.Segments,
@@ -300,12 +300,11 @@ def mgct_layer(
 ) -> nk.Tensor:
     """One fusion layer: attention, stage-final pooling (to one column per sample), feed-forward.
 
-    Reads its weights from ``t`` by name: ``prefix.attn.*``, ``prefix.pool.*``
-    and ``prefix.mlp.*``, as ``model_layout`` names them.
+    ``w`` holds the layer's tensors by their ``fusion_layers`` keys
+    (``w["attn.wq"]``, ...); ``fusion_nodes`` resolves them once per table.
     """
-    p = prefix + "."
     if ablation.mgca:
-        r = mgca(query_tokens, context_tokens, t[p + "attn.wq"], t[p + "attn.wk"], t[p + "attn.wv"],
+        r = mgca(query_tokens, context_tokens, w["attn.wq"], w["attn.wk"], w["attn.wv"],
                  query_segments, context_segments, heads, attn_sink)
         if residual:
             r = nk.add(r, query_tokens)
@@ -313,18 +312,37 @@ def mgct_layer(
         r = query_tokens
     if stage_final:
         if ablation.gap:
-            r, alpha = gated_attention_pool(r, t[p + "pool.v"], t[p + "pool.u"], t[p + "pool.w"], query_segments)
+            r, alpha = gated_attention_pool(r, w["pool.v"], w["pool.u"], w["pool.w"], query_segments)
         else:
             r, alpha = mean_pool(r, query_segments)
         if alpha_sink is not None:
             alpha_sink.extend(np.split(alpha.data, query_segments.offsets[1:-1], axis=1))
     if ablation.feedforward:
-        hidden = nk.relu(nk.affine(t[p + "mlp.w_in"], r, t[p + "mlp.b_in"]))
-        out = nk.affine(t[p + "mlp.w_out"], hidden, t[p + "mlp.b_out"])
+        hidden = nk.relu(nk.affine(w["mlp.w_in"], r, w["mlp.b_in"]))
+        out = nk.affine(w["mlp.w_out"], hidden, w["mlp.b_out"])
         if residual:
             out = nk.add(out, r)
         return out
     return r
+
+
+@lru_cache(maxsize=64)
+def fusion_layers(config: FusionConfig, ablation: AblationSpec) -> tuple[tuple[str, bool, tuple, tuple], ...]:
+    """(layer, stage_final, keys, names) of every fusion layer, stack by stack in run order: the keys ``mgct_layer``
+    reads the layer's arrays by (``w["attn.wq"]``, ...), in draw order, and their names ``<layer>.<key>``."""
+    stacks = [("s1.gh", config.s1), ("s1.hg", config.s1)]
+    if ablation.deep_fusion:
+        stacks += [("s2.fh", config.s2), ("s2.hf", config.s2)]
+    layers = []
+    for stack, depth in stacks:
+        for i in range(depth):
+            keys = ("attn.wq", "attn.wk", "attn.wv") if ablation.mgca else ()
+            if i == depth - 1 and ablation.gap:
+                keys += ("pool.v", "pool.u", "pool.w")
+            if ablation.feedforward:
+                keys += ("mlp.w_in", "mlp.b_in", "mlp.w_out", "mlp.b_out")
+            layers.append((f"{stack}.{i}", i == depth - 1, keys, tuple(f"{stack}.{i}.{key}" for key in keys)))
+    return tuple(layers)
 
 
 @dataclass(frozen=True)
@@ -332,9 +350,9 @@ class Node:
     """One step of a forward pass, in a table of nodes keyed by name (see ``run_nodes``).
 
     ``run`` maps the outputs of the nodes named ``inputs`` to this node's
-    output, and reads only the arrays whose names start with one of
-    ``reads``. With its inputs and those arrays unchanged, its output is
-    the same.
+    output, and reads only the arrays named in ``reads`` (``model_layout``
+    names), which it resolved when the table was built. With its inputs and
+    those arrays unchanged, its output is the same.
     """
 
     reads: tuple[str, ...]
@@ -375,39 +393,40 @@ def fusion_nodes(
 ) -> dict[str, Node]:
     """The fusion layers and joins as a node table, from the "genomic" and "patch" tokens to the "fused" embeddings.
 
-    One node per layer, named by its array prefix (``s1.gh.0``, ...), which
-    it hands its ``mgct_layer`` to read its tensors from ``t`` by name and
-    declares as its ``reads``; the nodes come in the order the layers run: the
-    stage-1 stacks, their "pair" join (the (d, 2B) stage-1 tokens,
-    sample-major), the stage-2 stacks and the "fused" join, which gives the
-    (2d, B) embeddings. Without deep fusion "fused" joins the stage-1 pair
-    feature-wise. ``patch_segments`` and ``genomic_segments`` cut the two
-    token sets into the window's B samples; the pair's cut is built here,
-    once per table. The layers record their weights B blocks at a time, and
-    "fused" regroups them by sample into the sinks.
+    One node per ``fusion_layers`` layer (``s1.gh.0``, ...), which resolves
+    its arrays in ``t`` by name once, hands them to its ``mgct_layer`` and
+    declares the names as its ``reads``; the nodes come in the order the
+    layers run: the stage-1 stacks, their "pair" join (the (d, 2B) stage-1
+    tokens, sample-major), the stage-2 stacks and the "fused" join, which
+    gives the (2d, B) embeddings. Without deep fusion "fused" joins the
+    stage-1 pair feature-wise. ``patch_segments`` and ``genomic_segments``
+    cut the two token sets into the window's B samples; the pair's cut is
+    built here, once per table. The layers record their weights B blocks at
+    a time, and "fused" regroups them by sample into the sinks.
     """
     n = patch_segments.sizes.size
     attn, alphas = ([] if sink is not None else None for sink in (attn_sink, alpha_sink))
     kw = dict(ablation=ablation, heads=config.heads, residual=config.residual, attn_sink=attn, alpha_sink=alphas)
     nodes: dict[str, Node] = {}
+    layers = iter(fusion_layers(config, ablation))
 
-    def stack(name, depth, query, context, query_segments, context_segments) -> str:
-        """Add a stack's layers, each taking the one before as its query; returns the last one's name."""
-        for i in range(depth):
-            prefix = f"{name}.{i}"
-            layer = partial(mgct_layer, t=t, prefix=prefix, stage_final=i == depth - 1, **kw,
-                            query_segments=query_segments, context_segments=context_segments)
-            nodes[prefix] = Node((prefix + ".",), (query, context), layer)
-            query = prefix
-        return query
+    def stack(query, context, query_segments, context_segments) -> str:
+        """Add the next stack of ``fusion_layers``, each layer taking the one before as its query; returns the last."""
+        for layer, stage_final, keys, reads in layers:
+            run = partial(mgct_layer, w=dict(zip(keys, map(t.__getitem__, reads))), stage_final=stage_final, **kw,
+                          query_segments=query_segments, context_segments=context_segments)
+            nodes[layer] = Node(reads, (query, context), run)
+            if stage_final:
+                return layer
+            query = layer
 
-    a = stack("s1.gh", config.s1, "genomic", "patch", genomic_segments, patch_segments)  # (d, B)
-    b = stack("s1.hg", config.s1, "patch", "genomic", patch_segments, genomic_segments)  # (d, B)
+    a = stack("genomic", "patch", genomic_segments, patch_segments)  # s1.gh: (d, B)
+    b = stack("patch", "genomic", patch_segments, genomic_segments)  # s1.hg: (d, B)
     if ablation.deep_fusion:
         nodes["pair"] = Node((), (a, b), lambda gh, hg: _sample_major(nk.concat([gh, hg], "cols"), 2))
         pair_segments = nk.Segments([2] * n)
-        a = stack("s2.fh", config.s2, "pair", "patch", pair_segments, patch_segments)
-        b = stack("s2.hf", config.s2, "patch", "pair", patch_segments, pair_segments)
+        a = stack("pair", "patch", pair_segments, patch_segments)  # s2.fh
+        b = stack("patch", "pair", patch_segments, pair_segments)  # s2.hf
 
     def fused(left, right):
         _by_sample(attn, n, attn_sink)
@@ -448,16 +467,6 @@ def classify(r_final: nk.Tensor, w: nk.Tensor, b: nk.Tensor) -> nk.Tensor:
 # parameter layout
 
 
-def _layer_names(config: FusionConfig, ablation: AblationSpec):
-    """Yield (prefix, stage_final) for every fusion layer the model owns."""
-    stacks = [("s1.gh", config.s1), ("s1.hg", config.s1)]
-    if ablation.deep_fusion:
-        stacks += [("s2.fh", config.s2), ("s2.hf", config.s2)]
-    for stack, depth in stacks:
-        for i in range(depth):
-            yield f"{stack}.{i}", i == depth - 1
-
-
 def model_layout(spec: ModelSpec, head_init: str = "zeros"):
     """Yield (name, shape, drawn) for every trainable array, in draw and checkpoint order.
 
@@ -467,19 +476,12 @@ def model_layout(spec: ModelSpec, head_init: str = "zeros"):
     d, cfg = spec.fusion.d, spec.fusion
     yield from snn_layout(list(spec.gene_lengths), d, spec.snn_hidden)
     yield from patch_proj_layout(spec.d_in, d)
-    for prefix, stage_final in _layer_names(cfg, spec.ablation):
-        if spec.ablation.mgca:
-            for name in ("wq", "wk", "wv"):
-                yield f"{prefix}.attn.{name}", (d, d), True
-        if stage_final and spec.ablation.gap:
-            yield f"{prefix}.pool.v", (cfg.d_attn, d), True
-            yield f"{prefix}.pool.u", (cfg.d_attn, d), True
-            yield f"{prefix}.pool.w", (1, cfg.d_attn), True
-        if spec.ablation.feedforward:
-            yield f"{prefix}.mlp.w_in", (cfg.d_ff, d), True
-            yield f"{prefix}.mlp.b_in", (cfg.d_ff, 1), False
-            yield f"{prefix}.mlp.w_out", (d, cfg.d_ff), True
-            yield f"{prefix}.mlp.b_out", (d, 1), False
+    shapes = {"attn.wq": (d, d), "attn.wk": (d, d), "attn.wv": (d, d), "pool.v": (cfg.d_attn, d),
+              "pool.u": (cfg.d_attn, d), "pool.w": (1, cfg.d_attn), "mlp.w_in": (cfg.d_ff, d),
+              "mlp.b_in": (cfg.d_ff, 1), "mlp.w_out": (d, cfg.d_ff), "mlp.b_out": (d, 1)}
+    for _, _, keys, names in fusion_layers(cfg, spec.ablation):
+        for key, name in zip(keys, names):
+            yield name, shapes[key], key not in ("mlp.b_in", "mlp.b_out")  # biases start at zero
     yield "head.w", (cfg.bins, 2 * d), head_init == "xavier"
     yield "head.b", (cfg.bins, 1), False
 
@@ -525,10 +527,11 @@ def window_nodes(
     "genomic" reads the ``snn.`` arrays and gives the (d, S * B) genomic
     tokens, sample-major; "patch" reads ``patch.`` and gives the (d, N)
     patch tokens; the ``fusion_nodes`` follow, and "head" reads ``head.``
-    and gives the (bins, B) logits. A pass may take the output of a node
-    whose inputs and arrays are unchanged from an earlier pass. Sinks, when
-    given, are filled by the "fused" join: a pass that records them runs
-    every node once, in order.
+    and gives the (bins, B) logits. Each node resolves its tensors in ``t``
+    once, here; an array of ``t`` read by no node or by two raises
+    ``ValueError``. A pass may take the output of a node whose inputs and
+    arrays are unchanged from an earlier pass. Sinks, when given, are filled
+    by the "fused" join: a pass that records them runs every node once.
     """
     raw = genomics[0] if len(bags) == 1 else [np.column_stack(cat) for cat in zip(*genomics)]
     cuts = nk.Segments([bag.shape[1] for bag in bags]), nk.Segments([len(raw)] * len(bags))  # patch, genomic
@@ -539,12 +542,16 @@ def window_nodes(
         return _sample_major(g, len(raw))
 
     nodes = {
-        "genomic": Node(("snn.",), (), genomic),
-        "patch": Node(("patch.",), (), lambda: embed_patches(  # one bag as it is, uncopied
-            bags[0] if len(bags) == 1 else np.hstack(bags), t["patch.w"], t["patch.b"])),
+        "genomic": Node(sum(snn_names(len(spec.gene_lengths)), ()), (), genomic),
+        "patch": Node(("patch.w", "patch.b"), (), partial(  # one bag as it is, uncopied
+            embed_patches, bags[0] if len(bags) == 1 else np.hstack(bags), t["patch.w"], t["patch.b"])),
     }
     nodes |= fusion_nodes(t, spec.fusion, spec.ablation, *cuts, attn_sink, alpha_sink)
-    nodes["head"] = Node(("head.",), ("fused",), lambda fused: classify(fused, t["head.w"], t["head.b"]))
+    nodes["head"] = Node(("head.w", "head.b"), ("fused",), partial(classify, w=t["head.w"], b=t["head.b"]))
+    reads = [name for node in nodes.values() for name in node.reads]
+    if len(reads) != len(t) or t.keys() != set(reads):  # every read was found in t: one is missed or doubled
+        raise ValueError("node reads do not partition the model arrays: " + ", ".join(
+            f"{name} is read by {reads.count(name)} nodes" for name in t if reads.count(name) != 1))
     return nodes
 
 
@@ -565,11 +572,10 @@ def window_logits(
     projects its bags side by side; each fusion layer and the head then take
     every sample's tokens at once, cut into samples by the ``nk.Segments``
     the node table builds once per token set (see ``fusion_nodes``).
-    ``dropout_key`` is (seed, step) for one sample or (seed,
-    steps) with one step per sample; dropout is on when ``dropout_p > 0``.
-    One sample records no gather. ``arrays`` holds the model's raw arrays or
-    tensors by name (see ``bind_model``); the (bins, B) hazard logits are
-    taped when they are tape leaves.
+    ``dropout_key`` is (seed, steps) with one step per sample; dropout is on
+    when ``dropout_p > 0``. One sample records no gather. ``arrays`` holds
+    the model's raw arrays or tensors by name (see ``bind_model``); the
+    (bins, B) hazard logits are taped when they are tape leaves.
     """
     nodes = window_nodes(bags, genomics, bind_model(arrays), spec, dropout_p, dropout_key, attn_sink, alpha_sink)
     return run_nodes(nodes)["head"]
@@ -581,7 +587,7 @@ def forward_logits(
     arrays: dict,
     spec: ModelSpec,
     dropout_p: float = 0.0,
-    dropout_key: tuple[int, int] | None = None,
+    dropout_key: tuple | None = None,
     attn_sink: list | None = None,
     alpha_sink: list | None = None,
 ) -> nk.Tensor:

@@ -621,28 +621,28 @@ def _cached_mask(word: int, shape: tuple[int, int], keep: float) -> tuple[np.nda
 
 def _mask_and_drop(key: tuple, shape: tuple[int, int], keep: float) -> tuple[np.ndarray, np.ndarray]:
     """The ``dropout_mask`` of ``key`` and the value its dropped entries take, ``_DROP_VALUE * (1 - mask)``."""
-    seed, layer, step = key
+    seed, layer, steps = key
     prefix = ((seed & _MASK64) << 64) | ((layer & _MASK32) << 32)
-    if isinstance(step, (int, np.integer)):
-        return _cached_mask(prefix | (operator.index(step) & _MASK32), shape, keep)
-    words = [prefix | (operator.index(s) & _MASK32) for s in step]
+    words = [prefix | (operator.index(s) & _MASK32) for s in steps]
     if len(words) != shape[1]:
         raise ShapeError(f"dropout_mask: {len(words)} steps for {shape[1]} columns")
+    if len(words) == 1:
+        return _cached_mask(words[0], shape, keep)
     mask = _keyed_draws(words, (shape[0],), keep).T
     return mask, _DROP_VALUE * (1.0 - mask)
 
 
 def dropout_mask(key: tuple, shape: tuple[int, int], keep: float) -> np.ndarray:
-    """Deterministic keep-mask from a counter-based generator keyed by (seed, layer, step).
+    """Deterministic keep-mask from a counter-based generator keyed by (seed, layer, steps).
 
-    ``step`` may also be a sequence with one step per column: column i is then
-    the (rows, 1) mask of ``(seed, layer, step[i])``, so a batch of samples
-    stacked as columns draws what each sample would draw alone.
+    ``steps`` holds one step per column: column i is the (rows, 1) mask of
+    step ``steps[i]``, so a batch of samples stacked as columns draws what
+    each sample would draw alone.
 
     Each call draws from one Philox bit generator, re-keyed per step. Only
-    integer-step masks are memoized (read-only), so repeated evaluation at
-    the same key (e.g. during a finite-difference sweep) reuses the same
-    draw; a window of steps is drawn afresh, since its masks never repeat.
+    one-step masks are memoized (read-only), so repeated evaluation at the
+    same key (e.g. during a finite-difference sweep) reuses the same draw; a
+    window of several steps is drawn afresh, since its masks never repeat.
     """
     return _mask_and_drop(key, shape, keep)[0]
 
@@ -651,8 +651,8 @@ def alpha_dropout(a: Tensor, p: float, key: tuple) -> Tensor:
     """Self-normalizing dropout: dropped entries saturate at a fixed negative
     value and an affine correction restores the mean/variance of a
     standard-normal input. Identity at p == 0, the evaluation setting.
-    ``key`` is the ``dropout_mask`` key (seed, layer, step or one step per
-    column).
+    ``key`` is the ``dropout_mask`` key (seed, layer, steps), one step per
+    column.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"alpha_dropout: p must lie in [0, 1), got {p}")

@@ -150,9 +150,9 @@ def window_losses(
     """The (1, B) row of training NLLs of a window's samples: forward, sigmoid, discrete-time NLL.
 
     One forward pass covers the window (see ``window_logits``); ``dropout_key``
-    is (seed, step) for one sample or (seed, steps) with one step per sample.
-    Taped when ``arrays`` holds tape leaves, untaped when it holds raw
-    arrays (see ``bind_model``). With ``dropout=0`` each loss equals the evaluation-mode loss.
+    is (seed, steps) with one step per sample. Taped when ``arrays`` holds
+    tape leaves, untaped when it holds raw arrays (see ``bind_model``). With
+    ``dropout=0`` each loss equals the evaluation-mode loss.
     """
     logits = window_logits(
         [s.patches for s in samples],
@@ -204,9 +204,7 @@ def window_loss_and_grads(
     losses: list[float] = []
     grads: dict[str, np.ndarray] | None = None
     for start, stop in tape_spans([s.patches.shape[1] for s in samples], TAPE_PATCHES):
-        key = dropout_key
-        if stop - start < len(samples) and key is not None:
-            key = (key[0], key[1][start:stop])
+        key = None if dropout_key is None else (dropout_key[0], dropout_key[1][start:stop])
         tape = nk.Tape()
         leaves = {name: tape.leaf(arr) for name, arr in arrays.items()}
         run = window_losses(samples[start:stop], leaves, spec, labels[start:stop], dropout, key, loss_alpha)

@@ -100,7 +100,7 @@ def test_criterion_1_gradient_correctness():
     label = sv.SurvivalLabel(t=10.0, event=1, bin=1)
 
     start = time.monotonic()
-    err, worst = model_gradient_error(spec, arrays, sample, label, dropout=0.25, dropout_key=(5, 0))
+    err, worst = model_gradient_error(spec, arrays, sample, label, dropout=0.25, dropout_key=(5, [0]))
     elapsed = time.monotonic() - start
     n_params = sum(a.size for a in arrays.values())
     ok = err < 1e-4 and elapsed < 30.0
@@ -213,7 +213,7 @@ def test_criterion_5_gradient_accumulation_equivalence(default_dataset):
     )
     # oracle route: 32 batch-1 gradients, stacked, and their mean taken directly
     per_sample = [
-        sample_loss_and_grads(s, arrays, spec, label, dropout=cfg.dropout, dropout_key=(cfg.seed, i))[1]
+        sample_loss_and_grads(s, arrays, spec, label, dropout=cfg.dropout, dropout_key=(cfg.seed, [i]))[1]
         for i, (s, label) in enumerate(zip(samples, labels))
     ]
     direct = {k: np.mean([g[k] for g in per_sample], axis=0) for k in per_sample[0]}

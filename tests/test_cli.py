@@ -517,6 +517,27 @@ def test_blas_threads_and_jobs_leave_the_outputs_byte_identical(tmp_path):
     assert all(files == first for files in outputs.values())
 
 
+@pytest.mark.parametrize("command", ["synth", "cv", "eval"])
+def test_output_path_blocked_by_a_file_exits_2_naming_it(tmp_path, dataset_dir, command):
+    # synth's --out, cv's --out and the directory of eval's --km-out are each a plain file
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    if command == "synth":
+        argv = ["synth", "--out", str(blocker), "--n", "12", "--seed", "3"]
+    elif command == "cv":
+        argv = ["cv", "--config", write_config(tmp_path, dataset_dir), "--out", str(blocker)]
+    else:
+        runs = tmp_path / "runs"
+        assert main(["train", "--config", write_config(tmp_path, dataset_dir), "--out", str(runs)]) == 0
+        argv = ["eval", "--checkpoint", str(run_dirs(runs)[0] / "fold_0.ckpt")]
+        argv += ["--manifest", str(dataset_dir / "manifest.csv"), "--km-out", str(blocker / "x")]
+    before = sorted(tmp_path.rglob("*"))
+    proc = run_mgct(argv)
+    assert proc.returncode == 2 and proc.stdout == ""  # eval prints no metric
+    assert proc.stderr.startswith("error: ") and str(blocker) in proc.stderr and "Traceback" not in proc.stderr
+    assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == ""  # no KM file, no run directory
+
+
 class TestEvalCommand:
     def test_outputs_exist_and_parse(self, tmp_path, dataset_dir, capsys):
         cfg = write_config(tmp_path, dataset_dir)

@@ -39,7 +39,7 @@ class TestGenomicEmbedder:
         _, params = snn_setup([4, 4, 4], d=6)
         rng = np.random.default_rng(2)
         raw = [rng.normal(size=4) for _ in range(3)]
-        a = embed_genomics(raw, params, dropout_p=0.0, dropout_key=(0, 0))
+        a = embed_genomics(raw, params, dropout_p=0.0, dropout_key=(0, [0]))
         b = embed_genomics(raw, params)
         np.testing.assert_array_equal(a.data, b.data)
 
@@ -80,7 +80,7 @@ class TestGenomicEmbedder:
         window = embed_genomics(stacked, params, dropout_p=0.25, dropout_key=(4, steps))
         assert window.shape == (6, 3 * 5)
         for b, (raw, step) in enumerate(zip(samples, steps)):
-            alone = embed_genomics(raw, params, dropout_p=0.25, dropout_key=(4, step))
+            alone = embed_genomics(raw, params, dropout_p=0.25, dropout_key=(4, [step]))
             np.testing.assert_allclose(window.data[:, b::5], alone.data, rtol=0, atol=1e-13)
 
     def test_window_size_mismatch(self):
@@ -95,7 +95,7 @@ class TestGenomicEmbedder:
         raw = [rng.uniform(-2, 2, n) for n in gene_lengths]
 
         def build(t):
-            out = embed_genomics(raw, bind_snn(t, 2), dropout_p=0.3, dropout_key=(7, 1))
+            out = embed_genomics(raw, bind_snn(t, 2), dropout_p=0.3, dropout_key=(7, [1]))
             return nk.sum_all(nk.tanh(out))
 
         err, name = gradient_error(build, arrays)

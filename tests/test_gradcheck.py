@@ -6,6 +6,7 @@ with bitwise the gradients of whole forwards, for every ablation preset."""
 
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,22 +171,37 @@ def test_nan_error_is_the_worst():
     assert np.isnan(err) and name == "b"
 
 
-@pytest.mark.parametrize("preset", AblationSpec.preset_names())
-def test_every_model_array_has_one_resume_point(preset):
+@pytest.mark.parametrize(
+    "preset, fusion",
+    [(p, {}) for p in AblationSpec.preset_names()] + [("E", {"heads": 2, "residual": True})],
+    ids=AblationSpec.preset_names() + ["E residual two heads"],
+)
+def test_every_model_array_has_one_resume_point(preset, fusion):
+    # the model check resumes a move from the one node whose reads name the moved array
     spec = verify._tiny_spec(AblationSpec.preset(preset))
+    spec = replace(spec, fusion=replace(spec.fusion, **fusion))
     t = bind_model(init_model_arrays(spec, seed=0))
     nodes = window_nodes([np.ones((spec.d_in, 3))], [[np.ones(n) for n in spec.gene_lengths]], t, spec)
-    used = set()
-    for name, _, _ in mgct_core.model_layout(spec):
-        matches = [key for key, node in nodes.items() if name.startswith(node.reads)]
-        assert matches == [verify.resume_point(name, nodes)], name
-        used.update(matches)
+    reads = [name for node in nodes.values() for name in node.reads]
+    assert sorted(reads) == sorted(name for name, _, _ in mgct_core.model_layout(spec))
     # a layer without attention, pooling and feed-forward owns no arrays, and preset A has no stage two
+    owners = {key for key, node in nodes.items() if node.reads}
     layers = {key for key in nodes if key.startswith(("s1.", "s2."))}
-    assert used == {"genomic", "patch", "head"} | (set() if preset in "AB" else layers)
+    assert owners == {"genomic", "patch", "head"} | (set() if preset in "AB" else layers)
     assert any(key.startswith("s2.") for key in nodes) == spec.ablation.deep_fusion == (preset != "A")
-    with pytest.raises(ValueError, match="read by 0 model nodes"):
-        verify.resume_point("bogus.w", nodes)
+
+
+def test_a_table_that_misses_or_doubles_an_array_fails_at_build(monkeypatch):
+    spec = verify._tiny_spec()
+    t = bind_model(init_model_arrays(spec, seed=0))
+    window = [np.ones((spec.d_in, 3))], [[np.ones(n) for n in spec.gene_lengths]]
+    with pytest.raises(ValueError, match=r"^node reads do not partition the model arrays: bogus\.w is read by 0 nodes$"):
+        window_nodes(*window, t | {"bogus.w": nk.Tensor(np.ones((1, 1)))}, spec)
+    real = mgct_core.fusion_nodes
+    doubled = mgct_core.Node(("s1.gh.0.attn.wq",), (), lambda: None)
+    monkeypatch.setattr(mgct_core, "fusion_nodes", lambda *a, **kw: real(*a, **kw) | {"extra": doubled})
+    with pytest.raises(ValueError, match=r": s1\.gh\.0\.attn\.wq is read by 2 nodes$"):
+        window_nodes(*window, t, spec)
 
 
 @pytest.fixture(scope="module")

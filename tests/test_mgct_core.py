@@ -50,16 +50,14 @@ def make_pool(rng, d, d_attn=4):
 
 
 def make_layer(rng, d, d_attn=4, d_ff=6):
-    """One fusion layer's tensors, named as ``mgct_layer`` reads them under the prefix "L"."""
+    """One fusion layer's tensors, by the keys ``mgct_layer`` reads them as."""
     names = ("attn.wq", "attn.wk", "attn.wv", "pool.v", "pool.u", "pool.w")
-    t = dict(zip(names, make_mgca(rng, d) + make_pool(rng, d, d_attn)))
-    t |= {
+    return dict(zip(names, make_mgca(rng, d) + make_pool(rng, d, d_attn))) | {
         "mlp.w_in": rng_tensor(rng, d_ff, d),
         "mlp.b_in": nk.Tensor(np.zeros((d_ff, 1))),
         "mlp.w_out": rng_tensor(rng, d, d_ff),
         "mlp.b_out": nk.Tensor(np.zeros((d, 1))),
     }
-    return {f"L.{name}": tensor for name, tensor in t.items()}
 
 
 class TestMgca:
@@ -168,14 +166,14 @@ class TestMgctLayer:
         rng = np.random.default_rng(11)
         layer = make_layer(rng, 6)
         cuts = nk.Segments([4]), nk.Segments([9])
-        out = mgct_layer(rng_tensor(rng, 6, 4), rng_tensor(rng, 6, 9), layer, "L", True, *cuts)
+        out = mgct_layer(rng_tensor(rng, 6, 4), rng_tensor(rng, 6, 9), layer, True, *cuts)
         assert out.shape == (6, 1)
 
     def test_intermediate_preserves_token_count(self):
         rng = np.random.default_rng(12)
         layer = make_layer(rng, 6)
         cuts = nk.Segments([4]), nk.Segments([9])
-        out = mgct_layer(rng_tensor(rng, 6, 4), rng_tensor(rng, 6, 9), layer, "L", False, *cuts)
+        out = mgct_layer(rng_tensor(rng, 6, 4), rng_tensor(rng, 6, 9), layer, False, *cuts)
         assert out.shape == (6, 4)
 
     def test_single_token_stage_final_weight_is_one(self):
@@ -183,7 +181,7 @@ class TestMgctLayer:
         layer = make_layer(rng, 5)
         sink = []
         mgct_layer(
-            rng_tensor(rng, 5, 1), rng_tensor(rng, 5, 3), layer, "L", True, nk.Segments([1]), nk.Segments([3]),
+            rng_tensor(rng, 5, 1), rng_tensor(rng, 5, 3), layer, True, nk.Segments([1]), nk.Segments([3]),
             alpha_sink=sink,
         )
         np.testing.assert_array_equal(sink[0], [[1.0]])
@@ -196,13 +194,13 @@ class TestMgctLayer:
             "pool.v": (3, d), "pool.u": (3, d), "pool.w": (1, 3),
             "mlp.w_in": (6, d), "mlp.b_in": (6, 1), "mlp.w_out": (d, 6), "mlp.b_out": (d, 1),
         }
-        arrays = {f"L.{k}": rng.uniform(-1, 1, shape) for k, shape in names.items()}
+        arrays = {k: rng.uniform(-1, 1, shape) for k, shape in names.items()}
         query = rng.uniform(-1, 1, (d, m))
         context = rng.uniform(-1, 1, (d, n))
 
         def build(t):
             return nk.sum_all(
-                mgct_layer(nk.Tensor(query), nk.Tensor(context), t, "L", True, nk.Segments([m]), nk.Segments([n]))
+                mgct_layer(nk.Tensor(query), nk.Tensor(context), t, True, nk.Segments([m]), nk.Segments([n]))
             )
 
         err, name = gradient_error(build, arrays)

@@ -50,7 +50,7 @@ def tiny_dataset(n=24, seed=5):
 def mean_of_sample_grads(samples, arrays, spec, labels, seed, first_step, dropout):
     """Per-sample losses and the mean of the one-sample gradients, step by step as in the paper."""
     per = [
-        sample_loss_and_grads(s, arrays, spec, label, dropout=dropout, dropout_key=(seed, first_step + i))
+        sample_loss_and_grads(s, arrays, spec, label, dropout=dropout, dropout_key=(seed, [first_step + i]))
         for i, (s, label) in enumerate(zip(samples, labels))
     ]
     mean = {name: np.mean([g[name] for _, g in per], axis=0) for name in arrays}
@@ -347,7 +347,7 @@ class TestWindowEquivalence:
         )
         arrays = init_model_arrays(spec, seed=1, head_init="xavier")
         s = ds.samples[0]
-        loss, _ = sample_loss_and_grads(s, arrays, spec, sv.SurvivalLabel(s.t, s.event, bin=1), 0.1, (0, 3))
+        loss, _ = sample_loss_and_grads(s, arrays, spec, sv.SurvivalLabel(s.t, s.event, bin=1), 0.1, (0, [3]))
         assert np.isfinite(loss)
         assert np.isfinite(predict(s, arrays, spec).risk)
 
