@@ -18,7 +18,8 @@ immutable once built, with one exception: the finite-difference oracle
 (``gradcheck``) perturbs its own working arrays in place between untaped
 forward calls (each process of a split sweep its own copy of them). When
 no operand is on a tape an op just computes and returns: it records
-nothing and does no tape bookkeeping.
+nothing and does no tape bookkeeping. Each node keeps only what its pull
+reads: an elementwise node keeps its output, not its input.
 
 Shapes in comments use the convention ``(rows, cols)``.
 """
@@ -312,14 +313,15 @@ def _elu(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, x, np.expm1(np.minimum(x, 1.0)))
 
 
-# kind -> (forward, derivative in terms of input x and output y); the
-# derivative is looked up at backward time so a test can inject a deliberate
-# fault, which ``verify`` must catch, without touching recorded nodes.
+# kind -> (forward, derivative in terms of the output y), so a node keeps only
+# its output; exact, since y > 0 exactly where x > 0 for relu and elu (NaN:
+# neither). The derivative is looked up at backward time so a test can inject
+# a deliberate fault, which ``verify`` must catch, without touching recorded nodes.
 ELEMENTWISE_KINDS: dict[str, tuple[Callable, Callable]] = {
-    "tanh": (np.tanh, lambda x, y: 1.0 - y * y),
-    "sigmoid": (_sigmoid, lambda x, y: y * (1.0 - y)),
-    "relu": (lambda x: np.maximum(x, 0.0), lambda x, y: (x > 0).astype(np.float64)),
-    "elu": (_elu, lambda x, y: np.where(x > 0, 1.0, y + 1.0)),
+    "tanh": (np.tanh, lambda y: 1.0 - y * y),
+    "sigmoid": (_sigmoid, lambda y: y * (1.0 - y)),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda y: (y > 0).astype(np.float64)),
+    "elu": (_elu, lambda y: np.where(y > 0, 1.0, y + 1.0)),
 }
 
 
@@ -331,11 +333,10 @@ def elementwise(a: Tensor, kind: str) -> Tensor:
     out = fwd(a.data)
     if a.tape is None:
         return _wrap(out)
-    ad = a.data
 
     def pull(g):
         deriv = ELEMENTWISE_KINDS[kind][1]
-        return (g * deriv(ad, out),)
+        return (g * deriv(out),)
 
     return a.tape._emit(out, (a,), pull)
 

@@ -357,6 +357,7 @@ def train_fold(
                 lr=config.learning_rate,
                 weight_decay=config.weight_decay,
             )
+            del grads  # the next window's forward and backward run without this one's gradients
 
         if val_samples:
             _, ci, auc = evaluate(val_samples, arrays, spec, horizon)

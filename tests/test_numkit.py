@@ -2,6 +2,7 @@
 layout round-trips, and dropout statistics."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -154,6 +155,35 @@ class TestElementwise:
         # offset away from 0 so relu's kink never sits on a sample point
         x = rand(3, 4, seed=6) + 0.11
         check_unary(lambda t: nk.elementwise(t, kind), x)
+
+    # each kind's derivative from its input x and output y: the reference the
+    # output-only derivatives of ELEMENTWISE_KINDS must match bit for bit
+    INPUT_DERIVATIVES = {
+        "tanh": lambda x, y: 1.0 - y * y,
+        "sigmoid": lambda x, y: y * (1.0 - y),
+        "relu": lambda x, y: (x > 0).astype(np.float64),
+        "elu": lambda x, y: np.where(x > 0, 1.0, y + 1.0),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(INPUT_DERIVATIVES))
+    def test_output_derivative_matches_input_form_bitwise(self, kind):
+        edges = [0.0, 5e-324, 1e-300, 800.0, np.inf, np.nan]
+        x = np.concatenate([edges, np.negative(edges), np.linspace(-40.0, 40.0, 4001)])[None, :]
+        fwd, deriv = nk.ELEMENTWISE_KINDS[kind]
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = fwd(x)
+            expected = self.INPUT_DERIVATIVES[kind](x, y)
+            assert deriv(y).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["tanh", "sigmoid", "relu", "elu"])
+    def test_node_frees_its_input(self, kind):
+        tape = nk.Tape()
+        h = nk.matmul(tape.leaf(rand(4, 3, seed=13)), nk.Tensor(rand(3, 5, seed=14)))
+        ref = weakref.ref(h.data)
+        out = nk.elementwise(h, kind)
+        del h
+        assert ref() is None
+        assert out.tape is tape and tape.nodes[out.node_id].pull is not None
 
 
 class TestConcatSplit:

@@ -3,6 +3,8 @@
 import logging
 import multiprocessing
 import os
+import tracemalloc
+import weakref
 from dataclasses import replace
 from multiprocessing.context import ForkProcess
 
@@ -291,6 +293,20 @@ class TestWindowEquivalence:
         window_loss_and_grads(ds.samples[:32], arrays, spec, labels[:32], dropout=0.25, dropout_key=(0, range(32)))
         assert sizes == [221]
 
+    def test_reference_window_memory_peak(self, reference_cohort):
+        # a guard on memory drift: the window's traced peak reads 15.4 MiB; a
+        # tape whose elementwise nodes also keep their inputs reads 18.8 MiB
+        ds, labels = reference_cohort
+        spec = reference_spec(ds)  # preset E
+        arrays = init_model_arrays(spec, seed=2)
+        tracemalloc.start()
+        try:
+            window_loss_and_grads(ds.samples[:32], arrays, spec, labels[:32], dropout=0.25, dropout_key=(0, range(32)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16.5 * 2**20
+
     @pytest.mark.parametrize("max_patches", [train.TAPE_PATCHES, 200])
     def test_evaluate_matches_predict(self, monkeypatch, reference_cohort, max_patches):
         ds, _ = reference_cohort
@@ -422,6 +438,23 @@ class TestTrainFold:
         ]
         for name in a.arrays:
             np.testing.assert_array_equal(a.arrays[name], b.arrays[name])
+
+    def test_window_gradients_die_with_their_step(self, monkeypatch):
+        # no window's gradient arrays are alive while the next window runs
+        alive = []
+        real = train.window_loss_and_grads
+
+        def recording(*args, **kwargs):
+            assert [ref for ref in alive if ref() is not None] == []
+            losses, grads = real(*args, **kwargs)
+            alive[:] = [weakref.ref(g) for g in grads.values()]
+            return losses, grads
+
+        monkeypatch.setattr(train, "window_loss_and_grads", recording)
+        ds = tiny_dataset()
+        split = monte_carlo_splits(ds.ids, 1, ratio=0.2, seed=0)[0]
+        train_fold(ds, split, tiny_config(epochs=2))
+        assert alive and [ref for ref in alive if ref() is not None] == []
 
     def test_training_reduces_loss(self):
         ds = tiny_dataset(n=40)
