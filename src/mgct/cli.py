@@ -22,6 +22,8 @@ import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import checkpoint as ckpt
 from . import dataio, survival, verify
 from .mgct_core import AblationSpec, Config, ConfigError, FusionConfig, ModelSpec, from_json, model_layout
@@ -268,6 +270,7 @@ def cmd_eval(args) -> int:
         for name, shape in shapes.items()
         if name in arrays and arrays[name].shape != shape
     ]
+    problems += [f"block {name!r} holds a non-finite value" for name, a in arrays.items() if not np.isfinite(a).all()]
     if problems:
         raise ckpt.CheckpointError(f"{args.checkpoint}: " + "; ".join(problems))
     dataset = load_dataset(DatasetConfig(args.manifest, args.category_map or ""))

@@ -288,8 +288,8 @@ def read_category_map(path) -> CategoryMap:
     categories = tuple(doc.keys())
     genes = {}
     for cat, names in doc.items():
-        if not isinstance(names, list) or not all(isinstance(g, str) for g in names):
-            raise IngestError(f"{path}: category {cat!r} must map to a list of gene names")
+        if not isinstance(names, list) or not names or not all(isinstance(g, str) for g in names):
+            raise IngestError(f"{path}: category {cat!r} must map to a non-empty list of gene names")
         genes[cat] = tuple(names)
     return CategoryMap(categories=categories, genes=genes)
 
@@ -319,7 +319,10 @@ def load_samples(manifest_path, cmap: CategoryMap) -> Dataset:
     for desc in read_manifest(manifest_path):
         patches = read_bag(desc.bag_path)
         table = read_genomic_csv(desc.genomic_path)
-        genomic = group_genomics(table, cmap)
+        try:
+            genomic = group_genomics(table, cmap)
+        except IngestError as exc:
+            raise IngestError(f"{desc.genomic_path}: {exc}") from None
         if samples:  # every sample has the first one's bag width and per-category gene counts
             want = (samples[0].patches.shape[0], [len(v) for v in samples[0].genomic])
             got = (patches.shape[0], [len(v) for v in genomic])

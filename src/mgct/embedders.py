@@ -20,11 +20,6 @@ SNN_HIDDEN_DEFAULT = 256  # two hidden layers of this width per category
 DROPOUT_DEFAULT = 0.25
 
 
-def xavier_uniform(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    limit = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-limit, limit, size=(rows, cols))
-
-
 @dataclass
 class SnnCategoryParams:
     w1: nk.Tensor  # (hidden, len_s)
@@ -40,25 +35,6 @@ class SnnParams:
     per_category: list[SnnCategoryParams]
 
 
-def snn_layout(gene_lengths: list[int], d: int, hidden: int):
-    """Yield (name, shape, drawn) for every genomic-network array, in draw order."""
-    for s, length in enumerate(gene_lengths):
-        yield f"snn.c{s}.w1", (hidden, length), True
-        yield f"snn.c{s}.b1", (hidden, 1), False
-        yield f"snn.c{s}.w2", (hidden, hidden), True
-        yield f"snn.c{s}.b2", (hidden, 1), False
-        yield f"snn.c{s}.w_out", (d, hidden), True
-        yield f"snn.c{s}.b_out", (d, 1), False
-
-
-def init_arrays(layout, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """The arrays of a (name, shape, drawn) layout, in its order.
-
-    Drawn arrays are Xavier-uniform from ``rng``, the others zero.
-    """
-    return {name: xavier_uniform(*shape, rng) if drawn else np.zeros(shape) for name, shape, drawn in layout}
-
-
 @lru_cache(maxsize=16)
 def snn_names(n_categories: int) -> tuple[tuple[str, ...], ...]:
     """The genomic networks' array names, one tuple per category in ``SnnCategoryParams`` field order."""
@@ -69,12 +45,6 @@ def snn_names(n_categories: int) -> tuple[tuple[str, ...], ...]:
 def bind_snn(t: dict[str, nk.Tensor], n_categories: int) -> SnnParams:
     """The genomic networks' tensors, read from ``t`` by name."""
     return SnnParams([SnnCategoryParams(*map(t.__getitem__, names)) for names in snn_names(n_categories)])
-
-
-def patch_proj_layout(d_in: int, d: int):
-    """Yield (name, shape, drawn) for the patch projection's arrays."""
-    yield "patch.w", (d, d_in), True
-    yield "patch.b", (d, 1), False
 
 
 def embed_genomics(

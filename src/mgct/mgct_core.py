@@ -36,16 +36,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import numkit as nk
-from .embedders import (
-    SNN_HIDDEN_DEFAULT,
-    bind_snn,
-    embed_genomics,
-    embed_patches,
-    init_arrays,
-    patch_proj_layout,
-    snn_layout,
-    snn_names,
-)
+from .embedders import SNN_HIDDEN_DEFAULT, bind_snn, embed_genomics, embed_patches, snn_names
 
 
 class ConfigError(ValueError):
@@ -292,7 +283,6 @@ def mgct_layer(
     stage_final: bool,
     query_segments: nk.Segments,
     context_segments: nk.Segments,
-    ablation: AblationSpec = FULL_MODEL,
     heads: int = 1,
     residual: bool = False,
     attn_sink: list | None = None,
@@ -302,8 +292,11 @@ def mgct_layer(
 
     ``w`` holds the layer's tensors by their ``fusion_layers`` keys
     (``w["attn.wq"]``, ...); ``fusion_nodes`` resolves them once per table.
+    The layer runs the blocks ``w`` holds: attention with ``attn.*``, gated
+    pooling with ``pool.*`` (a stage-final layer without it takes the mean)
+    and the feed-forward with ``mlp.*``; a missing block passes its input on.
     """
-    if ablation.mgca:
+    if "attn.wq" in w:
         r = mgca(query_tokens, context_tokens, w["attn.wq"], w["attn.wk"], w["attn.wv"],
                  query_segments, context_segments, heads, attn_sink)
         if residual:
@@ -311,13 +304,13 @@ def mgct_layer(
     else:
         r = query_tokens
     if stage_final:
-        if ablation.gap:
+        if "pool.v" in w:
             r, alpha = gated_attention_pool(r, w["pool.v"], w["pool.u"], w["pool.w"], query_segments)
         else:
             r, alpha = mean_pool(r, query_segments)
         if alpha_sink is not None:
             alpha_sink.extend(np.split(alpha.data, query_segments.offsets[1:-1], axis=1))
-    if ablation.feedforward:
+    if "mlp.w_in" in w:
         hidden = nk.relu(nk.affine(w["mlp.w_in"], r, w["mlp.b_in"]))
         out = nk.affine(w["mlp.w_out"], hidden, w["mlp.b_out"])
         if residual:
@@ -327,21 +320,28 @@ def mgct_layer(
 
 
 @lru_cache(maxsize=64)
-def fusion_layers(config: FusionConfig, ablation: AblationSpec) -> tuple[tuple[str, bool, tuple, tuple], ...]:
-    """(layer, stage_final, keys, names) of every fusion layer, stack by stack in run order: the keys ``mgct_layer``
-    reads the layer's arrays by (``w["attn.wq"]``, ...), in draw order, and their names ``<layer>.<key>``."""
+def fusion_layers(config: FusionConfig, ablation: AblationSpec) -> tuple[tuple[str, bool, tuple, tuple, tuple], ...]:
+    """(layer, stage_final, keys, names, shapes) of every fusion layer, stack by stack in run order.
+
+    The keys are those ``mgct_layer`` reads the layer's arrays by
+    (``w["attn.wq"]``, ...), in draw order, the names ``<layer>.<key>``.
+    The ablation picks the blocks here, once: attention, the stage end's
+    gated pooling and the feed-forward, each with its arrays' shapes.
+    """
+    d, d_attn, d_ff = config.d, config.d_attn, config.d_ff
+    attn = {"attn.wq": (d, d), "attn.wk": (d, d), "attn.wv": (d, d)} if ablation.mgca else {}
+    pool = {"pool.v": (d_attn, d), "pool.u": (d_attn, d), "pool.w": (1, d_attn)} if ablation.gap else {}
+    mlp = {"mlp.w_in": (d_ff, d), "mlp.b_in": (d_ff, 1), "mlp.w_out": (d, d_ff), "mlp.b_out": (d, 1)}
+    mlp = mlp if ablation.feedforward else {}
     stacks = [("s1.gh", config.s1), ("s1.hg", config.s1)]
     if ablation.deep_fusion:
         stacks += [("s2.fh", config.s2), ("s2.hf", config.s2)]
     layers = []
     for stack, depth in stacks:
         for i in range(depth):
-            keys = ("attn.wq", "attn.wk", "attn.wv") if ablation.mgca else ()
-            if i == depth - 1 and ablation.gap:
-                keys += ("pool.v", "pool.u", "pool.w")
-            if ablation.feedforward:
-                keys += ("mlp.w_in", "mlp.b_in", "mlp.w_out", "mlp.b_out")
-            layers.append((f"{stack}.{i}", i == depth - 1, keys, tuple(f"{stack}.{i}.{key}" for key in keys)))
+            blocks = attn | (pool if i == depth - 1 else {}) | mlp
+            names = tuple(f"{stack}.{i}.{key}" for key in blocks)
+            layers.append((f"{stack}.{i}", i == depth - 1, tuple(blocks), names, tuple(blocks.values())))
     return tuple(layers)
 
 
@@ -406,13 +406,13 @@ def fusion_nodes(
     """
     n = patch_segments.sizes.size
     attn, alphas = ([] if sink is not None else None for sink in (attn_sink, alpha_sink))
-    kw = dict(ablation=ablation, heads=config.heads, residual=config.residual, attn_sink=attn, alpha_sink=alphas)
+    kw = dict(heads=config.heads, residual=config.residual, attn_sink=attn, alpha_sink=alphas)
     nodes: dict[str, Node] = {}
     layers = iter(fusion_layers(config, ablation))
 
     def stack(query, context, query_segments, context_segments) -> str:
         """Add the next stack of ``fusion_layers``, each layer taking the one before as its query; returns the last."""
-        for layer, stage_final, keys, reads in layers:
+        for layer, stage_final, keys, reads, _ in layers:
             run = partial(mgct_layer, w=dict(zip(keys, map(t.__getitem__, reads))), stage_final=stage_final, **kw,
                           query_segments=query_segments, context_segments=context_segments)
             nodes[layer] = Node(reads, (query, context), run)
@@ -470,20 +470,27 @@ def classify(r_final: nk.Tensor, w: nk.Tensor, b: nk.Tensor) -> nk.Tensor:
 def model_layout(spec: ModelSpec, head_init: str = "zeros"):
     """Yield (name, shape, drawn) for every trainable array, in draw and checkpoint order.
 
-    Drawn arrays are Xavier-uniform, the others zero; ``head.w`` is drawn
-    only for ``head_init="xavier"``.
+    The genomic networks come first (category by category, in ``snn_names``
+    order), then the patch projection, the ``fusion_layers`` and the head.
+    Drawn arrays are Xavier-uniform; biases (a ``b...`` key) start at zero,
+    and so does ``head.w`` unless ``head_init="xavier"``.
     """
-    d, cfg = spec.fusion.d, spec.fusion
-    yield from snn_layout(list(spec.gene_lengths), d, spec.snn_hidden)
-    yield from patch_proj_layout(spec.d_in, d)
-    shapes = {"attn.wq": (d, d), "attn.wk": (d, d), "attn.wv": (d, d), "pool.v": (cfg.d_attn, d),
-              "pool.u": (cfg.d_attn, d), "pool.w": (1, cfg.d_attn), "mlp.w_in": (cfg.d_ff, d),
-              "mlp.b_in": (cfg.d_ff, 1), "mlp.w_out": (d, cfg.d_ff), "mlp.b_out": (d, 1)}
-    for _, _, keys, names in fusion_layers(cfg, spec.ablation):
-        for key, name in zip(keys, names):
-            yield name, shapes[key], key not in ("mlp.b_in", "mlp.b_out")  # biases start at zero
-    yield "head.w", (cfg.bins, 2 * d), head_init == "xavier"
-    yield "head.b", (cfg.bins, 1), False
+    d, h, cfg = spec.fusion.d, spec.snn_hidden, spec.fusion
+    shapes = []
+    for names, length in zip(snn_names(len(spec.gene_lengths)), spec.gene_lengths):
+        shapes += zip(names, [(h, length), (h, 1), (h, h), (h, 1), (d, h), (d, 1)])
+    shapes += [("patch.w", (d, spec.d_in)), ("patch.b", (d, 1))]
+    for *_, names, layer_shapes in fusion_layers(cfg, spec.ablation):
+        shapes += zip(names, layer_shapes)
+    shapes += [("head.w", (cfg.bins, 2 * d)), ("head.b", (cfg.bins, 1))]
+    for name, shape in shapes:
+        bias = name.rsplit(".", 1)[1].startswith("b")
+        yield name, shape, not bias and (name != "head.w" or head_init == "xavier")
+
+
+def xavier_uniform(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+    limit = np.sqrt(6.0 / sum(shape))
+    return rng.uniform(-limit, limit, size=shape)
 
 
 def init_model_arrays(spec: ModelSpec, seed, head_init: str = "zeros") -> dict[str, np.ndarray]:
@@ -499,7 +506,8 @@ def init_model_arrays(spec: ModelSpec, seed, head_init: str = "zeros") -> dict[s
     spec.fusion.validate()
     if head_init not in ("zeros", "xavier"):
         raise ValueError(f"unknown head_init {head_init!r}")
-    return init_arrays(model_layout(spec, head_init), np.random.default_rng(seed))
+    rng, layout = np.random.default_rng(seed), model_layout(spec, head_init)
+    return {name: xavier_uniform(shape, rng) if drawn else np.zeros(shape) for name, shape, drawn in layout}
 
 
 def bind_model(arrays: dict) -> dict[str, nk.Tensor]:

@@ -648,8 +648,11 @@ class TestEvalCommand:
             (lambda arrays: arrays.update({"patch.b": np.zeros((1, 1))}), "block 'patch.b' is (1, 1)"),
             (lambda arrays: arrays.update(bogus=np.zeros((2, 2))), "unexpected block 'bogus'"),
             (lambda arrays: arrays.update({"head.w": np.zeros((4, 3))}), "block 'head.w' is (4, 3)"),
+            # scored, a NaN block gives every sample a NaN risk: no C-index, AUC or risk group means anything
+            (lambda arrays: arrays.update({"head.b": np.full((4, 1), np.nan)}), "block 'head.b' holds a non-finite"),
+            (lambda arrays: arrays["snn.c0.w1"].__setitem__((0, 0), -np.inf), "block 'snn.c0.w1' holds a non-finite"),
         ],
-        ids=["missing", "head.b-1x1", "patch.b-1x1", "extra", "head.w-4x3"],
+        ids=["missing", "head.b-1x1", "patch.b-1x1", "extra", "head.w-4x3", "head.b-nan", "snn.c0.w1-inf"],
     )
     def test_bad_checkpoint_block_exits_2(self, tmp_path, dataset_dir, capsys, edit, message):
         assert eval_edited_checkpoint(tmp_path, dataset_dir, capsys, lambda arrays, meta: edit(arrays)) == 2

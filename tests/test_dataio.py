@@ -293,17 +293,29 @@ class TestSynthesize:
             for g0, g1 in zip(orig.genomic, loaded.genomic):
                 np.testing.assert_array_equal(g1, g0)  # CSV keeps full precision
 
-    @pytest.mark.parametrize("broken", ["bag", "gene"])
+    @pytest.mark.parametrize("broken", ["bag", "gene", "unmapped gene", "empty category"])
     def test_mixed_layout_names_the_file(self, tmp_path, broken):
         manifest = write_dataset(synthesize(6, seed=11), tmp_path / "data")
+        path = tmp_path / "data/genomic/synth-0003.csv"
+        rows = path.read_text().splitlines(keepends=True)
         if broken == "bag":  # a 9-wide bag among 16-wide ones
             path = tmp_path / "data/bags/synth-0003.bag"
             dataio.write_bag(path, np.ones((9, 4)))
-        else:  # a sample missing its last gene
-            path = tmp_path / "data/genomic/synth-0003.csv"
-            path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
-        with pytest.raises(dataio.IngestError, match=path.name):
+        elif broken == "gene":  # a sample missing its last gene
+            path.write_text("".join(rows[:-1]))
+        elif broken == "unmapped gene":
+            path.write_text("".join(rows) + "foo,1.0\n")
+        else:  # every gene of the first category gone
+            path.write_text("".join(row for row in rows if not row.startswith("g0_")))
+        message = {"unmapped gene": ": unmapped genes: foo", "empty category": ": category 'Tumor Suppression' has no"}
+        with pytest.raises(dataio.IngestError, match=re.escape(str(path) + message.get(broken, ""))):
             dataio.load_samples(manifest, read_category_map(tmp_path / "data/category_map.json"))
+
+    def test_category_with_no_genes_fails_at_read(self, tmp_path):
+        path = tmp_path / "cm.json"
+        path.write_text(json.dumps({"A": ["g0_0"], "B": []}))
+        with pytest.raises(IngestError, match=re.escape(f"{path}: category 'B' must map to a non-empty list")):
+            read_category_map(path)
 
     def test_write_dataset_bitwise_deterministic(self, tmp_path):
         ds = synthesize(5, seed=13)

@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 
 from mgct import numkit as nk
-from mgct.embedders import (
-    bind_snn,
-    embed_genomics,
-    embed_patches,
-    init_arrays,
-    patch_proj_layout,
-    snn_layout,
-)
-from mgct.mgct_core import bind_model
+from mgct.embedders import bind_snn, embed_genomics, embed_patches
+from mgct.mgct_core import AblationSpec, FusionConfig, ModelSpec, bind_model, init_model_arrays
 from mgct.verify import gradient_error
 
 
+def model_arrays(prefix, gene_lengths=(1,), d_in=1, d=8, hidden=8, seed=0):
+    """The ``prefix`` arrays of a freshly drawn preset-A model, which has no fusion arrays."""
+    spec = ModelSpec(d_in, tuple(gene_lengths), hidden, FusionConfig(d=d), AblationSpec.preset("A"))
+    return {name: a for name, a in init_model_arrays(spec, seed).items() if name.startswith(prefix)}
+
+
 def snn_setup(gene_lengths, d=8, hidden=8, seed=0):
-    rng = np.random.default_rng(seed)
-    arrays = init_arrays(snn_layout(list(gene_lengths), d, hidden), rng)
+    arrays = model_arrays("snn.", gene_lengths, d=d, hidden=hidden, seed=seed)
     return arrays, bind_snn(bind_model(arrays), len(gene_lengths))
 
 
@@ -91,7 +89,7 @@ class TestGenomicEmbedder:
     def test_gradient_through_snn(self):
         gene_lengths = [3, 2]
         rng = np.random.default_rng(5)
-        arrays = init_arrays(snn_layout(gene_lengths, 4, 6), rng)
+        arrays = model_arrays("snn.", gene_lengths, d=4, hidden=6, seed=5)
         raw = [rng.uniform(-2, 2, n) for n in gene_lengths]
 
         def build(t):
@@ -115,13 +113,13 @@ class TestPatchProjection:
 
     def test_single_patch(self):
         rng = np.random.default_rng(7)
-        arrays = init_arrays(patch_proj_layout(d_in=4, d=6), rng)
+        arrays = model_arrays("patch.", d_in=4, d=6, seed=7)
         out = embed_patches(rng.normal(size=(4, 1)), *patch_proj(arrays))
         assert out.shape == (6, 1)
 
     def test_permutation_equivariance_bitwise(self):
         rng = np.random.default_rng(8)
-        arrays = init_arrays(patch_proj_layout(d_in=5, d=7), rng)
+        arrays = model_arrays("patch.", d_in=5, d=7, seed=8)
         params = patch_proj(arrays)
         x = rng.normal(size=(5, 11))
         perm = rng.permutation(11)
@@ -129,7 +127,6 @@ class TestPatchProjection:
         np.testing.assert_array_equal(out_perm, embed_patches(x, *params).data[:, perm])
 
     def test_width_mismatch(self):
-        rng = np.random.default_rng(9)
-        params = patch_proj(init_arrays(patch_proj_layout(4, 6), rng))
+        params = patch_proj(model_arrays("patch.", d_in=4, d=6, seed=9))
         with pytest.raises(nk.ShapeError, match="bag width"):
             embed_patches(np.ones((5, 3)), *params)

@@ -1,9 +1,11 @@
 """Fusion architecture tests: attention, pooling, layers, the two-stage
 pipeline, the classifier head, ablation wiring, and checkpoints."""
 
+import hashlib
 import os
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,10 +26,11 @@ from mgct.mgct_core import (
     mean_pool,
     mgca,
     mgct_layer,
+    model_layout,
     window_logits,
 )
-from mgct.train import parameter_count, sample_loss_and_grads
-from mgct.verify import gradient_error
+from mgct.train import TrainConfig, parameter_count, sample_loss_and_grads
+from mgct.verify import _tiny_spec, gradient_error
 
 
 def rng_tensor(rng, rows, cols, lo=-1.5, hi=1.5):
@@ -206,6 +209,20 @@ class TestMgctLayer:
         err, name = gradient_error(build, arrays)
         assert err < 1e-4, f"{name}: {err}"
 
+    def test_runs_exactly_the_blocks_its_arrays_make_up(self):
+        rng = np.random.default_rng(15)
+        query, context = rng_tensor(rng, 6, 4), rng_tensor(rng, 6, 9)
+        cuts = nk.Segments([4]), nk.Segments([9])
+        mlp = {k: v for k, v in make_layer(rng, 6).items() if k.startswith("mlp.")}
+        # a stage-final layer with no pooling arrays mean-pools, then runs its feed-forward
+        mean = query.data.mean(axis=1, keepdims=True)
+        hidden = np.maximum(mlp["mlp.w_in"].data @ mean + mlp["mlp.b_in"].data, 0)
+        expected = mlp["mlp.w_out"].data @ hidden + mlp["mlp.b_out"].data
+        np.testing.assert_allclose(mgct_layer(query, context, mlp, True, *cuts).data, expected, rtol=0, atol=1e-12)
+        # a layer with no arrays passes its query tokens through, or their mean at a stage end
+        assert mgct_layer(query, context, {}, False, *cuts) is query
+        np.testing.assert_allclose(mgct_layer(query, context, {}, True, *cuts).data, mean, rtol=0, atol=1e-15)
+
 
 def tiny_spec(ablation=AblationSpec(), d=8, bins=4):
     return ModelSpec(
@@ -361,6 +378,18 @@ class TestClassify:
             assert np.all(np.isfinite(g)), name
             if "b_in" not in name and "b_out" not in name and name != "head.b":
                 assert np.any(g != 0), f"dead branch at {name}"
+
+
+def test_model_layout_is_pinned():
+    # name, shape and draw flag of every array, in draw order: fresh arrays and checkpoints depend on all three
+    reference = ModelSpec(d_in=16, gene_lengths=(8,) * 6, snn_hidden=TrainConfig().snn_hidden, fusion=TrainConfig().fusion)
+    h = hashlib.sha256()
+    for spec in (_tiny_spec(), reference):
+        for preset, fusion in [(p, {}) for p in "ABCDE"] + [("E", {"heads": 2, "residual": True})]:
+            case = replace(spec, fusion=replace(spec.fusion, **fusion), ablation=AblationSpec.preset(preset))
+            for head_init in ("zeros", "xavier"):
+                h.update(repr(list(model_layout(case, head_init))).encode())
+    assert h.hexdigest() == "6d0c3dc804de1413a963e1253e6423b5e3fb8feae1ae4e9c2a053a168d97fa1b"
 
 
 class TestModelSpecRoundtrip:
