@@ -291,7 +291,10 @@ def read_category_map(path) -> CategoryMap:
         if not isinstance(names, list) or not names or not all(isinstance(g, str) for g in names):
             raise IngestError(f"{path}: category {cat!r} must map to a non-empty list of gene names")
         genes[cat] = tuple(names)
-    return CategoryMap(categories=categories, genes=genes)
+    try:
+        return CategoryMap(categories=categories, genes=genes)
+    except IngestError as exc:  # a gene assigned to two categories
+        raise IngestError(f"{path}: {exc}") from None
 
 
 def group_genomics(table: dict[str, float], cmap: CategoryMap) -> list[np.ndarray]:

@@ -19,7 +19,9 @@ immutable once built, with one exception: the finite-difference oracle
 forward calls (each process of a split sweep its own copy of them). When
 no operand is on a tape an op just computes and returns: it records
 nothing and does no tape bookkeeping. Each node keeps only what its pull
-reads: an elementwise node keeps its output, not its input.
+reads: an elementwise node keeps its output, not its input; a segmented sum
+keeps its unpadded operands and pads them again in its pull; a dropout node
+keeps a one-byte keep-mask.
 
 Shapes in comments use the convention ``(rows, cols)``.
 """
@@ -493,14 +495,16 @@ def segment_sum(a: Tensor, seg: Segments, weights: Tensor) -> Tensor:
     if seg.sizes.size == 1 and tape is None:
         return _wrap(a.data @ weights.data.T)  # one untaped segment: 2-D products
     x = seg.pad(a.data).transpose(1, 0, 2)  # (B, d, width)
-    c = seg.pad(weights.data)[0][:, :, None]  # (B, width, 1), zero in the padding
-    out = (x @ c)[:, :, 0].T
+    c = seg.pad(weights.data)[0]  # (B, width), zero in the padding
+    out = (x @ c[:, :, None])[:, :, 0].T
     if tape is None:
         return _wrap(out)
+    data, w = a.data, weights.data  # kept unpadded; the pull pads them again
 
     def pull(g):
+        x = seg.pad(data).transpose(1, 0, 2)
         gw = seg.unpad((g.T[:, None, :] @ x).transpose(1, 0, 2))
-        return seg.unpad(g[:, :, None] * c[:, :, 0]), gw
+        return seg.unpad(g[:, :, None] * seg.pad(w)[0]), gw
 
     return tape._emit(out, (a, weights), pull)
 
@@ -670,8 +674,10 @@ def alpha_dropout(a: Tensor, p: float, key: tuple) -> Tensor:
     if a.tape is None:
         return _wrap(out)
 
+    kept = mask != 0  # one byte an entry; g * gain * kept has the bits of g * gain * mask
+
     def pull(g):
-        return (g * gain * mask,)
+        return (g * gain * kept,)
 
     return a.tape._emit(out, (a,), pull)
 

@@ -88,8 +88,9 @@ def adam_step(
 ) -> dict[str, np.ndarray]:
     """One Adam update with L2 decay folded into the gradient (lambda * theta).
 
-    Returns fresh parameter arrays and leaves ``params`` and ``grads`` as they
-    were. The moments in ``state`` are updated in place after the first step,
+    Updates every array of ``params`` in place and returns ``params`` itself,
+    so a step allocates no second parameter set; ``grads`` is left as it was.
+    The moments in ``state`` are updated in place after the first step,
     through two scratch buffers sized to the largest block; each element's
     arithmetic is that of the plain expressions in the comments. A gradient
     block with a non-finite entry, or whose sum of squares overflows (so a
@@ -110,7 +111,6 @@ def adam_step(
     t = state.step_count
     size = max((theta.size for theta in params.values()), default=0)
     g_buf, s_buf = np.empty(size), np.empty(size)
-    out: dict[str, np.ndarray] = {}
     for name, theta in params.items():
         g = g_buf[: theta.size].reshape(theta.shape)
         s = s_buf[: theta.size].reshape(theta.shape)
@@ -130,8 +130,8 @@ def adam_step(
         s += ADAM_EPS
         np.multiply(lr, np.divide(m, 1 - b1**t, out=g), out=g)  # g = lr * m_hat / s
         g /= s
-        out[name] = theta - g
-    return out
+        theta -= g  # theta = theta - lr * m_hat / s
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ class EpochMetrics:
 @dataclass
 class FoldResult:
     fold: int
-    arrays: dict[str, np.ndarray]
+    arrays: dict[str, np.ndarray]  # the arrays init_model_arrays drew for the fold, trained in place
     spec: ModelSpec
     history: list[EpochMetrics]
     bin_edges: np.ndarray

@@ -218,8 +218,10 @@ def test_criterion_5_gradient_accumulation_equivalence(default_dataset):
     ]
     direct = {k: np.mean([g[k] for g in per_sample], axis=0) for k in per_sample[0]}
 
-    p1 = adam_step(dict(arrays), accumulated, AdamState(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
-    p2 = adam_step(dict(arrays), direct, AdamState(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
+    # adam_step updates the arrays it is given in place: each route steps its own copy
+    p1, p2 = ({k: a.copy() for k, a in arrays.items()} for _ in range(2))
+    p1 = adam_step(p1, accumulated, AdamState(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
+    p2 = adam_step(p2, direct, AdamState(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     worst = max(float(np.abs(p1[k] - p2[k]).max()) for k in p1)
     report(5, worst < 1e-10, f"max parameter deviation {worst:.3g} after one step")
 

@@ -625,6 +625,21 @@ class TestEvalCommand:
                 outputs[name] = capsys.readouterr().out, [(p.name, p.read_bytes()) for p in files]
         assert outputs["same"] == outputs["default"]
 
+    def test_gene_in_two_categories_exits_2_naming_the_map(self, tmp_path, dataset_dir, capsys):
+        runs = tmp_path / "runs"
+        assert main(["train", "--config", write_config(tmp_path, dataset_dir), "--out", str(runs)]) == 0
+        cmap = json.loads((dataset_dir / "category_map.json").read_text())
+        first, second = list(cmap)[:2]
+        cmap[second].append(cmap[first][0])
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(cmap))
+        km = tmp_path / "km" / "x"
+        argv = ["eval", "--checkpoint", str(run_dirs(runs)[0] / "fold_0.ckpt"), "--category-map", str(path)]
+        capsys.readouterr()
+        assert main(argv + ["--manifest", str(dataset_dir / "manifest.csv"), "--km-out", str(km)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {path}: gene {cmap[first][0]!r} assigned to both {first!r} and {second!r}" in captured.err
+        assert captured.out == "" and not km.parent.exists()
 
     @pytest.mark.parametrize(
         "edit,message",

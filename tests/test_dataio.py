@@ -317,6 +317,12 @@ class TestSynthesize:
         with pytest.raises(IngestError, match=re.escape(f"{path}: category 'B' must map to a non-empty list")):
             read_category_map(path)
 
+    def test_gene_in_two_categories_names_the_file(self, tmp_path):
+        path = tmp_path / "cm.json"
+        path.write_text(json.dumps({"A": ["g0_0"], "B": ["g0_0"]}))
+        with pytest.raises(IngestError, match=re.escape(f"{path}: gene 'g0_0' assigned to both 'A' and 'B'")):
+            read_category_map(path)
+
     def test_write_dataset_bitwise_deterministic(self, tmp_path):
         ds = synthesize(5, seed=13)
         m1 = write_dataset(ds, tmp_path / "a")

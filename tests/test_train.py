@@ -101,6 +101,11 @@ def reference_adam_step(params, grads, state, lr, weight_decay=0.0):
     return out
 
 
+def copy_arrays(arrays: dict) -> dict:
+    """Independent copies: ``adam_step`` updates the arrays it is given in place."""
+    return {name: a.copy() for name, a in arrays.items()}
+
+
 def assert_bitwise(a: dict, b: dict):
     # tobytes tells -0.0 from +0.0, which assert_array_equal does not
     assert a.keys() == b.keys()
@@ -114,16 +119,16 @@ class TestAdamStep:
         shapes = {"a": (1, 1), "b": (3, 5), "c": (256, 256)}
         params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
         params["b"][0, 0] = -0.0  # with a -0.0 gradient its first moment starts at -0.0
-        expected = dict(params)
+        arrays = dict(params)  # the identity of every array
+        expected = {k: a.copy() for k, a in params.items()}
         state, ref_state = AdamState(), AdamState()
         for step in range(3):
             grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
             grads["b"][0, 0] = -0.0
-            before = [{k: a.copy() for k, a in d.items()} for d in (params, grads)]
-            new = adam_step(params, grads, state, lr=1e-2, weight_decay=1e-3)
-            assert_bitwise(params, before[0])
-            assert_bitwise(grads, before[1])
-            params = new
+            grads_before = {k: a.copy() for k, a in grads.items()}
+            assert adam_step(params, grads, state, lr=1e-2, weight_decay=1e-3) is params
+            assert all(params[k] is arrays[k] for k in arrays) and params.keys() == arrays.keys()
+            assert_bitwise(grads, grads_before)
             expected = reference_adam_step(expected, grads, ref_state, lr=1e-2, weight_decay=1e-3)
             assert_bitwise(params, expected)
             assert_bitwise(state.m, ref_state.m)
@@ -131,12 +136,12 @@ class TestAdamStep:
             assert state.step_count == ref_state.step_count == step + 1
             assert np.signbit(state.m["b"][0, 0]) == (step == 0)  # a zero-initialised moment gives +0.0
 
-        moments = [{k: a.copy() for k, a in d.items()} for d in (state.m, state.v)]
+        before = [{k: a.copy() for k, a in d.items()} for d in (params, state.m, state.v)]
         grads["c"][7, 7] = np.inf
         assert adam_step(params, grads, state, lr=1e-2, weight_decay=1e-3) is params
         assert (state.step_count, state.skipped) == (3, 1)
-        assert_bitwise(state.m, moments[0])
-        assert_bitwise(state.v, moments[1])
+        for was, now in zip(before, (params, state.m, state.v)):
+            assert_bitwise(now, was)
 
     def test_zero_gradients_leave_params_unchanged(self):
         params = {"w": np.ones((2, 3))}
@@ -219,8 +224,8 @@ class TestAccumulationEquivalence:
         direct_mean = {
             name: np.mean([g[name] for g in grads_list], axis=0) for name in grads_list[0]
         }
-        p1 = adam_step(dict(arrays), accumulated, AdamState(), lr=2e-4, weight_decay=1e-5)
-        p2 = adam_step(dict(arrays), direct_mean, AdamState(), lr=2e-4, weight_decay=1e-5)
+        p1 = adam_step(copy_arrays(arrays), accumulated, AdamState(), lr=2e-4, weight_decay=1e-5)
+        p2 = adam_step(copy_arrays(arrays), direct_mean, AdamState(), lr=2e-4, weight_decay=1e-5)
         for name in p1:
             assert np.abs(p1[name] - p2[name]).max() < 1e-10
 
@@ -266,8 +271,8 @@ class TestWindowEquivalence:
 
         assert max(abs(a - b) for a, b in zip(losses, sample_losses)) < 1e-12
         step = dict(lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
-        p1 = adam_step(dict(arrays), window, AdamState(), **step)
-        p2 = adam_step(dict(arrays), mean, AdamState(), **step)
+        p1 = adam_step(copy_arrays(arrays), window, AdamState(), **step)
+        p2 = adam_step(copy_arrays(arrays), mean, AdamState(), **step)
         assert max(float(np.abs(p1[k] - p2[k]).max()) for k in p1) < 1e-10
 
     @pytest.mark.parametrize("max_patches, tapes", TAPE_SETTINGS)
@@ -294,8 +299,9 @@ class TestWindowEquivalence:
         assert sizes == [221]
 
     def test_reference_window_memory_peak(self, reference_cohort):
-        # a guard on memory drift: the window's traced peak reads 15.4 MiB; a
-        # tape whose elementwise nodes also keep their inputs reads 18.8 MiB
+        # a guard on memory drift: the window's traced peak reads 14.3 MiB; with
+        # padded pool operands and float64 dropout masks on the tape it read
+        # 15.4 MiB, and 18.8 MiB when elementwise nodes also kept their inputs
         ds, labels = reference_cohort
         spec = reference_spec(ds)  # preset E
         arrays = init_model_arrays(spec, seed=2)
@@ -305,7 +311,7 @@ class TestWindowEquivalence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16.5 * 2**20
+        assert peak < 15.3 * 2**20
 
     @pytest.mark.parametrize("max_patches", [train.TAPE_PATCHES, 200])
     def test_evaluate_matches_predict(self, monkeypatch, reference_cohort, max_patches):
@@ -327,7 +333,7 @@ class TestWindowEquivalence:
         calls = []
 
         def recording_adam_step(params, grads, state, **kwargs):
-            calls.append((params, grads))
+            calls.append((copy_arrays(params), grads))  # the step updates params in place
             return adam_step(params, grads, state, **kwargs)
 
         monkeypatch.setattr(train, "adam_step", recording_adam_step)
@@ -381,6 +387,84 @@ class TestWindowEquivalence:
         risks, _, _ = evaluate([s, ds.samples[1]], arrays, spec, 10.0)
         assert seen.pop().shape[1] == s.patches.shape[1] + ds.samples[1].patches.shape[1]
         assert abs(risks[0] - alone) <= 1e-12
+
+
+def held_arrays(fn):
+    """The arrays a pull keeps alive: its closure cells, and the cells of the functions they hold."""
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            yield value
+        elif callable(value) and hasattr(value, "__closure__"):
+            yield from held_arrays(value)
+
+
+def padded_segment_sum(a, seg, weights):
+    """``nk.segment_sum`` with a pull that keeps the padded (B, d, width) and (B, width, 1) copies."""
+    x = seg.pad(a.data).transpose(1, 0, 2)
+    c = seg.pad(weights.data)[0][:, :, None]
+
+    def pull(g):
+        gw = seg.unpad((g.T[:, None, :] @ x).transpose(1, 0, 2))
+        return seg.unpad(g[:, :, None] * c[:, :, 0]), gw
+
+    return nk._tape_of(a, weights)._emit((x @ c)[:, :, 0].T, (a, weights), pull)
+
+
+def float_mask_dropout(a, p, key, forward=nk.alpha_dropout):
+    """``nk.alpha_dropout`` with a pull that keeps the float64 keep-mask.
+
+    ``forward`` is the op itself, bound before a test patches it.
+    """
+    keep = 1.0 - p
+    gain = (keep + nk._DROP_VALUE**2 * keep * p) ** -0.5
+    mask = nk.dropout_mask(key, a.shape, keep)
+    out = forward(nk.Tensor(a.data), p, key).data  # the untaped forward has the taped one's bits
+    return a.tape._emit(out, (a,), lambda g: (g * gain * mask,))
+
+
+class TestWindowTape:
+    """What the pulls of a ragged three-sample window (bags of 5, 2 and 7 patches) keep for backward."""
+
+    @pytest.fixture()
+    def window(self):
+        ds = tiny_dataset()
+        rng = np.random.default_rng(4)
+        samples = [replace(s, patches=rng.normal(size=(ds.d_in, n))) for s, n in zip(ds.samples, (5, 2, 7))]
+        labels = [sv.SurvivalLabel(s.t, s.event, bin=i) for i, s in enumerate(samples)]
+        cfg = tiny_config()
+        spec = ModelSpec(
+            d_in=ds.d_in, gene_lengths=tuple(ds.gene_lengths), snn_hidden=cfg.snn_hidden, fusion=cfg.fusion
+        )
+        return samples, labels, spec, init_model_arrays(spec, seed=1, head_init="xavier")
+
+    def test_pools_keep_unpadded_operands_and_dropout_a_bool_mask(self, window):
+        samples, labels, spec, arrays = window
+        tape = nk.Tape()
+        leaves = {name: tape.leaf(a) for name, a in arrays.items()}
+        train.window_losses(samples, leaves, spec, labels, 0.25, (0, range(3)))
+        held = {"segment_sum": [], "alpha_dropout": []}
+        for node in tape.nodes:
+            op = node.pull and node.pull.__qualname__.removesuffix(".<locals>.pull")
+            if op in held:
+                held[op].append(list(held_arrays(node.pull)))
+        # each pool keeps its (d, N) tokens and (1, N) weights, never a (3, d, 7) or (3, 7, 1) padded copy
+        pooled = [[a.shape for a in arrays] for arrays in held["segment_sum"]]
+        assert [(8, 14), (1, 14)] in pooled
+        assert all(len(s) == 2 and len(s[0]) == 2 and s[1] == (1, s[0][1]) for s in pooled)
+        kept = [a for arrays in held["alpha_dropout"] for a in arrays]
+        assert len(held["alpha_dropout"]) == len(kept) > 0
+        assert all(a.dtype == bool for a in kept)
+
+    def test_gradients_match_padded_and_float_mask_forms(self, window, monkeypatch):
+        samples, labels, spec, arrays = window
+        step = dict(dropout=0.25, dropout_key=(0, range(3)))
+        losses, grads = window_loss_and_grads(samples, arrays, spec, labels, **step)
+        monkeypatch.setattr(nk, "segment_sum", padded_segment_sum)
+        monkeypatch.setattr(nk, "alpha_dropout", float_mask_dropout)
+        ref_losses, ref_grads = window_loss_and_grads(samples, arrays, spec, labels, **step)
+        assert losses == ref_losses
+        assert_bitwise(grads, ref_grads)
 
 
 class TestTapeSpans:
@@ -438,6 +522,30 @@ class TestTrainFold:
         ]
         for name in a.arrays:
             np.testing.assert_array_equal(a.arrays[name], b.arrays[name])
+
+    def test_trains_the_initial_arrays_in_place(self, monkeypatch):
+        # every step updates the arrays init_model_arrays drew; no second parameter set is made
+        drawn, stepped = [], []
+        init, step = train.init_model_arrays, train.adam_step
+
+        def recording_init(*args, **kwargs):
+            arrays = init(*args, **kwargs)
+            drawn.append((arrays, dict(arrays)))  # the dict and the arrays as drawn
+            return arrays
+
+        def recording_step(*args, **kwargs):
+            stepped.append(step(*args, **kwargs))
+            return stepped[-1]
+
+        monkeypatch.setattr(train, "init_model_arrays", recording_init)
+        monkeypatch.setattr(train, "adam_step", recording_step)
+        ds = tiny_dataset()
+        split = monte_carlo_splits(ds.ids, 1, ratio=0.2, seed=0)[0]
+        result = train_fold(ds, split, tiny_config(epochs=2))
+        ((arrays, originals),) = drawn
+        assert len(stepped) == 10 and all(params is arrays for params in stepped) and result.arrays is arrays
+        assert result.arrays.keys() == originals.keys()
+        assert all(result.arrays[name] is a for name, a in originals.items())
 
     def test_window_gradients_die_with_their_step(self, monkeypatch):
         # no window's gradient arrays are alive while the next window runs
